@@ -77,7 +77,7 @@ from .axioms import (
     update_intentions,
 )
 from .runner import RunReport, build, explain, run_scenario
-from .satcore import backend_name, entailed_by, satisfiable
+from .satcore import entailed_by, satisfiable
 from .scenario import Scenario, load, loads
 from .sdrs import (
     Attachment,
@@ -147,7 +147,6 @@ __all__ = [
     "Yields",
     "abduce",
     "attach",
-    "backend_name",
     "build",
     "coherent",
     "defeasible_closure",

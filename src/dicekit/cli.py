@@ -4,7 +4,7 @@
 
 Exit status: 0 when every expectation holds, 1 when a coherence verdict
 expectation fails, 2 for any other failed expectation, 3 for unreadable or
-ill-formed input.
+ill-formed input, a bad command line included.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import satcore
 from .errors import DicekitError
 from .runner import explain, run_scenario, write_report
 from .scenario import load
@@ -30,19 +29,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="maximum nesting depth for attitude contexts (default 3)")
     run.add_argument("--report", metavar="OUT",
                      help="also write a report (text, or JSON when OUT ends in .json)")
-    run.add_argument("--backend", choices=("pure", "compiled"),
-                     help="force the satisfiability kernel")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.backend:
-        try:
-            satcore.use_backend(args.backend)
-        except DicekitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 3
     try:
         scenario = load(args.path)
         report = run_scenario(scenario, max_steps=args.max_steps, max_depth=args.depth)

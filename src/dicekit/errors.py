@@ -27,7 +27,8 @@ class StepBoundExceeded(DicekitError):
 
 
 class SatTooLarge(DicekitError):
-    """A satisfiability instance exceeds the enumeration cap."""
+    """One group of atoms that share formulas exceeds the truth-table cap
+    (the cap is per group, not per instance)."""
 
 
 class NoAntecedent(DicekitError):

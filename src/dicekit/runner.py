@@ -27,7 +27,6 @@ import json
 import time
 from dataclasses import dataclass
 
-from . import satcore
 from .axioms import (
     AxiomSet,
     SupportApplication,
@@ -395,7 +394,7 @@ def run_scenario(scenario: Scenario, *, max_steps: int = 1000, max_depth: int = 
 def explain(report: RunReport) -> str:
     lines = [
         f"scenario {report.scenario.name}: {report.verdict}"
-        f" ({report.elapsed:.3f}s, {satcore.backend_name()} sat kernel)"
+        f" ({report.elapsed:.3f}s)"
     ]
     if report.sdrs.attachments:
         lines.append("relations:")

@@ -1,4 +1,4 @@
-"""Shared fixtures: the scenario corpus and satisfiability-kernel selection."""
+"""Shared fixtures: the scenario corpus."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from dicekit import satcore
 from dicekit.runner import run_scenario
 from dicekit.scenario import load
 
@@ -24,15 +23,6 @@ CORPUS = (
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name + ".scn")
-
-
-@pytest.fixture(params=sorted(satcore.available_backends()))
-def sat_backend(request):
-    """Run a test once per available kernel, restoring the default after."""
-    prev = satcore.backend_name()
-    satcore.use_backend(request.param)
-    yield request.param
-    satcore.use_backend(prev)
 
 
 @pytest.fixture(scope="session")

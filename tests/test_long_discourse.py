@@ -1,0 +1,29 @@
+"""Length robustness: generated imperative-plus-enablements chains longer than
+any corpus scenario interpret with the relations their construction implies."""
+
+import pytest
+
+from dicekit.formulas import parse_formula
+from dicekit.runner import run_scenario
+from dicekit.scenario import loads
+
+
+def chain_scenario(n: int) -> str:
+    """An imperative u0, then n - 1 enablements uK, each pair linked by a
+    cause fact: every pair should attach with Result, none with Narration."""
+    pairs = [(f"u{k}", f"u{k + 1}") for k in range(n - 1)]
+    lines = ["agents A I", "context [] {"]
+    lines += [f"  fact (cause {a} {b})" for a, b in pairs]
+    lines += ["}", "utterance u0 imperative (R (plan s0))"]
+    lines += [f"utterance u{k} assertion (can (R (plan s{k})))" for k in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_long_enablement_chain_is_coherent(n):
+    report = run_scenario(loads(chain_scenario(n), f"chain{n}"))
+    assert report.verdict == "coherent"
+    got = {(a.rel.rel,) + tuple(a.rel.args) for a in report.sdrs.attachments}
+    assert got == {("Result", f"u{k}", f"u{k + 1}") for k in range(n - 1)}
+    for intention in ("(I A (R (plan s0)))", "(I A (R (plan s0 s1)))"):
+        assert report.kb.entails((), parse_formula(intention))

@@ -1,4 +1,5 @@
-"""Satisfiability kernels against assignment-at-a-time enumeration."""
+"""Satisfiability, split by shared atoms, against assignment-at-a-time
+enumeration."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 import reference
 from dicekit import satcore
 from dicekit.errors import SatTooLarge, ValidationError
-from dicekit.formulas import Atom, Att, Iff, Not, Yields, parse_formula
+from dicekit.formulas import Atom, Att, Iff, Not, Or, Yields, parse_formula
 
 
 def test_empty_store_is_satisfiable():
@@ -37,13 +38,19 @@ def test_opaque_atoms_are_keyed_by_canonical_print():
     assert satcore.satisfiable((y, Not(Atom("p")), Not(Atom("q"))))
 
 
-def test_atom_index_first_seen_order():
-    fs = (parse_formula("(and q p)"), Atom("r0"))
-    assert satcore.atom_index(fs) == {"q": 0, "p": 1, "r0": 2}
+def test_compile_program_numbers_atoms_first_seen():
+    index: dict[str, int] = {}
+    assert satcore.compile_program(parse_formula("(and q p)"), index) == [0, 1, satcore.OP_AND]
+    assert satcore.compile_program(parse_formula("(or r0 (not q))"), index) == [
+        2, 0, satcore.OP_NOT, satcore.OP_OR,
+    ]
+    assert index == {"q": 0, "p": 1, "r0": 2}
 
 
 def test_variable_cap_enforced():
-    fs = tuple(Atom(f"p{i}") for i in range(satcore.MAX_VARS + 1))
+    # one connected group of MAX_VARS + 1 variables: p0 -> p1 -> ... -> p25
+    n = satcore.MAX_VARS + 1
+    fs = tuple(parse_formula(f"(-> p{i} p{i + 1})") for i in range(n - 1))
     with pytest.raises(SatTooLarge):
         satcore.satisfiable(fs)
 
@@ -53,22 +60,7 @@ def test_non_ground_formulas_rejected():
         satcore.satisfiable((parse_formula("(p ?x)"),))
 
 
-def test_use_backend_rejects_unknown_names():
-    prev = satcore.backend_name()
-    try:
-        with pytest.raises(ValidationError):
-            satcore.use_backend("nope")
-        satcore.use_backend("pure")
-        assert satcore.backend_name() == "pure"
-    finally:
-        satcore.use_backend(prev)
-
-
-def test_backends_registry_contains_pure():
-    assert "pure" in satcore.available_backends()
-
-
-def test_kernels_match_enumeration_oracle(sat_backend):
+def test_kernels_match_enumeration_oracle():
     rng = random.Random(1234)
     atoms = [f"p{i}" for i in range(8)]
     for _ in range(150):
@@ -81,9 +73,84 @@ def test_kernels_match_enumeration_oracle(sat_backend):
         assert satcore.entailed_by(fs, query) == reference.entails(fs, query)
 
 
-def test_kernels_handle_wide_instances(sat_backend):
+def test_kernels_handle_wide_instances():
     # 18 variables: wide enough to exercise multi-block enumeration
     fs = [parse_formula(f"(-> p{i} p{i + 1})") for i in range(18)]
     assert satcore.satisfiable(fs)
     assert satcore.entailed_by(fs + [Atom("p0")], Atom("p18"))
     assert not satcore.satisfiable(fs + [Atom("p0"), Not(Atom("p18"))])
+
+
+def _split(rng, atoms, n_groups):
+    atoms = list(atoms)
+    rng.shuffle(atoms)
+    cuts = sorted(rng.sample(range(1, len(atoms)), n_groups - 1))
+    return [atoms[i:j] for i, j in zip([0] + cuts, cuts + [len(atoms)])]
+
+
+def _group_formulas(rng, group, n_extra):
+    """A clause over every atom of the group (so all of them occur and the
+    group is connected), plus random formulas over the group's atoms."""
+    clause = [reference.random_literal(rng, [a]) for a in group]
+    fs = [Or(tuple(clause)) if len(clause) > 1 else clause[0]]
+    fs += [reference.random_formula(rng, group, rng.randint(0, 3)) for _ in range(n_extra)]
+    return fs
+
+
+def test_disjoint_groups_match_enumeration_oracle():
+    rng = random.Random(2024)
+    for _ in range(12):
+        atoms = [f"a{i}" for i in range(rng.randint(12, 14))]
+        groups = _split(rng, atoms, rng.randint(3, 5))
+        fs = [f for g in groups for f in _group_formulas(rng, g, rng.randint(0, 2))]
+        rng.shuffle(fs)
+        assert satcore.satisfiable(fs) == reference.satisfiable(fs)
+        # a query inside one group, and one that bridges two groups
+        g1, g2 = rng.sample(groups, 2)
+        for query in (reference.random_formula(rng, g1, 2),
+                      reference.random_formula(rng, g1 + g2, 2)):
+            assert satcore.entailed_by(fs, query) == reference.entails(fs, query)
+
+
+def test_one_unsatisfiable_group_decides_the_instance():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 25:
+        groups = _split(rng, [f"b{i}" for i in range(12)], 4)
+        parts = [_group_formulas(rng, g, 3) for g in groups]
+        unsat = [k for k, fs in enumerate(parts) if not reference.satisfiable(fs)]
+        if len(unsat) != 1:
+            continue
+        fs = [f for part in parts for f in part]
+        rng.shuffle(fs)
+        assert not satcore.satisfiable(fs)
+        rest = [f for k, part in enumerate(parts) if k != unsat[0] for f in part]
+        assert satcore.satisfiable(rest)
+        checked += 1
+
+
+def test_queries_over_atoms_disjoint_from_the_store():
+    rng = random.Random(99)
+    store_atoms = [f"s{i}" for i in range(6)]
+    query_atoms = [f"q{i}" for i in range(3)]
+    for _ in range(100):
+        fs = [reference.random_formula(rng, store_atoms, rng.randint(0, 3))
+              for _ in range(rng.randint(1, 5))]
+        query = reference.random_formula(rng, query_atoms, rng.randint(0, 3))
+        expected = reference.entails(fs, query)
+        # only an inconsistent store or a valid query gives an entailment
+        assert expected == (not reference.satisfiable(fs) or reference.entails((), query))
+        assert satcore.entailed_by(fs, query) == expected
+
+
+def test_many_small_groups_stay_under_the_cap():
+    # 40 atoms as 20 pairs, each pair "exactly one of x, y": satisfiable,
+    # although 40 variables in one table would exceed the cap
+    fs = []
+    for i in range(20):
+        fs.append(parse_formula(f"(or x{i} y{i})"))
+        fs.append(parse_formula(f"(not (and x{i} y{i}))"))
+    assert satcore.satisfiable(fs)
+    assert satcore.entailed_by(fs + [Atom("x7")], Not(Atom("y7")))
+    assert not satcore.entailed_by(fs + [Atom("x7")], Atom("x8"))
+    assert not satcore.satisfiable(fs + [Not(Atom("x19")), Not(Atom("y19"))])
