@@ -168,12 +168,15 @@ _IN_PROGRESS = object()
 class EvalContext:
     """Carries the rule set and a memo table for one evaluation episode.
 
-    The yields-cache assumes the knowledge base does not change during the
-    episode; create a fresh context after asserting new facts.
+    The yields-cache holds one table per knowledge base, keyed by its id, and
+    each entry keeps its knowledge base alive so that the id cannot be reused.
+    A context can therefore outlive asserts: a new knowledge base gets a table
+    of its own, and no answer computed against another one is returned.
     """
 
     rules: tuple[DefaultRule, ...] = ()
     max_steps: int = 1000
+    #: id(kb) -> (kb, {(path, left, right): verdict})
     yields_cache: dict = field(default_factory=dict)
 
 
@@ -199,15 +202,16 @@ def holds(kb: KnowledgeBase, path: ContextPath, f: Formula, ctx: EvalContext | N
 
 
 def yields_holds(kb: KnowledgeBase, path: ContextPath, left: Formula, right: Formula, ctx: EvalContext) -> bool:
+    memo = ctx.yields_cache.setdefault(id(kb), (kb, {}))[1]
     key = (tuple(path), print_formula(left), print_formula(right))
-    cached = ctx.yields_cache.get(key)
+    cached = memo.get(key)
     if cached is _IN_PROGRESS:
         return False  # occurs-check: a yields-atom cannot support itself
     if cached is not None:
         return cached
-    ctx.yields_cache[key] = _IN_PROGRESS
+    memo[key] = _IN_PROGRESS
     verdict = nonmon_yields(kb, ctx.rules, path, left, right, ctx=ctx)
-    ctx.yields_cache[key] = verdict
+    memo[key] = verdict
     return verdict
 
 
@@ -607,7 +611,7 @@ def abduce(
                 scratch = scratch.assert_fact(path, h)
         except ValidationError:
             continue
-        if not all(satcore.satisfiable(s.formulas()) for s in scratch.stores.values()):
+        if not all(s.compiled.sat for s in scratch.stores.values()):
             continue
         seen_hyp.add(hyp_key)
         results.append(AbductionResult(rule.name, _bind_key(b), hyp))

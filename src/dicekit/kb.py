@@ -17,6 +17,7 @@ takes A to believe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -52,7 +53,11 @@ def _literal_conjunction(f: Formula) -> bool:
 @dataclass(frozen=True)
 class Store:
     """One context's contents.  Tuples, not sets: iteration order is load order,
-    which keeps closure traces and SAT variable numbering reproducible."""
+    which keeps closure traces and SAT variable numbering reproducible.
+
+    A store is never changed, only replaced, so its formulas are compiled for
+    satisfiability once, on the first query, and the compiled form lives and
+    dies with the store.  Every query against it compiles only itself."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -60,6 +65,10 @@ class Store:
 
     def formulas(self) -> tuple[Formula, ...]:
         return self.facts + self.hard_rules
+
+    @functools.cached_property
+    def compiled(self) -> satcore.Compiled:
+        return satcore.compile_formulas(self.formulas())
 
 
 @dataclass(frozen=True)
@@ -163,11 +172,11 @@ class KnowledgeBase:
     # -- queries -----------------------------------------------------------
 
     def entails(self, path: ContextPath, f: Formula) -> bool:
-        return satcore.entailed_by(self.store_at(path).formulas(), f)
+        return not satcore.satisfiable((Not(f),), base=self.store_at(path).compiled)
 
     def consistent_with(self, path: ContextPath, extra: Iterable[Formula] = ()) -> bool:
         """Satisfiability of one store together with extra formulas."""
-        return satcore.satisfiable(self.store_at(path).formulas() + tuple(extra))
+        return satcore.satisfiable(extra, base=self.store_at(path).compiled)
 
     def jointly_consistent_with(self, extra: Iterable[Formula] = ()) -> bool:
         """Satisfiability of the extras against the root store and each
@@ -178,7 +187,7 @@ class KnowledgeBase:
         """
         extra = tuple(extra)
         for p in ((),) + tuple(self.root_consistency_paths):
-            if not satcore.satisfiable(self.store_at(p).formulas() + extra):
+            if not satcore.satisfiable(extra, base=self.store_at(p).compiled):
                 return False
         return True
 

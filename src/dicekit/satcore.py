@@ -5,12 +5,21 @@ not a boolean connective (attitudes, generics, defeasible conditionals,
 site/info/relation tokens, yields-atoms, plain atoms) is one opaque boolean
 variable, keyed by its canonical printed form.
 
-`satisfiable` walks each formula once: `compile_program` numbers the opaque
-atoms in first-seen order and emits the formula's RPN program.  The programs
-are then grouped so that no two groups share a variable.  A conjunction of
-formulas over disjoint variables is satisfiable iff each group is, so each
-group gets its own truth table, and the check stops at the first
-unsatisfiable group.
+`compile_program` walks a formula once: it numbers the opaque atoms in
+first-seen order and emits the formula's RPN program.  The programs are then
+grouped so that no two groups share a variable.  A conjunction of formulas
+over disjoint variables is satisfiable iff each group is, so each group gets
+its own truth table.  Every group is checked against `MAX_VARS` before any is
+decided, so whether `SatTooLarge` is raised does not depend on formula order.
+
+A store answers many queries, so `compile_formulas` compiles its formulas
+once into a `Compiled` form: the atom index, the groups with their programs,
+an atom-to-group map and the verdict.  `satisfiable(extra, base=compiled)`
+then compiles only the extra formulas, numbering their new atoms after the
+base's.  It merges the base groups the extras touch with the extras, and
+decides only those merged groups: an untouched base group is satisfiable
+whenever the base is.  A call without a base runs the same routine over an
+empty base.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -21,7 +30,8 @@ bignum operations however many assignments there are.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .errors import SatTooLarge, ValidationError
 from .formulas import And, Formula, Iff, Implies, Not, Or, is_ground, print_formula, sat_atomic
@@ -35,18 +45,25 @@ OP_OR = -3
 #: truth-table cap on one group of atoms that share formulas
 MAX_VARS = 25
 
+#: (variables, programs): formulas that share atoms, and the atoms they use
+Group = tuple[list[int], list[list[int]]]
 
-def compile_program(f: Formula, index: dict[str, int]) -> list[int]:
-    """RPN program for f.  Opaque atoms not yet in index are added to it,
-    numbered in first-seen order."""
+
+def compile_program(f: Formula, index: dict[str, int], known: Mapping[str, int] = {}) -> list[int]:
+    """RPN program for f.  An opaque atom in known keeps its number there;
+    any other atom not yet in index is added to it, numbered after known's
+    atoms in first-seen order."""
     prog: list[int] = []
+    offset = len(known)
 
     def emit(g: Formula) -> None:
         if sat_atomic(g):
             key = print_formula(g)
-            var = index.get(key)
+            var = known.get(key)
             if var is None:
-                var = index[key] = len(index)
+                var = index.get(key)
+                if var is None:
+                    var = index[key] = offset + len(index)
             prog.append(var)
         elif isinstance(g, Not):
             emit(g.body)
@@ -79,30 +96,69 @@ def compile_program(f: Formula, index: dict[str, int]) -> list[int]:
     return prog
 
 
-def _groups(programs: list[list[int]], n_vars: int) -> list[tuple[list[int], list[list[int]]]]:
-    """Split programs into (variables, programs) groups that share no
-    variable, by union-find over variable numbers."""
-    parent = list(range(n_vars))
+@dataclass(frozen=True, eq=False)
+class Compiled:
+    """A formula set compiled once: its atom index, its groups (no two share a
+    variable), each variable's group number and whether the set is
+    satisfiable.  Read-only once built."""
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
+    index: dict[str, int]
+    groups: tuple[Group, ...]
+    group_of: list[int]
+    sat: bool
+
+
+_EMPTY = Compiled({}, (), [], True)
+
+
+def _extend(base: Compiled, formulas: Iterable[Formula]) -> tuple[dict[str, int], list[Group]]:
+    """Compile formulas against base.  Returns their atoms that base lacks,
+    and the groups they form together with the base groups they touch
+    (union-find over base group numbers and new variables).  Raises before
+    any group is decided if one exceeds MAX_VARS."""
+    fs = tuple(formulas)
+    for f in fs:
+        if not is_ground(f):
+            raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
+    new: dict[str, int] = {}
+    programs = [compile_program(f, new, base.index) for f in fs]
+    n_base, n_groups, group_of = len(base.index), len(base.groups), base.group_of
+    # node g < n_groups is base group g; node n_groups + k is new variable n_base + k
+    shift = n_groups - n_base
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    def node(v: int) -> int:
+        return v + shift if v >= n_base else group_of[v]
 
     for prog in programs:
-        root = find(prog[0])  # a program always starts by pushing a variable
+        root = find(node(prog[0]))  # a program always starts by pushing a variable
         for x in prog:
             if x >= 0:
-                r = find(x)
+                r = find(node(x))
                 if r != root:
                     parent[r] = root
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for v in range(n_vars):
-        groups.setdefault(find(v), ([], []))[0].append(v)
+    merged: dict[int, Group] = {}
+    for x in parent:
+        vs, ps = merged.setdefault(find(x), ([], []))
+        if x < n_groups:
+            vs.extend(base.groups[x][0])
+            ps.extend(base.groups[x][1])
+        else:
+            vs.append(x - shift)
     for prog in programs:
-        groups[find(prog[0])][1].append(prog)
-    return list(groups.values())
+        merged[find(node(prog[0]))][1].append(prog)
+    groups = list(merged.values())
+    for vs, _ in groups:
+        if len(vs) > MAX_VARS:
+            raise SatTooLarge(f"a group of {len(vs)} variables exceeds the cap of {MAX_VARS}")
+    return new, groups
 
 
 @functools.cache
@@ -136,8 +192,6 @@ def _eval(prog: list[int], masks: dict[int, int], full: int) -> int:
 
 def _group_satisfiable(variables: list[int], programs: list[list[int]]) -> bool:
     n = len(variables)
-    if n > MAX_VARS:
-        raise SatTooLarge(f"a group of {n} variables exceeds the cap of {MAX_VARS}")
     full = (1 << (1 << n)) - 1
     masks = {v: _var_mask(k, n) for k, v in enumerate(variables)}
     acc = full
@@ -148,14 +202,26 @@ def _group_satisfiable(variables: list[int], programs: list[list[int]]) -> bool:
     return True
 
 
-def satisfiable(formulas: Iterable[Formula]) -> bool:
-    fs = tuple(formulas)
-    for f in fs:
-        if not is_ground(f):
-            raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
-    index: dict[str, int] = {}
-    programs = [compile_program(f, index) for f in fs]
-    return all(_group_satisfiable(vs, ps) for vs, ps in _groups(programs, len(index)))
+def compile_formulas(formulas: Iterable[Formula]) -> Compiled:
+    """Compile a formula set once, for `satisfiable(..., base=...)`."""
+    index, groups = _extend(_EMPTY, formulas)
+    group_of = [0] * len(index)
+    for g, (vs, _) in enumerate(groups):
+        for v in vs:
+            group_of[v] = g
+    sat = all(_group_satisfiable(vs, ps) for vs, ps in groups)
+    return Compiled(index, tuple(groups), group_of, sat)
+
+
+def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:
+    """Satisfiability of the formulas together with a compiled base (none by
+    default).  Only the formulas are compiled, and only the base groups they
+    touch are decided again."""
+    base = _EMPTY if base is None else base
+    _, groups = _extend(base, formulas)
+    if not base.sat:
+        return False
+    return all(_group_satisfiable(vs, ps) for vs, ps in groups)
 
 
 def entailed_by(store: Iterable[Formula], query: Formula) -> bool:

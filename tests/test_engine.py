@@ -7,6 +7,7 @@ import random
 import pytest
 
 import reference
+from dicekit import engine
 from dicekit.engine import (
     DefaultRule,
     EvalContext,
@@ -273,15 +274,28 @@ def test_attributed_yields_evaluates_in_the_nested_store():
     assert not holds(kb, (), clause)  # no context, no hypothetical reasoning
 
 
-def test_yields_results_are_memoized_per_context():
+def test_yields_results_are_memoized_per_context(monkeypatch):
     rule = make_rule("Bird", ["bird"], "fly", scope="everywhere")
+    calls = []
+    real = engine.nonmon_yields
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "nonmon_yields", counting)
     kb = KnowledgeBase().assert_fact((), Atom("seed"))
     ctx = EvalContext(rules=(rule,))
     assert yields_holds(kb, (), Atom("bird"), Atom("fly"), ctx)
-    # the memo assumes an unchanged store: the stale answer survives asserts
+    # an assert makes a new knowledge base, which the shared memo does not confuse
+    # with the old one: once bird is stored, adding it yields nothing new
     primed = kb.assert_fact((), Atom("bird"))
-    assert yields_holds(primed, (), Atom("bird"), Atom("fly"), ctx)
-    assert not yields_holds(primed, (), Atom("bird"), Atom("fly"), EvalContext(rules=(rule,)))
+    assert not yields_holds(primed, (), Atom("bird"), Atom("fly"), ctx)
+    assert calls == [kb, primed]
+    # repeating a query on the same knowledge base is answered by the memo
+    assert yields_holds(kb, (), Atom("bird"), Atom("fly"), ctx)
+    assert not yields_holds(primed, (), Atom("bird"), Atom("fly"), ctx)
+    assert calls == [kb, primed]
 
 
 def test_closure_matches_stored_yields_atoms_only():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from dicekit.errors import DepthExceeded, ValidationError
-from dicekit.formulas import Att, Atom, Not, parse_formula
+import reference
+from dicekit import satcore
+from dicekit.errors import DepthExceeded, SatTooLarge, ValidationError
+from dicekit.formulas import Att, Atom, Iff, Implies, Not, parse_formula, print_formula
 from dicekit.kb import KnowledgeBase, Store
 
 
@@ -141,3 +145,90 @@ def test_with_default_records_rules_per_store():
     rule = make_rule("r", ["p"], "q")
     kb = kb0().with_default(("A",), rule)
     assert kb.store_at(("A",)).defaults == (rule,)
+
+
+# ------------------------------------------------- queries on a compiled store
+
+
+def _random_store(rng, atoms) -> Store:
+    """Literal facts and conditionals over atoms split into two parts that
+    share no formula, so the store compiles to several groups."""
+    cut = rng.randint(2, len(atoms) - 2)
+    parts = [atoms[:cut], atoms[cut:]]
+    facts, rules = [], []
+    for part in parts:
+        facts += [reference.random_literal(rng, part) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 3)):
+            left = reference.random_formula(rng, part, rng.randint(0, 2))
+            right = reference.random_formula(rng, part, rng.randint(0, 2))
+            rules.append(Implies(left, right) if rng.random() < 0.7 else Iff(left, right))
+    return Store(facts=tuple(facts), hard_rules=tuple(rules))
+
+
+def test_compiled_store_queries_match_enumeration_oracle():
+    rng = random.Random(4711)
+    seen_unsat = seen_sat = 0
+    for _ in range(40):
+        atoms = [f"a{i}" for i in range(rng.randint(6, 10))]
+        root, nested = _random_store(rng, atoms), _random_store(rng, atoms)
+        kb = KnowledgeBase(stores={(): root, ("A",): nested}, root_consistency_paths=(("A",),))
+        fs, nested_fs = root.formulas(), nested.formulas()
+        if reference.satisfiable(fs):
+            seen_sat += 1
+        else:
+            seen_unsat += 1
+        compiled = root.compiled
+        lacking = ["x0", "x1"]
+        for _ in range(15):
+            pool = rng.choice((atoms[:3], atoms[-3:], atoms, lacking, atoms[:2] + lacking))
+            q = reference.random_formula(rng, pool, rng.randint(0, 2))
+            r = reference.random_formula(rng, atoms + lacking, rng.randint(0, 2))
+            assert kb.entails((), q) == reference.entails(fs, q)
+            assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
+            assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
+            assert kb.jointly_consistent_with((q,)) == (
+                reference.satisfiable(fs + (q,)) and reference.satisfiable(nested_fs + (q,)))
+        # every query above ran against the one compiled form of the store
+        assert kb.store_at(()) is root and root.compiled is compiled
+        assert compiled.sat == reference.satisfiable(fs)
+    assert seen_sat and seen_unsat
+
+
+def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
+    compiled = []
+    real = satcore.compile_program
+
+    def counting(f, *args):
+        compiled.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(satcore, "compile_program", counting)
+    kb = kb0().assert_fact((), parse_formula("(and p (not r) (B A s))"))
+    kb = kb.add_hard_rule((), parse_formula("(-> p q)")).add_hard_rule((), parse_formula("(<-> r t)"))
+    queries = [parse_formula(text) for text in ("q", "t", "(or q u)", "(and p (not t))", "v")]
+    for q in queries:
+        kb.entails((), q)
+        kb.consistent_with((), (q,))
+        kb.jointly_consistent_with((q,))
+    store = kb.store_at(())
+    assert len(compiled) == len(store.formulas()) + 3 * len(queries)
+
+
+def test_entails_raises_on_an_over_cap_store_group():
+    # p0 -> p1 -> ... -> p25: one group of MAX_VARS + 1 variables
+    kb = kb0()
+    for i in range(satcore.MAX_VARS):
+        kb = kb.add_hard_rule((), parse_formula(f"(-> p{i} p{i + 1})"))
+    kb = kb.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q")))
+    with pytest.raises(SatTooLarge):
+        kb.entails((), Atom("q"))
+    with pytest.raises(SatTooLarge):
+        kb.consistent_with((), (Atom("r"),))
+
+
+def test_entails_rejects_a_non_ground_query():
+    kb = kb0().assert_fact((), Atom("p"))
+    query = parse_formula("(p ?x)")
+    with pytest.raises(ValidationError) as err:
+        kb.entails((), query)
+    assert str(err.value) == f"satisfiability needs ground formulas, got {print_formula(Not(query))}"

@@ -55,6 +55,44 @@ def test_variable_cap_enforced():
         satcore.satisfiable(fs)
 
 
+def test_variable_cap_does_not_depend_on_formula_order():
+    # an unsatisfiable group and an over-cap group: the cap is checked first
+    q = Atom("q")
+    chain = [parse_formula(f"(-> p{i} p{i + 1})") for i in range(satcore.MAX_VARS)]
+    for fs in ([q, Not(q)] + chain, chain + [q, Not(q)]):
+        with pytest.raises(SatTooLarge):
+            satcore.satisfiable(fs)
+        with pytest.raises(SatTooLarge):
+            satcore.compile_formulas(fs)
+    # through a compiled base: an unsatisfiable base does not hide the extras' group
+    with pytest.raises(SatTooLarge):
+        satcore.satisfiable(chain, base=satcore.compile_formulas([q, Not(q)]))
+
+
+def test_query_that_bridges_two_base_groups_over_the_cap_raises():
+    half = satcore.MAX_VARS // 2 + 1
+    left = [parse_formula(f"(-> p{i} p{i + 1})") for i in range(half - 1)]
+    right = [parse_formula(f"(-> r{i} r{i + 1})") for i in range(half - 1)]
+    base = satcore.compile_formulas(left + right)
+    assert base.sat and len(base.groups) == 2
+    assert satcore.satisfiable([Atom("p0")], base=base)
+    with pytest.raises(SatTooLarge):
+        satcore.satisfiable([parse_formula(f"(-> p{half - 1} r0)")], base=base)
+
+
+def test_compiled_base_numbers_new_atoms_after_its_own():
+    base = satcore.compile_formulas([parse_formula("(-> p q)"), Atom("r")])
+    assert base.index == {"p": 0, "q": 1, "r": 2}
+    new: dict[str, int] = {}
+    prog = satcore.compile_program(parse_formula("(and s q)"), new, base.index)
+    assert prog == [3, 1, satcore.OP_AND] and new == {"s": 3}
+    assert base.index == {"p": 0, "q": 1, "r": 2}  # the base index is not copied or grown
+    assert not satcore.satisfiable([Atom("p"), Not(Atom("q"))], base=base)
+    assert satcore.satisfiable([Atom("s"), Not(Atom("p"))], base=base)
+    unsat = satcore.compile_formulas([Atom("r"), Not(Atom("r"))])
+    assert not unsat.sat and not satcore.satisfiable([Atom("s")], base=unsat)
+
+
 def test_non_ground_formulas_rejected():
     with pytest.raises(ValidationError):
         satcore.satisfiable((parse_formula("(p ?x)"),))
