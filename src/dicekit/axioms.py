@@ -23,7 +23,7 @@ from .engine import (
     DefaultRule,
     EvalContext,
     Trace,
-    defeasible_closure,
+    _closed_pair,
     holds,
     make_rule,
 )
@@ -374,7 +374,7 @@ def apply_support_relation(
     supporter: str,
     supported: str,
     hypotheses: Sequence[Formula],
-    rules: Sequence[DefaultRule],
+    ctx: EvalContext,
     *,
     delta_constraints: Sequence[Formula] = (),
     trace: Trace | None = None,
@@ -382,7 +382,7 @@ def apply_support_relation(
     """Attach a supported update: find a generic the supporter's content yields
     and a hypothesis delta under which the supported content completes a ground
     instance of it, with delta consistent with the interpreter's and the
-    author's stores."""
+    author's stores, closing under the context's rules and step bound."""
     trace = trace if trace is not None else Trace()
     if supporter == site.attach_to:
         rule_name, rel = "ResultRule", RelAtom("Result", (supporter, supported))
@@ -392,18 +392,12 @@ def apply_support_relation(
         raise ValidationError(f"supporter {supporter!r} is not part of site {site}")
     if not kb.entails((), isupport_atom(supporter, supported)):
         return None
-    rules = tuple(rules)
     sup_content = contents[supporter]
     spd_content = contents[supported]
 
-    # one base/augmented closure pair answers the yields-question for every
-    # candidate at once; only the final holds-check varies
-    def closed_pair(base: KnowledgeBase, added: Formula) -> tuple[KnowledgeBase, KnowledgeBase]:
-        closed = defeasible_closure(base, rules, ()).kb
-        augmented = defeasible_closure(base.assert_fact((), added), rules, ()).kb
-        return closed, augmented
-
-    base_kb, sup_kb = closed_pair(kb, sup_content)
+    # one closure pair answers the yields-question for every candidate at
+    # once; only the final holds-check varies
+    base_kb, sup_kb = _closed_pair(kb, (), sup_content, ctx)
     viable = [g for g in collect_generics(kb) if holds(sup_kb, (), g) and not holds(base_kb, (), g)]
     if not viable:
         trace.note(f"{rule_name}: the content of {supporter} yields no generic; rule idle")
@@ -420,7 +414,7 @@ def apply_support_relation(
             kbd = kb.assert_fact((), delta)
         else:
             kbd = kb
-        base_d, aug_d = closed_pair(kbd, spd_content)
+        base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx)
         for gen in viable:
             for d in sorted(kbd.constants):
                 try:
@@ -446,11 +440,14 @@ def apply_support_relation(
     return None
 
 
-def result_via_cause(kb: KnowledgeBase, site: UpdateSite, path: ContextPath = ()) -> RelAtom | None:
-    """Thin checker for the cause-based Result default (the closure fires it)."""
+def result_via_cause(
+    kb: KnowledgeBase, site: UpdateSite, path: ContextPath = ()
+) -> tuple[RelAtom, Formula] | None:
+    """Thin checker for the cause-based Result default (the closure fires it):
+    the Result atom and the cause fact that justifies it, or None."""
     cause = Atom("cause", (Const(site.attach_to), Const(site.new)))
     if kb.entails(path, cause):
-        return RelAtom("Result", (site.attach_to, site.new))
+        return RelAtom("Result", (site.attach_to, site.new)), cause
     return None
 
 

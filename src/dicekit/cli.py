@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("path", help="scenario (.scn) file")
     run.add_argument("--trace", action="store_true", help="print the inference trace")
     run.add_argument("--max-steps", type=int, default=1000, metavar="N",
-                     help="inference step bound per closure (default 1000)")
+                     help="most rounds any one closure may take to reach its fixpoint (default 1000)")
     run.add_argument("--depth", type=int, default=3, metavar="N",
                      help="maximum nesting depth for attitude contexts (default 3)")
     run.add_argument("--report", metavar="OUT",

@@ -215,6 +215,17 @@ def yields_holds(kb: KnowledgeBase, path: ContextPath, left: Formula, right: For
     return verdict
 
 
+def _closed_pair(
+    kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext
+) -> tuple[KnowledgeBase, KnowledgeBase]:
+    """The closures at path of the store alone and of the store plus `added`,
+    under the context's rules and step bound.  One pair answers every
+    yields-question about `added` there."""
+    base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
+    augmented = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
+    return base, augmented
+
+
 def nonmon_yields(
     kb: KnowledgeBase,
     rules,
@@ -225,11 +236,10 @@ def nonmon_yields(
     ctx: EvalContext | None = None,
 ) -> bool:
     """phi defeasibly yields psi against the store at path: the closure of the
-    store plus phi entails psi, while the closure of the store alone does not."""
-    rules = tuple(rules)
-    ctx = ctx or EvalContext(rules=rules)
-    base = defeasible_closure(kb, rules, path, max_steps=ctx.max_steps).kb
-    augmented = defeasible_closure(kb.assert_fact(path, phi), rules, path, max_steps=ctx.max_steps).kb
+    store plus phi entails psi, while the closure of the store alone does not.
+    A given context supplies the rules, the step bound and the yields memo."""
+    ctx = ctx or EvalContext(rules=tuple(rules))
+    base, augmented = _closed_pair(kb, path, phi, ctx)
     return holds(augmented, path, psi, ctx) and not holds(base, path, psi, ctx)
 
 

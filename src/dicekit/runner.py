@@ -1,35 +1,40 @@
 """Scenario execution: the per-utterance interpretation pipeline.
 
-For each utterance after the first, the pipeline
-  1. mints an update site against the right frontier and asserts its tokens,
+`run_scenario` takes up each utterance (`_take_up`) over one run state.  The
+first is taken up directly (the interpreter believes an assertion; an
+imperative registers as an order) and goes through phase 2 only; each later one
+  1. mints an update site against the right frontier, asserts its tokens and
+     instantiates the pair's belief-property rules (`_open_site`), then
+     resolves a plan anaphor in a cause clue (`_resolve_anaphor`),
   2. closes the root store over attitude rules (intentionality, sincerity,
      wanting-and-doing, the practical syllogism and APS1, intention update,
-     optionally charity),
+     optionally charity) (`_close_attitudes`),
   3. evaluates intentional support in both directions, caching a lazily
-     verified instrumental belief as an opaque fact,
-  4. applies Cooperation: any live support blocks Narration outright,
+     verified instrumental belief as an opaque fact (`_check_support`),
+  4. applies Cooperation: any live support blocks Narration (`_cooperate`),
   5. closes over relation rules (narration vs cause-based result, with the
-     specificity principle arbitrating) and runs the result/evidence drivers,
+     specificity principle arbitrating) and runs the result/evidence drivers
+     (`_derive_relations`),
   6. checks Cooperation's permission: support with no permitted relation
      derived contraposes -- the support conclusion and its instrumental belief
-     are retracted and the discourse is incoherent,
-  7. attaches derived relations, extends intended plans (plan apprehension,
-     with plan-anaphor resolution against the right frontier), and closes over
-     the pair's belief-property instances.
+     are retracted and the discourse is incoherent, as it is when no relation
+     is derived at all (`_check_permission`),
+  7. attaches derived relations, extends intended plans (plan apprehension),
+     and closes over the pair's belief-property instances (`_attach`).
 
 After a coherent discourse, one abduction pass over the practical syllogism
-absorbs the author's reconstructed communicative goals.
+absorbs the author's reconstructed communicative goals (`_reconstruct_goals`).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .axioms import (
     AxiomSet,
-    SupportApplication,
+    SupportCheck,
     apply_support_relation,
     belief_property_rules,
     contrapose_cooperation,
@@ -37,6 +42,7 @@ from .axioms import (
     isupport_atom,
     isupport_holds,
     plan_apprehension,
+    result_via_cause,
     standard_axioms,
     update_content,
 )
@@ -57,7 +63,7 @@ from .formulas import (
     print_formula,
 )
 from .kb import KnowledgeBase
-from .scenario import Expectation, Scenario
+from .scenario import Expectation, Scenario, Utterance
 from .sdrs import Constituent, Sdrs, UpdateSite, attach, coherent, open_attachment_sites, resolve_plan_anaphor
 
 #: reserved constant for plan-valued anaphors in cause clues
@@ -122,250 +128,249 @@ def build(scenario: Scenario, *, max_depth: int = 3) -> tuple[KnowledgeBase, Axi
     return kb, axioms
 
 
-def _install_exclusion(kb: KnowledgeBase, scenario: Scenario, pair: tuple[str, str]) -> KnowledgeBase:
-    """Narration and Result exclude one another over a site's pair.  Installed
-    per minted site (not for every conceivable pair) to keep stores small."""
-    excl = Implies(RelAtom("Narration", pair), Not(RelAtom("Result", pair)))
-    paths = {(), (scenario.author,)} | {decl.path for decl in scenario.contexts}
-    for path in sorted(paths):
-        if len(path) <= kb.max_depth:
-            kb = kb.add_hard_rule(path, excl)
-    return kb
+@dataclass
+class _Run:
+    """The state one run threads through the pipeline phases."""
 
+    scenario: Scenario
+    axioms: AxiomSet
+    kb: KnowledgeBase
+    max_steps: int
+    attitude_rules: tuple[DefaultRule, ...]
+    relation_rules: tuple[DefaultRule, ...]  # the relation phase's and the scenario's, then bp_rules
+    bp_rules: tuple[DefaultRule, ...] = ()  # belief-property instances of every minted pair
+    trace: Trace = field(default_factory=Trace)
+    sdrs: Sdrs = field(default_factory=Sdrs)
+    contents: dict[str, Formula] = field(default_factory=dict)
+    provenance: dict[Plan, str] = field(default_factory=dict)  # plan -> constituent it is intended since
+    sites: list[UpdateSite] = field(default_factory=list)
 
-def _justification_for(
-    rel: RelAtom,
-    applications: list[SupportApplication],
-    kb: KnowledgeBase,
-) -> tuple[Formula, ...]:
-    for app in applications:
-        if app.rel == rel:
-            return app.justification
-    if rel.rel == "Result":
-        cause = Atom("cause", (Const(rel.args[0]), Const(rel.args[1])))
-        if kb.entails((), cause):
-            return (rel, cause)
-    return (rel,)
+    def close(self, rules) -> None:
+        self.kb = defeasible_closure(self.kb, rules, (), trace=self.trace, max_steps=self.max_steps).kb
 
 
 def run_scenario(scenario: Scenario, *, max_steps: int = 1000, max_depth: int = 3) -> RunReport:
     t0 = time.perf_counter()
     kb, axioms = build(scenario, max_depth=max_depth)
-    trace = Trace()
-    sdrs = Sdrs()
-    contents: dict[str, Formula] = {}
-    provenance: dict[Plan, str] = {}
-    diagnostics: list[str] = []
-    incoherent = False
+    attitude_rules = axioms.phase("attitude", charity=scenario.charity) + scenario.rules
+    run = _Run(scenario, axioms, kb, max_steps, attitude_rules, axioms.phase("relation") + scenario.rules)
+    diagnostics = _interpret(run)
+    if not diagnostics:
+        if run.sites:
+            _reconstruct_goals(run)
+        diagnostics = coherent(run.sdrs, run.kb).diagnostics
+    verdict = "incoherent" if diagnostics else "coherent"
+    return RunReport(
+        scenario=scenario,
+        kb=run.kb,
+        sdrs=run.sdrs,
+        verdict=verdict,
+        diagnostics=diagnostics,
+        trace=run.trace,
+        expectations=_check_expectations(scenario, verdict, run.kb),
+        elapsed=time.perf_counter() - t0,
+    )
 
-    extra = scenario.rules
-    attitude_rules = axioms.phase("attitude", charity=scenario.charity) + extra
-    relation_base = axioms.phase("relation") + extra
-    all_bp_rules: tuple[DefaultRule, ...] = ()
-    sites: list[UpdateSite] = []
 
-    def close_root(rules) -> None:
-        nonlocal kb
-        kb = defeasible_closure(kb, rules, (), trace=trace, max_steps=max_steps).kb
+def _interpret(run: _Run) -> tuple[str, ...]:
+    """Take up the utterances in order.  Returns the diagnostics of the first
+    one that leaves the discourse incoherent, else ()."""
+    _close_attitudes(run)  # the declared stores may already support inference
+    for utt in run.scenario.utterances:
+        diagnostics = _take_up(run, utt)
+        if diagnostics:
+            return diagnostics
+    return ()
 
-    def scan_intentions(cid: str) -> None:
-        for f in kb.facts_at(()):
-            if (
-                isinstance(f, Att)
-                and f.kind == "I"
-                and f.agent == scenario.author
-                and isinstance(f.body, Doing)
-            ):
-                provenance.setdefault(f.body.plan, cid)
 
-    # the declared stores may already support inference (intention update etc.)
-    close_root(attitude_rules)
+def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
+    """The pipeline for one utterance; the module docstring lists the phases."""
+    prior = run.sdrs  # the discourse so far; frontiers are computed against it
+    run.contents[utt.id] = utt.content
+    run.sdrs = prior.with_constituent(Constituent(utt.id, utt.content, utt.mood))
+    heard = f"utterance {utt.id} ({utt.mood}): {print_formula(utt.content)}"
+    site = resolved = None
+    if prior.order:
+        site, frontier = _open_site(run, utt.id, prior)
+        heard += f"; site {site.tau} attaches to {site.attach_to} (right frontier: {', '.join(frontier)})"
+    run.trace.note(heard)
+    if utt.mood == "imperative":
+        run.kb = run.kb.assert_fact((), Imp(utt.content))
+    elif site is None:
+        run.kb = run.kb.assert_fact((), Att("B", run.scenario.interpreter, utt.content))
+    if site is not None:
+        try:
+            resolved = _resolve_anaphor(run, site, prior)
+        except (NoAntecedent, AmbiguousAntecedent) as exc:
+            return (f"plan anaphor at {utt.id}: {exc}",)
+    _close_attitudes(run)
+    if site is not None:
+        ctx = EvalContext(rules=run.relation_rules, max_steps=run.max_steps)
+        checks = _check_support(run, site, ctx)
+        _cooperate(run, site, checks)
+        derived, applied = _derive_relations(run, site, checks, ctx)
+        diagnostics = _check_permission(run, site, checks, derived)
+        if diagnostics:
+            return diagnostics
+        _attach(run, site, derived, applied, resolved)
+    for f in run.kb.facts_at(()):  # every intended plan not yet traced to a constituent
+        if isinstance(f, Att) and f.kind == "I" and f.agent == run.scenario.author and isinstance(f.body, Doing):
+            run.provenance.setdefault(f.body.plan, utt.id)
+    return ()
 
-    for k, utt in enumerate(scenario.utterances):
-        contents[utt.id] = utt.content
-        prior = sdrs  # the discourse so far; frontiers are computed against it
-        sdrs = sdrs.with_constituent(Constituent(utt.id, utt.content, utt.mood))
-        kb = kb.with_constants((utt.id,))
 
-        if k == 0:
-            # discourse-initial content is taken up directly: the interpreter
-            # believes an assertion; an imperative registers as an order
-            if utt.mood == "assertion":
-                kb = kb.assert_fact((), Att("B", scenario.interpreter, utt.content))
-            else:
-                kb = kb.assert_fact((), Imp(utt.content))
-            trace.note(f"utterance {utt.id} ({utt.mood}): {print_formula(utt.content)}")
-            close_root(attitude_rules)
-            scan_intentions(utt.id)
+def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str, ...]]:
+    """Phase 1: `new` attaches to the most recent open constituent.  Returns
+    the site and the right frontier it was chosen from."""
+    frontier = open_attachment_sites(prior, run.axioms.registry)
+    site = UpdateSite(f"tau{len(prior.order)}", frontier[0], new)
+    run.sites.append(site)
+    # Narration and Result exclude one another over the pair; installed per
+    # minted site (not for every conceivable pair) to keep stores small
+    excl = Implies(RelAtom("Narration", (site.attach_to, new)), Not(RelAtom("Result", (site.attach_to, new))))
+    for path in sorted({(), (run.scenario.author,)} | {decl.path for decl in run.scenario.contexts}):
+        if len(path) <= run.kb.max_depth:
+            run.kb = run.kb.add_hard_rule(path, excl)
+    run.kb = run.kb.assert_fact((), site.token())
+    run.kb = run.kb.assert_fact((), InfoToken(site.attach_to, new))
+    bp_rules = belief_property_rules(run.axioms, site.attach_to, new, run.contents)
+    run.bp_rules += bp_rules
+    run.relation_rules += bp_rules
+    return site, frontier
+
+
+def _resolve_anaphor(run: _Run, site: UpdateSite, prior: Sdrs) -> Plan | None:
+    """Phase 1: a clue (cause that-way new) names the plan intended at the
+    right frontier, whose constituent then causes `new`.  Raises
+    NoAntecedent or AmbiguousAntecedent when no unique plan is accessible."""
+    if not run.kb.entails((), Atom("cause", (Const(THAT_WAY), Const(site.new)))):
+        return None
+    resolved, from_cid = resolve_plan_anaphor(prior, run.axioms.registry, run.provenance)
+    run.trace.note(f"plan anaphor resolved: that-way => {resolved} (intended since {from_cid})")
+    run.kb = run.kb.assert_fact((), Atom("cause", (Const(site.attach_to), Const(site.new))))
+    return resolved
+
+
+def _close_attitudes(run: _Run) -> None:
+    """Phase 2."""
+    run.close(run.attitude_rules)
+
+
+def _check_support(run: _Run, site: UpdateSite, ctx: EvalContext) -> list[SupportCheck]:
+    """Phase 3: intentional support in textual order, then against it."""
+    checks = []
+    for supporter, supported in ((site.attach_to, site.new), (site.new, site.attach_to)):
+        chk = isupport_holds(run.kb, run.axioms, site, run.contents, supporter, supported, ctx=ctx)
+        checks.append(chk)
+        if not chk.ok:
+            run.trace.note(f"Isupport({supporter},{supported}) does not hold")
             continue
-
-        frontier = open_attachment_sites(prior, axioms.registry)
-        site = UpdateSite(f"tau{k}", frontier[0], utt.id)
-        sites.append(site)
-        kb = _install_exclusion(kb, scenario, (site.attach_to, site.new))
-        trace.note(
-            f"utterance {utt.id} ({utt.mood}): {print_formula(utt.content)};"
-            f" site {site.tau} attaches to {site.attach_to}"
-            f" (right frontier: {', '.join(frontier)})"
-        )
-        kb = kb.assert_fact((), site.token())
-        kb = kb.assert_fact((), InfoToken(site.attach_to, site.new))
-        if utt.mood == "imperative":
-            kb = kb.assert_fact((), Imp(utt.content))
-
-        # plan-anaphor clue: cause(that-way, new) resolves against the frontier
-        resolved: Plan | None = None
-        if kb.entails((), Atom("cause", (Const(THAT_WAY), Const(utt.id)))):
-            try:
-                resolved, from_cid = resolve_plan_anaphor(prior, axioms.registry, provenance)
-            except (NoAntecedent, AmbiguousAntecedent) as exc:
-                diagnostics.append(f"plan anaphor at {utt.id}: {exc}")
-                incoherent = True
-                break
-            trace.note(f"plan anaphor resolved: that-way => {resolved} (intended since {from_cid})")
-            kb = kb.assert_fact((), Atom("cause", (Const(site.attach_to), Const(utt.id))))
-
-        close_root(attitude_rules)
-
-        bp_rules = belief_property_rules(axioms, site.attach_to, utt.id, contents)
-        all_bp_rules += bp_rules
-        lazy_rules = relation_base + all_bp_rules
-        ctx = EvalContext(rules=lazy_rules, max_steps=max_steps)
-
-        checks = []
-        for supporter, supported in ((site.attach_to, utt.id), (utt.id, site.attach_to)):
-            chk = isupport_holds(kb, axioms, site, contents, supporter, supported, ctx=ctx)
-            checks.append(chk)
-            if chk.ok:
-                kb = kb.assert_fact((), isupport_atom(supporter, supported))
-                trace.note(f"Isupport({supporter},{supported}) holds")
-                if chk.lazy_verified and not kb.has_fact((), chk.belief_clause):
-                    kb = kb.assert_fact((), chk.belief_clause)
-                    trace.note(
-                        f"verified by closure at [{scenario.author}] and cached:"
-                        f" {print_formula(chk.belief_clause)}"
-                    )
-            else:
-                trace.note(f"Isupport({supporter},{supported}) does not hold")
-
-        if any(c.ok for c in checks):
-            block = Not(RelAtom("Narration", (site.attach_to, utt.id)))
-            kb = kb.assert_fact((), block)
-            trace.note(f"Cooperation restricts the update: {print_formula(block)}")
-
-        close_root(lazy_rules)
-
-        applications: list[SupportApplication] = []
-        for chk in checks:
-            if not chk.ok:
-                continue
-            app = apply_support_relation(
-                kb,
-                axioms,
-                site,
-                contents,
-                chk.supporter,
-                chk.supported,
-                scenario.hypotheses,
-                lazy_rules,
-                delta_constraints=scenario.delta_constraints,
-                trace=trace,
+        run.kb = run.kb.assert_fact((), isupport_atom(supporter, supported))
+        run.trace.note(f"Isupport({supporter},{supported}) holds")
+        if chk.lazy_verified and not run.kb.has_fact((), chk.belief_clause):
+            run.kb = run.kb.assert_fact((), chk.belief_clause)
+            run.trace.note(
+                f"verified by closure at [{run.scenario.author}] and cached:"
+                f" {print_formula(chk.belief_clause)}"
             )
-            if app is None:
-                continue
-            applications.append(app)
-            added: list[Formula] = [app.rel]
-            kb = kb.assert_fact((), app.rel)
-            if app.delta is not None and not kb.entails((), app.delta):
-                kb = kb.assert_fact((), app.delta)
-                added.append(app.delta)
-            binding = {"x": chk.supporter, "y": chk.supported, "witness": Const(app.witness)}
-            if app.delta is not None:
-                binding["delta"] = app.delta
-            trace.step("DMP", app.rule, binding, tuple(added))
+    return checks
 
-        pair = (site.attach_to, utt.id)
-        derived = [
-            RelAtom(r, args)
-            for r in _RELATION_NAMES
-            for args in (pair, pair[::-1])
-            if kb.entails((), RelAtom(r, args))
-        ]
 
-        violated = [
-            chk
-            for chk in checks
-            if chk.ok
-            and not any(p in derived for p in cooperation_permitted(site, chk.supporter, chk.supported))
-        ]
-        if violated:
-            for chk in violated:
-                kb, diag = contrapose_cooperation(kb, axioms, site, chk, trace)
-                diagnostics.append(diag)
-            incoherent = True
-            break
-        if not derived:
-            diagnostics.append(f"no discourse relation derivable for {utt.id} at site {site.tau}")
-            incoherent = True
-            break
+def _cooperate(run: _Run, site: UpdateSite, checks: list[SupportCheck]) -> None:
+    """Phase 4."""
+    if any(c.ok for c in checks):
+        block = Not(RelAtom("Narration", (site.attach_to, site.new)))
+        run.kb = run.kb.assert_fact((), block)
+        run.trace.note(f"Cooperation restricts the update: {print_formula(block)}")
 
-        for rel in derived:
-            sdrs = attach(sdrs, site, rel, _justification_for(rel, applications, kb))
-            trace.note(f"attach {print_formula(rel)}")
 
-        for rel in derived:
-            if rel.rel != "Result":
-                continue
-            open_content = contents[site.attach_to]
-            base = resolved or (open_content.plan if isinstance(open_content, Doing) else None)
-            extended = plan_apprehension(kb, axioms, rel, contents[utt.id], base)
-            if extended is not None:
-                intent = Att("I", scenario.author, Doing(extended))
-                if not kb.entails((), intent):
-                    kb = kb.assert_fact((), intent)
-                    trace.step(
-                        "DMP",
-                        "PlanApprehension",
-                        {"x": site.attach_to, "y": utt.id},
-                        (intent,),
-                    )
-                provenance[extended] = utt.id
-
-        close_root(all_bp_rules + extra)
-        scan_intentions(utt.id)
-
-    # reconstruct the author's communicative goals once the discourse stands
-    if not incoherent and sites:
-        pool = {
-            "phi": tuple(Att("B", scenario.interpreter, contents[cid]) for cid in sdrs.order),
-            "psi": tuple(update_content(s) for s in sites),
-        }
-        ctx = EvalContext(rules=relation_base + all_bp_rules, max_steps=max_steps)
-        results = abduce(
-            kb,
-            axioms["PracticalSyllogism"],
-            (),
-            pool=pool,
-            ctx=ctx,
-            trace=trace,
+def _derive_relations(run: _Run, site: UpdateSite, checks: list[SupportCheck], ctx: EvalContext):
+    """Phase 5.  Returns the relations now entailed between the site's pair,
+    either way round, and the justification of each the drivers applied."""
+    run.close(ctx.rules)
+    applied: dict[RelAtom, tuple[Formula, ...]] = {}
+    for chk in (c for c in checks if c.ok):
+        app = apply_support_relation(
+            run.kb, run.axioms, site, run.contents, chk.supporter, chk.supported, run.scenario.hypotheses,
+            ctx, delta_constraints=run.scenario.delta_constraints, trace=run.trace,
         )
-        for res in results:
-            for h in res.hypothesis:
-                if not kb.entails((), h):
-                    kb = kb.assert_fact((), h, mirror=False)
-        if results:
-            trace.note(
-                "absorbed abduced hypotheses: "
-                + "; ".join(print_formula(h) for r in results for h in r.hypothesis)
-            )
+        if app is None:
+            continue
+        applied[app.rel] = app.justification
+        added: list[Formula] = [app.rel]
+        run.kb = run.kb.assert_fact((), app.rel)
+        if app.delta is not None and not run.kb.entails((), app.delta):
+            run.kb = run.kb.assert_fact((), app.delta)
+            added.append(app.delta)
+        binding = {"x": chk.supporter, "y": chk.supported, "witness": Const(app.witness)}
+        if app.delta is not None:
+            binding["delta"] = app.delta
+        run.trace.step("DMP", app.rule, binding, tuple(added))
+    pair = (site.attach_to, site.new)
+    candidates = (RelAtom(r, args) for r in _RELATION_NAMES for args in (pair, pair[::-1]))
+    return [rel for rel in candidates if run.kb.entails((), rel)], applied
 
-    if not incoherent:
-        check = coherent(sdrs, kb, axioms.registry)
-        if not check.ok:
-            incoherent = True
-            diagnostics.extend(check.diagnostics)
 
-    verdict = "incoherent" if incoherent else "coherent"
+def _check_permission(run: _Run, site: UpdateSite, checks: list[SupportCheck], derived) -> tuple[str, ...]:
+    """Phase 6.  Returns the diagnostics when the update is incoherent, else ()."""
+    diagnostics = []
+    for chk in checks:
+        if chk.ok and not any(p in derived for p in cooperation_permitted(site, chk.supporter, chk.supported)):
+            run.kb, diag = contrapose_cooperation(run.kb, run.axioms, site, chk, run.trace)
+            diagnostics.append(diag)
+    if not diagnostics and not derived:
+        diagnostics.append(f"no discourse relation derivable for {site.new} at site {site.tau}")
+    return tuple(diagnostics)
+
+
+def _attach(run: _Run, site: UpdateSite, derived, applied, resolved: Plan | None) -> None:
+    """Phase 7."""
+    for rel in derived:
+        run.sdrs = attach(run.sdrs, site, rel, _justification_for(rel, applied, run.kb, site))
+        run.trace.note(f"attach {print_formula(rel)}")
+    open_content = run.contents[site.attach_to]
+    base = resolved or (open_content.plan if isinstance(open_content, Doing) else None)
+    for rel in derived:
+        extended = plan_apprehension(run.kb, run.axioms, rel, run.contents[site.new], base)
+        if extended is None:
+            continue
+        intent = Att("I", run.scenario.author, Doing(extended))
+        if not run.kb.entails((), intent):
+            run.kb = run.kb.assert_fact((), intent)
+            run.trace.step("DMP", "PlanApprehension", {"x": site.attach_to, "y": site.new}, (intent,))
+        run.provenance[extended] = site.new
+    run.close(run.bp_rules + run.scenario.rules)
+
+
+def _justification_for(rel: RelAtom, applied, kb: KnowledgeBase, site: UpdateSite) -> tuple[Formula, ...]:
+    if rel in applied:
+        return applied[rel]
+    # a Result without a driver is justified by a cause read in its own direction
+    by_cause = result_via_cause(kb, UpdateSite(site.tau, *rel.args)) if rel.rel == "Result" else None
+    return by_cause or (rel,)
+
+
+def _reconstruct_goals(run: _Run) -> None:
+    """Absorb the author's communicative goals, abduced over the practical
+    syllogism once the discourse stands."""
+    pool = {
+        "phi": tuple(Att("B", run.scenario.interpreter, run.contents[cid]) for cid in run.sdrs.order),
+        "psi": tuple(update_content(s) for s in run.sites),
+    }
+    ctx = EvalContext(rules=run.relation_rules, max_steps=run.max_steps)
+    results = abduce(run.kb, run.axioms["PracticalSyllogism"], (), pool=pool, ctx=ctx, trace=run.trace)
+    for res in results:
+        for h in res.hypothesis:
+            if not run.kb.entails((), h):
+                run.kb = run.kb.assert_fact((), h, mirror=False)
+    if results:
+        run.trace.note(
+            "absorbed abduced hypotheses: "
+            + "; ".join(print_formula(h) for r in results for h in r.hypothesis)
+        )
+
+
+def _check_expectations(scenario: Scenario, verdict: str, kb: KnowledgeBase) -> tuple[ExpectationResult, ...]:
     outcomes = []
     for e in scenario.expectations:
         if e.kind == "verdict":
@@ -378,17 +383,7 @@ def run_scenario(scenario: Scenario, *, max_steps: int = 1000, max_depth: int = 
             ok = not kb.entails((), e.formula)
             detail = "" if ok else "unexpectedly entailed at the root"
         outcomes.append(ExpectationResult(e, ok, detail))
-
-    return RunReport(
-        scenario=scenario,
-        kb=kb,
-        sdrs=sdrs,
-        verdict=verdict,
-        diagnostics=tuple(diagnostics),
-        trace=trace,
-        expectations=tuple(outcomes),
-        elapsed=time.perf_counter() - t0,
-    )
+    return tuple(outcomes)
 
 
 def explain(report: RunReport) -> str:

@@ -31,19 +31,12 @@ class Constituent:
 
 @dataclass(frozen=True)
 class RelationRegistry:
-    """Which relations subordinate, which transmit belief, and which may run
-    against textual order."""
+    """Which relations subordinate, keeping their parent on the right frontier."""
 
     subordinating: frozenset[str] = frozenset({"Evidence"})
-    belief_property: frozenset[str] = frozenset({"Result", "Evidence"})
-    reverse_capable: frozenset[str] = frozenset({"Evidence"})
 
     def is_subordinating(self, rel: str) -> bool:
         return rel in self.subordinating
-
-
-def has_belief_property(rel: str, registry: RelationRegistry) -> bool:
-    return rel in registry.belief_property
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ class Verdict:
         return self.ok
 
 
-def coherent(s: Sdrs, kb: KnowledgeBase, registry: RelationRegistry) -> Verdict:
+def coherent(s: Sdrs, kb: KnowledgeBase) -> Verdict:
     """Every non-initial constituent must be attached by at least one relation,
     and all recorded relations and their justifications must be jointly
     satisfiable with the interpreter's store."""

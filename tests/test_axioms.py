@@ -21,7 +21,7 @@ from dicekit.axioms import (
     update_intentions,
 )
 from dicekit.engine import EvalContext, Trace, defeasible_closure, make_rule
-from dicekit.errors import NotAPrefix, ValidationError
+from dicekit.errors import NotAPrefix, StepBoundExceeded, ValidationError
 from dicekit.formulas import (
     Action,
     And,
@@ -229,7 +229,7 @@ def support_kb(supporter: str, supported: str):
 def test_apply_support_relation_attaches_result_in_textual_order():
     kb = support_kb("a", "b")
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
-    app = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), ())
+    app = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext())
     assert app is not None
     assert app.rule == "ResultRule"
     assert app.rel == RelAtom("Result", ("a", "b"))
@@ -242,7 +242,7 @@ def test_apply_support_relation_attaches_result_in_textual_order():
 def test_apply_support_relation_attaches_evidence_against_textual_order():
     kb = support_kb("b", "a")
     contents = {"a": parse_formula("(veto h)"), "b": Atom("supports")}
-    app = apply_support_relation(kb, AX, SITE, contents, "b", "a", (), ())
+    app = apply_support_relation(kb, AX, SITE, contents, "b", "a", (), EvalContext())
     assert app is not None
     assert app.rule == "EvidenceRule"
     assert app.rel == RelAtom("Evidence", ("b", "a"))
@@ -251,17 +251,17 @@ def test_apply_support_relation_attaches_evidence_against_textual_order():
 def test_apply_support_relation_needs_the_isupport_conclusion():
     kb = kb_with(["(bill h)"], hard=["(<-> supports (forall x (> (bill x) (veto x))))"])
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
-    assert apply_support_relation(kb, AX, SITE, contents, "a", "b", (), ()) is None
+    assert apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext()) is None
 
 
 def test_apply_support_relation_completes_instances_with_hypotheses():
     kb = kb_with(hard=["(<-> supports (forall x (> (bill x) (veto x))))"])
     kb = kb.assert_fact((), isupport_atom("a", "b")).with_constants(("h",))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
-    bare = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), ())
+    bare = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext())
     assert bare is None  # no fact supplies (bill h)
     delta = parse_formula("(bill h)")
-    app = apply_support_relation(kb, AX, SITE, contents, "a", "b", (delta,), ())
+    app = apply_support_relation(kb, AX, SITE, contents, "a", "b", (delta,), EvalContext())
     assert app is not None
     assert app.delta == delta
     assert app.justification == (app.rel, delta)
@@ -275,7 +275,7 @@ def test_apply_support_relation_rejects_inconsistent_hypotheses():
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     trace = Trace()
     app = apply_support_relation(
-        kb, AX, SITE, contents, "a", "b", (parse_formula("(bill h)"),), (), trace=trace
+        kb, AX, SITE, contents, "a", "b", (parse_formula("(bill h)"),), EvalContext(), trace=trace
     )
     assert app is None
     assert any("rejected, inconsistent" in line for line in trace.lines())
@@ -287,7 +287,7 @@ def test_apply_support_relation_respects_delta_constraints():
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     app = apply_support_relation(
         kb, AX, SITE, contents, "a", "b",
-        (parse_formula("(bill h)"),), (),
+        (parse_formula("(bill h)"),), EvalContext(),
         delta_constraints=(parse_formula("(not (bill h))"),),
     )
     assert app is None
@@ -297,18 +297,27 @@ def test_apply_support_relation_idles_without_a_generic():
     kb = kb_with(["(bill h)"]).assert_fact((), isupport_atom("a", "b"))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     trace = Trace()
-    assert apply_support_relation(kb, AX, SITE, contents, "a", "b", (), (), trace=trace) is None
+    assert apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext(), trace=trace) is None
     assert any("yields no generic" in line for line in trace.lines())
 
 
 def test_apply_support_relation_validates_the_supporter():
     with pytest.raises(ValidationError):
-        apply_support_relation(KnowledgeBase(), AX, SITE, CONTENTS, "zzz", "b", (), ())
+        apply_support_relation(KnowledgeBase(), AX, SITE, CONTENTS, "zzz", "b", (), EvalContext())
+
+
+def test_apply_support_relation_closes_within_the_context_step_bound():
+    kb = kb_with(["p"]).assert_fact((), isupport_atom("a", "b"))
+    contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
+    rules = (make_rule("PQ", ["p"], "q"),)  # one round fires, a second finds the fixpoint
+    with pytest.raises(StepBoundExceeded, match="no fixpoint within 1 rounds"):
+        apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext(rules=rules, max_steps=1))
+    assert apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext(rules=rules, max_steps=2)) is None
 
 
 def test_result_via_cause_checker():
     kb = kb_with(["(cause a b)"])
-    assert result_via_cause(kb, SITE) == RelAtom("Result", ("a", "b"))
+    assert result_via_cause(kb, SITE) == (RelAtom("Result", ("a", "b")), parse_formula("(cause a b)"))
     assert result_via_cause(KnowledgeBase(), SITE) is None
 
 

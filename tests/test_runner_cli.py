@@ -106,6 +106,23 @@ def test_runner_installs_relation_exclusion_per_site(corpus_reports):
     assert excl in report.kb.store_at(("A",)).hard_rules
 
 
+@pytest.mark.parametrize(
+    "fact, diagnostic",
+    [
+        ("(cause that-way b)", "plan anaphor at b: no intended plan is accessible from the right frontier"),
+        ("(not (rel Narration a b))", "no discourse relation derivable for b at site tau1"),
+    ],
+    ids=["dangling-plan-anaphor", "no-relation"],
+)
+def test_update_that_cannot_attach_stops_the_run(fact, diagnostic):
+    text = f"agents A I context [] {{ fact {fact} }} utterance a assertion p utterance b assertion q"
+    report = run_scenario(loads(text + " expect incoherent"))
+    assert report.verdict == "incoherent"
+    assert report.diagnostics == (diagnostic,)
+    assert not report.sdrs.attachments
+    assert report.exit_code() == 0
+
+
 # --------------------------------------------------------------- exit codes
 
 

@@ -15,7 +15,6 @@ from dicekit.sdrs import (
     UpdateSite,
     attach,
     coherent,
-    has_belief_property,
     open_attachment_sites,
     resolve_plan_anaphor,
 )
@@ -34,9 +33,6 @@ def test_registry_defaults():
     assert REG.is_subordinating("Evidence")
     assert not REG.is_subordinating("Result")
     assert not REG.is_subordinating("Narration")
-    assert has_belief_property("Result", REG)
-    assert has_belief_property("Evidence", REG)
-    assert not has_belief_property("Narration", REG)
 
 
 def test_constituent_mood_is_validated():
@@ -107,17 +103,17 @@ def test_frontier_starts_at_the_latest_constituent():
 
 def test_coherence_requires_every_later_constituent_attached():
     s = discourse("a", "b")
-    verdict = coherent(s, KnowledgeBase(), REG)
+    verdict = coherent(s, KnowledgeBase())
     assert not verdict
     assert any("no discourse relation" in d for d in verdict.diagnostics)
     attached = attach(s, UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
-    assert coherent(attached, KnowledgeBase(), REG)
+    assert coherent(attached, KnowledgeBase())
 
 
 def test_coherence_checks_relations_against_the_store():
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
     kb = KnowledgeBase().assert_fact((), Not(RelAtom("Result", ("a", "b"))))
-    verdict = coherent(s, kb, REG)
+    verdict = coherent(s, kb)
     assert not verdict
     assert any("contradict" in d for d in verdict.diagnostics)
 
@@ -126,7 +122,7 @@ def test_coherence_payload_spans_configured_viewpoints():
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
     kb = KnowledgeBase(root_consistency_paths=(("A",),))
     kb = kb.assert_fact(("A",), Not(RelAtom("Result", ("a", "b"))))
-    assert not coherent(s, kb, REG)
+    assert not coherent(s, kb)
 
 
 def test_plan_anaphor_resolves_to_the_unique_frontier_plan():
