@@ -10,6 +10,15 @@ neither antecedent is strictly stronger both stay silent -- sceptical
 resolution.  The result is order-independent: candidate instances are
 collected per round and fired in a canonical order.
 
+Candidate instances are grounded against the store.  Each antecedent conjunct
+binds its variables by matching stored facts.  A conjunct that no fact fits
+binds, when it is opaque to the SAT layer or the negation or eventuality of
+such a formula, from the store's atoms instead: a satisfiable store entails
+an opaque formula or its negation only if the formula is one of its atoms,
+so every other grounding could never apply.  Other conjuncts, which can hold
+with no atom at all (a tautology does), and abduction, whose hypotheses need
+not hold, enumerate the constant pool.
+
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
 and compares -- g must follow from the augmented store but not from the store
@@ -47,11 +56,12 @@ from .formulas import (
     metavariables,
     parse_formula,
     print_formula,
+    sat_atomic,
     subformulas,
 )
 from .kb import ContextPath, KnowledgeBase
 
-_POOL_CAP = 10000  # fallback-enumeration guard
+_POOL_CAP = 10000  # guards the constant-pool enumeration (abduction, non-opaque conjuncts)
 
 
 # ----------------------------------------------------------------------- rules
@@ -216,12 +226,18 @@ def yields_holds(kb: KnowledgeBase, path: ContextPath, left: Formula, right: For
 
 
 def _closed_pair(
-    kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext
+    kb: KnowledgeBase,
+    path: ContextPath,
+    added: Formula,
+    ctx: EvalContext,
+    base: KnowledgeBase | None = None,
 ) -> tuple[KnowledgeBase, KnowledgeBase]:
     """The closures at path of the store alone and of the store plus `added`,
     under the context's rules and step bound.  One pair answers every
-    yields-question about `added` there."""
-    base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
+    yields-question about `added` there.  A caller that already holds the
+    closure of `kb` alone passes it as `base`, and it is not recomputed."""
+    if base is None:
+        base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
     augmented = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
     return base, augmented
 
@@ -307,10 +323,48 @@ def _pool_confines(b: Binding, pool) -> bool:
     return True
 
 
-def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, fvar_pool=None):
-    """One conjunct's worth of binding extension: match stored facts, fill
-    remaining term/slot variables from the constant pool and remaining formula
-    metavariables from the candidate pool (when given)."""
+def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
+    """The opaque patterns of which a ground instance of the conjunct must
+    match one among a satisfiable store's atoms to hold there under the
+    closure's context-free `holds`; None when it can hold otherwise.
+
+    A satisfiable store entails an opaque formula, or its negation, only if
+    the formula is one of its atoms; an eventuality holds also through its
+    body."""
+    if isinstance(pat, Eventually):
+        inner = _anchors(pat.body)
+        return None if inner is None else (pat,) + inner
+    if isinstance(pat, Not):
+        return (pat.body,) if sat_atomic(pat.body) else None
+    return (pat,) if sat_atomic(pat) else None
+
+
+def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
+    """`match` extended by a binding whose values are compared by name: a
+    slot binds a bare name and a term a `Const`, so one variable shared by a
+    slot and a term would never match `b` structurally."""
+    m = match(pat, f)
+    if m is None or any(render_value(b[k]) != render_value(v) for k, v in m.items() if k in b):
+        return None
+    return {**m, **b}
+
+
+def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=None, fvar_pool=None):
+    """One conjunct's worth of binding extension: match stored facts; when
+    none fits, bind the remaining variables from the store's atoms (given a
+    store and a conjunct with anchors) or from the constant and candidate
+    pools.
+
+    The closure passes its store.  At a satisfiable store a ground instance
+    holds only if one of its `_anchors` is among the store's atoms, and at
+    an unsatisfiable store every consequent holds already, so no instance
+    applies.  Binding from the atoms therefore keeps every instance the
+    constant-pool enumeration could make applicable, and it never hits
+    `_POOL_CAP`; bound values still come from the constant pool.  Abduction
+    passes no store: a hypothesis need not hold, so it enumerates term/slot
+    variables over the constant pool and formula metavariables over the
+    candidate pool (when given), as the closure does for conjuncts without
+    anchors."""
     vars_needed = metavariables(pat) | free_variables(pat)
     fvars = _fvar_names(pat)
     out: dict[str, Binding] = {}
@@ -331,11 +385,21 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, fvar_poo
                 push(m)
         if matched:
             continue
-        # no stored fact fits; enumerate candidates anyway -- the instantiated
-        # conjunct may still hold through hard rules, or be supplied later by
-        # an abduction pool
+        # no stored fact fits; the instantiated conjunct may still hold
+        # through hard rules, or be supplied later by an abduction pool
         term_unbound = sorted(unbound - fvars)
         fvar_unbound = sorted(unbound & fvars)
+        anchors = _anchors(pat) if store is not None and not fvar_unbound else None
+        if anchors is not None:
+            for anchor in anchors:
+                for atom in store.atoms:
+                    m = _match_rendered(anchor, atom, b)
+                    if m is None:
+                        continue
+                    names = [render_value(m[n]) for n in term_unbound]
+                    if all(n in pool_consts for n in names):
+                        push({**m, **{v: Const(n) for v, n in zip(term_unbound, names)}})
+            continue
         candidates: list[Binding] = [b]
         if fvar_unbound:
             if not fvar_pool or any(n not in fvar_pool for n in fvar_unbound):
@@ -364,14 +428,14 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, fvar_poo
     return list(out.values())
 
 
-def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, fvar_pool=None) -> list[_Inst]:
-    """Ground instances of a rule against the facts at a path, canonical order."""
+def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
+    """Ground instances of a rule against the store at a path, canonical order."""
     store = kb.store_at(path)
     facts_sorted = sorted(store.facts, key=print_formula)
     pool_consts = tuple(sorted(kb.constants))
     bindings: list[Binding] = [{}]
     for pat in rule.antecedent:
-        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, fvar_pool)
+        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, store)
         if not bindings:
             return []
     insts = []
@@ -588,7 +652,7 @@ def abduce(
             seen.add(_bind_key(m))
             bindings.append(m)
     for pat in rule.antecedent:
-        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, pool)
+        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, fvar_pool=pool)
         if not bindings:
             return ()
 

@@ -30,6 +30,7 @@ from .formulas import (
     Iff,
     Implies,
     Not,
+    children,
     collect_constants,
     conjuncts,
     is_ground,
@@ -69,6 +70,21 @@ class Store:
     @functools.cached_property
     def compiled(self) -> satcore.Compiled:
         return satcore.compile_formulas(self.formulas())
+
+    @functools.cached_property
+    def atoms(self) -> tuple[Formula, ...]:
+        """The opaque atoms of the store's facts and hard rules, one per
+        canonical key, in canonical order.  Built apart from `compiled`, so
+        asking for them never raises `SatTooLarge`."""
+        found: dict[str, Formula] = {}
+        todo = list(self.formulas())
+        while todo:
+            f = todo.pop()
+            if sat_atomic(f):
+                found.setdefault(print_formula(f), f)
+            else:
+                todo.extend(children(f))
+        return tuple(found[k] for k in sorted(found))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,9 @@ from dicekit.formulas import (
     Eventually,
     Not,
     Yields,
+    free_variables,
+    instantiate,
+    metavariables,
     parse_formula,
     print_formula,
 )
@@ -180,6 +184,79 @@ def test_closure_matches_reference_on_penguin_kb():
     assert {print_formula(f) for f in res.kb.facts_at(())} == {print_formula(f) for f in ref}
 
 
+def _random_open_rule_system(rng):
+    """Facts and hard rules over a few constants, and rules with variables.
+
+    p, q and rel are stated by facts, and the rules conclude p and q; h, k and
+    site occur only in hard rules, so a conjunct over them matches no stored
+    fact and holds, if at all, through a hard rule.  site and rel bind their
+    variables as slots and p, q, h and k as terms, and half the rules share a
+    variable between the two kinds.  The store states random groundings of
+    the rules' own conjuncts, some of them negated, so that conjuncts often
+    hold."""
+    consts = ("a", "b", "c")[: rng.randint(2, 3)]
+    terms = ["(p ?x)", "(q ?x)", "(p ?y)", "(h ?x)", "(h ?y)", "(k ?x ?y)", "(k ?y ?x)", "(not (h ?x))"]
+    slots = ["(rel R ?x ?y)", "(rel R ?y ?x)", "(site ?x ?y ?x)", "(site ?y ?x ?y)", "(not (site ?x ?y ?x))"]
+    others = ["(not (p ?y))", "(not (k ?x ?y))"]
+    rules = []
+    stated = []
+    for i in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            ants = (rng.choice(terms), rng.choice(slots))[:: rng.choice((1, -1))]
+        else:
+            pool = terms + slots + others
+            ants = tuple(dict.fromkeys(rng.choice(pool) for _ in range(rng.randint(1, 2))))
+        var = rng.choice(sorted({v for a in ants for v in ("x", "y") if f"?{v}" in a}))
+        cons = f"({rng.choice('pq')} ?{var})"
+        if rng.random() < 0.3:
+            cons = f"(not {cons})"
+        rules.append(make_rule(f"R{i}", ants, cons, hard=rng.random() < 0.2))
+        x, y = rng.choice(consts), rng.choice(consts)
+        stated += [a.replace("?x", x).replace("?y", y) for a in ants if rng.random() < 0.6]
+    facts = ["seed"] if rng.random() < 0.8 else []
+    hard = []
+    for lit in stated:
+        if rng.random() < 0.2:
+            lit = lit[5:-1] if lit.startswith("(not ") else f"(not {lit})"
+        if lit.removeprefix("(not ")[1:].startswith(("h ", "k ", "site ")):
+            premise = "seed" if rng.random() < 0.7 else rng.choice(stated)
+            hard.append(f"(-> {premise} {lit})")
+        else:
+            facts.append(lit)
+    return kb_with(facts, hard).with_constants(consts), tuple(rules)
+
+
+def _ground_on_constants(rules, constants):
+    """Every instance of the rules over the constants, named so that name
+    order is the closure's firing order (rule name, then binding)."""
+    out = []
+    for rule in rules:
+        names = sorted(set().union(*(free_variables(a) | metavariables(a) for a in rule.antecedent)))
+        for values in itertools.product(sorted(constants), repeat=len(names)):
+            b = {n: Const(v) for n, v in zip(names, values)}
+            out.append(
+                reference.RefRule(
+                    rule.name + render_binding(b),
+                    tuple(instantiate(a, b) for a in rule.antecedent),
+                    instantiate(rule.consequent, b),
+                    hard=rule.hard,
+                )
+            )
+    return out
+
+
+def test_closure_of_open_rules_matches_reference_over_full_grounding():
+    rng = random.Random(1986)
+    for _ in range(100):
+        kb, rules = _random_open_rule_system(rng)
+        store = kb.store_at(())
+        got = defeasible_closure(kb, rules).kb.facts_at(())
+        want = reference.ref_closure(
+            store.facts, store.hard_rules, _ground_on_constants(rules, kb.constants)
+        )
+        assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
+
+
 # ------------------------------------------------------------------ instantiation
 
 
@@ -191,12 +268,86 @@ def test_rule_instances_enumerate_stored_facts():
     assert [print_formula(i.cons) for i in insts] == ["(q a)", "(q b)"]
 
 
-def test_rule_instances_fall_back_to_the_constant_pool_only_when_unmatched():
+def test_rule_instances_bind_unmatched_conjuncts_from_the_store_atoms():
     rule = make_rule("R", ["(p ?x)"], "(q ?x)")
     kb = kb_with(["(p a)"]).with_constants(("a", "b", "c"))
     assert [i.key for i in rule_instances(rule, kb, ())] == ["{x=a}"]
+    # no fact fits: bare constants give no instance, an atom of a hard rule does
+    bare = kb_with(["seed"]).with_constants(("a", "b"))
+    assert rule_instances(rule, bare, ()) == []
+    hard = kb_with(["seed"], hard=["(-> seed (p b))"]).with_constants(("a",))
+    assert [i.key for i in rule_instances(rule, hard, ())] == ["{x=b}"]
+    # bound values still come from the constants only
+    site = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
+    tokens = kb_with(["(not (site t u0 u1))"])
+    assert rule_instances(site, tokens, ()) == []
+    named = tokens.with_constants(("t", "u0", "u1"))
+    assert [i.key for i in rule_instances(site, named, ())] == ["{t=t, x=u0, y=u1}"]
+
+
+def test_rule_instances_bind_negated_and_eventual_conjuncts_from_the_store_atoms():
+    for ante in ("(not (p ?x))", "(eventually (p ?x))"):
+        rule = make_rule("R", [ante], "(q ?x)")
+        kb = kb_with([ante.replace("?x", "a")]).with_constants(("a", "b", "c"))
+        assert [i.key for i in rule_instances(rule, kb, ())] == ["{x=a}"], ante
+        bare = kb_with(["seed"]).with_constants(("a", "b"))
+        assert rule_instances(rule, bare, ()) == [], ante
+    consts = ("a", "b", "c")
+    negated = make_rule("N", ["(not (p ?x))"], "(q ?x)")
+    hard = kb_with(["seed"], hard=["(-> seed (not (p b)))"]).with_constants(consts)
+    assert [i.key for i in rule_instances(negated, hard, ())] == ["{x=b}"]
+    # an eventuality holds as an atom or through its body
+    eventual = make_rule("E", ["(eventually (p ?x))"], "(q ?x)")
+    hard = kb_with(["seed"], hard=["(-> seed (p b))", "(-> seed (eventually (p c)))"])
+    keys = [i.key for i in rule_instances(eventual, hard.with_constants(consts), ())]
+    assert keys == ["{x=b}", "{x=c}"]
+
+
+def test_rule_instances_fall_back_to_the_constant_pool_only_when_unmatched():
+    # a compound conjunct can hold without any atom of the store (this one is
+    # a tautology), so its unbound variables range over the constant pool
+    taut = "(or (r ?x) (not (r ?x)))"
+    rule = make_rule("R", [taut], "(q ?x)")
     bare = kb_with(["seed"]).with_constants(("a", "b"))
     assert [i.key for i in rule_instances(rule, bare, ())] == ["{x=a}", "{x=b}"]
+    derived = defeasible_closure(bare, (rule,)).kb
+    assert derived.has_fact((), parse_formula("(q a)")) and derived.has_fact((), parse_formula("(q b)"))
+    # a variable bound by a stored fact is not enumerated again
+    pair = make_rule("P", ["(p ?x)", taut], "(q ?x)")
+    kb = kb_with(["(p a)"]).with_constants(("a", "b", "c"))
+    assert [i.key for i in rule_instances(pair, kb, ())] == ["{x=a}"]
+
+
+def test_closure_reach_does_not_depend_on_the_number_of_constants():
+    for ante, stated in (
+        ("(p ?x ?y ?z)", "(p c0 c1 c2)"),
+        ("(not (p ?x ?y ?z))", "(not (p c0 c1 c2))"),
+        ("(eventually (p ?x ?y ?z))", "(p c0 c1 c2)"),
+    ):
+        rule = make_rule("R", [ante], "(q ?x ?y ?z)")
+        for n in (3, 22, 40):
+            kb = kb_with(["seed"], hard=[f"(-> seed {stated})"])
+            kb = kb.with_constants(f"c{i}" for i in range(n))
+            res = defeasible_closure(kb, (rule,))
+            assert res.kb.has_fact((), parse_formula("(q c0 c1 c2)")), (ante, n)
+
+
+def test_closure_binds_variables_shared_by_slots_and_terms():
+    # site and rel bind slots to names, p binds terms to constants; a
+    # variable bound by one kind must still match the other
+    consts = ("t", "a", "b", "c")
+    kb = kb_with(["seed", "(rel R b c)"], hard=["(-> seed (site t a b))", "(-> seed (p b))"])
+    kb = kb.with_constants(consts)
+    for ants, cons, want in (
+        (["(site ?t ?x ?y)", "(rel R ?y ?z)"], "(q ?z)", "(q c)"),
+        (["(rel R ?y ?z)", "(site ?t ?x ?y)"], "(q ?z)", "(q c)"),
+        (["(site ?t ?x ?y)", "(p ?y)"], "(q ?y)", "(q b)"),
+        (["(p ?y)", "(site ?t ?x ?y)"], "(q ?y)", "(q b)"),
+        (["(rel R ?z ?y)", "(p ?z)"], "(q ?y)", "(q c)"),
+    ):
+        rule = make_rule("S", ants, cons)
+        res = defeasible_closure(kb, (rule,))
+        assert res.kb.has_fact((), parse_formula(want)), ants
 
 
 def test_intention_update_builtin_advances_plans():
