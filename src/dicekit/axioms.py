@@ -16,6 +16,7 @@ The library is instantiated with the discourse's author and interpreter names.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -114,6 +115,7 @@ class AxiomSet:
         return tuple(self[n] for n in names)
 
 
+@functools.cache
 def standard_axioms(author: str = "A", interpreter: str = "I") -> AxiomSet:
     A, I = author, interpreter
 

@@ -11,13 +11,15 @@ resolution.  The result is order-independent: candidate instances are
 collected per round and fired in a canonical order.
 
 Candidate instances are grounded against the store.  Each antecedent conjunct
-binds its variables by matching stored facts.  A conjunct that no fact fits
-binds, when it is opaque to the SAT layer or the negation or eventuality of
-such a formula, from the store's atoms instead: a satisfiable store entails
-an opaque formula or its negation only if the formula is one of its atoms,
-so every other grounding could never apply.  Other conjuncts, which can hold
-with no atom at all (a tautology does), and abduction, whose hypotheses need
-not hold, enumerate the constant pool.
+binds its variables by matching stored facts.  A conjunct that is opaque to
+the SAT layer, or the negation or eventuality of such a formula, binds from
+the store's atoms as well, whether or not a fact fits: a satisfiable store
+entails an opaque formula or its negation only if the formula is one of its
+atoms, so every other grounding could never apply, and a grounding that holds
+through a hard rule alone is found there.  Other conjuncts that no fact fits,
+which can hold with no atom at all (a tautology does), and abduction, whose
+hypotheses need not hold, enumerate the constant pool; an enumeration over
+`_POOL_CAP` candidates raises `PoolTooLarge` rather than drop any.
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import satcore
-from .errors import StepBoundExceeded, ValidationError
+from .errors import PoolTooLarge, StepBoundExceeded, ValidationError
 from .formulas import (
     And,
     Att,
@@ -58,10 +60,11 @@ from .formulas import (
     print_formula,
     sat_atomic,
     subformulas,
+    substitute,
 )
 from .kb import ContextPath, KnowledgeBase
 
-_POOL_CAP = 10000  # guards the constant-pool enumeration (abduction, non-opaque conjuncts)
+_POOL_CAP = 10000  # most candidates a constant-pool enumeration may take (abduction, non-opaque conjuncts)
 
 
 # ----------------------------------------------------------------------- rules
@@ -307,6 +310,12 @@ def _fvar_names(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, FVar))
 
 
+def _pattern_str(pat: Formula) -> str:
+    """A pattern printed with its `?` variables (`print_formula` prints a
+    term variable by its bare name)."""
+    return print_formula(substitute(pat, {v: f"?{v}" for v in free_variables(pat)}))
+
+
 def _bind_key(b: Binding) -> str:
     return render_binding(b)
 
@@ -350,21 +359,22 @@ def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
 
 
 def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=None, fvar_pool=None):
-    """One conjunct's worth of binding extension: match stored facts; when
-    none fits, bind the remaining variables from the store's atoms (given a
-    store and a conjunct with anchors) or from the constant and candidate
-    pools.
+    """One conjunct's worth of binding extension: match stored facts, and
+    bind the remaining variables from the store's atoms as well (given a
+    store and a conjunct with anchors); failing both, from the constant and
+    candidate pools.
 
     The closure passes its store.  At a satisfiable store a ground instance
     holds only if one of its `_anchors` is among the store's atoms, and at
     an unsatisfiable store every consequent holds already, so no instance
     applies.  Binding from the atoms therefore keeps every instance the
-    constant-pool enumeration could make applicable, and it never hits
-    `_POOL_CAP`; bound values still come from the constant pool.  Abduction
-    passes no store: a hypothesis need not hold, so it enumerates term/slot
-    variables over the constant pool and formula metavariables over the
-    candidate pool (when given), as the closure does for conjuncts without
-    anchors."""
+    constant-pool enumeration could make applicable, the ones that hold
+    through a hard rule while another grounding is a fact included, and it
+    never hits `_POOL_CAP`; bound values still come from the constant pool.
+    Abduction passes no store: a hypothesis need not hold, so it enumerates
+    term/slot variables over the constant pool and formula metavariables
+    over the candidate pool (when given), as the closure does for conjuncts
+    without anchors.  An enumeration over `_POOL_CAP` raises `PoolTooLarge`."""
     vars_needed = metavariables(pat) | free_variables(pat)
     fvars = _fvar_names(pat)
     out: dict[str, Binding] = {}
@@ -383,13 +393,13 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
             if m is not None:
                 matched = True
                 push(m)
-        if matched:
-            continue
-        # no stored fact fits; the instantiated conjunct may still hold
-        # through hard rules, or be supplied later by an abduction pool
         term_unbound = sorted(unbound - fvars)
         fvar_unbound = sorted(unbound & fvars)
         anchors = _anchors(pat) if store is not None and not fvar_unbound else None
+        if matched and anchors is None:
+            continue
+        # the instantiated conjunct may also hold through hard rules, or be
+        # supplied later by an abduction pool
         if anchors is not None:
             for anchor in anchors:
                 for atom in store.atoms:
@@ -412,16 +422,19 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
                     new.append(nb)
                 candidates = new
         if candidates and term_unbound:
-            if len(pool_consts) ** len(term_unbound) > _POOL_CAP:
-                candidates = []
-            else:
-                new = []
-                for base in candidates:
-                    for combo in itertools.product(pool_consts, repeat=len(term_unbound)):
-                        nb = dict(base)
-                        nb.update(zip(term_unbound, (Const(c) for c in combo)))
-                        new.append(nb)
-                candidates = new
+            count = len(pool_consts) ** len(term_unbound)
+            if count > _POOL_CAP:
+                raise PoolTooLarge(
+                    f"binding {_pattern_str(pat)} from the constant pool takes {count}"
+                    f" candidates, over the cap of {_POOL_CAP}"
+                )
+            new = []
+            for base in candidates:
+                for combo in itertools.product(pool_consts, repeat=len(term_unbound)):
+                    nb = dict(base)
+                    nb.update(zip(term_unbound, (Const(c) for c in combo)))
+                    new.append(nb)
+            candidates = new
         for nb in candidates:
             if not (vars_needed - nb.keys()):
                 push(nb)
@@ -431,7 +444,7 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
 def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
     """Ground instances of a rule against the store at a path, canonical order."""
     store = kb.store_at(path)
-    facts_sorted = sorted(store.facts, key=print_formula)
+    facts_sorted = store.facts_sorted
     pool_consts = tuple(sorted(kb.constants))
     bindings: list[Binding] = [{}]
     for pat in rule.antecedent:
@@ -466,7 +479,7 @@ def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: Cont
             agent = pat.agent
     if agent is None:
         return []
-    facts = sorted(kb.store_at(path).facts, key=print_formula)
+    facts = kb.store_at(path).facts_sorted
     intended = [f.body.plan for f in facts if isinstance(f, Att) and f.kind == "I" and f.agent == agent and isinstance(f.body, Doing)]
     done = [f.plan for f in facts if isinstance(f, Done)]
     insts = []
@@ -589,7 +602,7 @@ def defeasible_closure(
                     " conflicts with facts added earlier this round"
                 )
                 continue
-            before = out.store_at(path).facts
+            before = out.store_at(path).fact_set
             out = out.assert_fact(path, i.cons)
             added = tuple(f for f in out.store_at(path).facts if f not in before)
             step = trace.step(mode, i.rule.name, i.binding, added or conjuncts(i.cons))

@@ -31,6 +31,11 @@ class SatTooLarge(DicekitError):
     (the cap is per group, not per instance)."""
 
 
+class PoolTooLarge(DicekitError):
+    """Binding a conjunct's unbound variables from the constant pool would
+    take more candidates than the enumeration cap allows."""
+
+
 class NoAntecedent(DicekitError):
     """Plan anaphor resolution found no accessible candidate."""
 

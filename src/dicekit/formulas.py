@@ -18,10 +18,18 @@ Surface syntax (s-expressions, one form per formula):
 Plan steps are action symbols or (name arg ...) lists.  Symbols beginning with
 ``?`` are metavariables and only legal in rule patterns, never in ground
 formulas; ``?f:doing`` restricts the metavariable to R-shaped bodies.
+
+Formulas are immutable, so each node is keyed once: its canonical printed
+form (`Formula.key`, what `print_formula` returns) and its groundness
+(`Formula.ground`, what `is_ground` returns) are computed on first use from
+its children's cached values and kept on the node.  Equality stays
+structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
+equality only between ground formulas.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -81,7 +89,17 @@ class Plan:
 
 class Formula:
     def __str__(self) -> str:
-        return print_formula(self)
+        return self.key
+
+    @functools.cached_property
+    def key(self) -> str:
+        """Canonical printed form, built from the children's keys."""
+        return _render(self)
+
+    @functools.cached_property
+    def ground(self) -> bool:
+        """No term variable is free and no metavariable occurs."""
+        return _ground(self)
 
 
 @dataclass(frozen=True)
@@ -359,6 +377,13 @@ def _term_str(t: Term) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical printed form; parse(print(f)) == f for closed formulas."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f.key
+
+
+def _render(f: Formula) -> str:
+    """One node's printed form, from its children's keys."""
     match f:
         case Atom(pred, args):
             if not args:
@@ -367,31 +392,31 @@ def print_formula(f: Formula) -> str:
         case FVar(name, shape):
             return f"?{name}:{shape}" if shape else f"?{name}"
         case Not(body):
-            return f"(not {print_formula(body)})"
+            return f"(not {body.key})"
         case And(parts):
-            return "(and " + " ".join(print_formula(p) for p in parts) + ")"
+            return "(and " + " ".join(p.key for p in parts) + ")"
         case Or(parts):
-            return "(or " + " ".join(print_formula(p) for p in parts) + ")"
+            return "(or " + " ".join(p.key for p in parts) + ")"
         case Implies(l, r):
-            return f"(-> {print_formula(l)} {print_formula(r)})"
+            return f"(-> {l.key} {r.key})"
         case Iff(l, r):
-            return f"(<-> {print_formula(l)} {print_formula(r)})"
+            return f"(<-> {l.key} {r.key})"
         case Default(l, r):
-            return f"(> {print_formula(l)} {print_formula(r)})"
+            return f"(> {l.key} {r.key})"
         case Generic(var, ant, cons):
-            return f"(forall {var} (> {print_formula(ant)} {print_formula(cons)}))"
+            return f"(forall {var} (> {ant.key} {cons.key}))"
         case Att(kind, agent, body):
-            return f"({kind} {agent} {print_formula(body)})"
+            return f"({kind} {agent} {body.key})"
         case Doing(plan):
             return f"(R {plan})"
         case Done(plan):
             return f"(D {plan})"
         case Eventually(body):
-            return f"(eventually {print_formula(body)})"
+            return f"(eventually {body.key})"
         case Can(body):
-            return f"(can {print_formula(body)})"
+            return f"(can {body.key})"
         case Imp(body):
-            return f"(imp {print_formula(body)})"
+            return f"(imp {body.key})"
         case SiteToken(t, a, b):
             return f"(site {t} {a} {b})"
         case InfoToken(a, b):
@@ -399,7 +424,7 @@ def print_formula(f: Formula) -> str:
         case RelAtom(rel, args):
             return "(rel " + " ".join((rel,) + args) + ")"
         case Yields(l, r):
-            return f"(yields {print_formula(l)} {print_formula(r)})"
+            return f"(yields {l.key} {r.key})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -459,7 +484,28 @@ def metavariables(f: Formula) -> frozenset[str]:
 
 
 def is_ground(f: Formula) -> bool:
-    return not free_variables(f) and not metavariables(f)
+    return f.ground
+
+
+def _ground(f: Formula) -> bool:
+    """One node's groundness, from its own slots and terms and its children's
+    cached groundness.  A generic's variable is free in its children, so a
+    generic is checked in full."""
+    match f:
+        case Atom(_, args):
+            return not any(isinstance(t, Var) for t in args)
+        case FVar():
+            return False
+        case SiteToken(t, a, b):
+            return not any(_is_metavar(x) for x in (t, a, b))
+        case InfoToken(a, b):
+            return not any(_is_metavar(x) for x in (a, b))
+        case RelAtom(_, args):
+            return not any(_is_metavar(x) for x in args)
+        case Generic():
+            return not free_variables(f) and not metavariables(f)
+        case _:
+            return all(c.ground for c in children(f))
 
 
 def conjuncts(f: Formula) -> tuple[Formula, ...]:

@@ -56,9 +56,12 @@ class Store:
     """One context's contents.  Tuples, not sets: iteration order is load order,
     which keeps closure traces and SAT variable numbering reproducible.
 
-    A store is never changed, only replaced, so its formulas are compiled for
-    satisfiability once, on the first query, and the compiled form lives and
-    dies with the store.  Every query against it compiles only itself."""
+    A store is never changed, only replaced, so what is derived from it is
+    built once, on first use, and lives and dies with the store: the
+    compiled form for satisfiability (every query against it compiles only
+    itself), the fact set for membership and the facts in key order for rule
+    matching.  Each formula is keyed once (see `formulas`), so none of these
+    re-prints a fact."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -66,6 +69,15 @@ class Store:
 
     def formulas(self) -> tuple[Formula, ...]:
         return self.facts + self.hard_rules
+
+    @functools.cached_property
+    def fact_set(self) -> frozenset[Formula]:
+        return frozenset(self.facts)
+
+    @functools.cached_property
+    def facts_sorted(self) -> tuple[Formula, ...]:
+        """The facts in canonical key order."""
+        return tuple(sorted(self.facts, key=print_formula))
 
     @functools.cached_property
     def compiled(self) -> satcore.Compiled:
@@ -81,7 +93,7 @@ class Store:
         while todo:
             f = todo.pop()
             if sat_atomic(f):
-                found.setdefault(print_formula(f), f)
+                found.setdefault(f.key, f)
             else:
                 todo.extend(children(f))
         return tuple(found[k] for k in sorted(found))
@@ -107,7 +119,7 @@ class KnowledgeBase:
         return self.store_at(path).facts
 
     def has_fact(self, path: ContextPath, f: Formula) -> bool:
-        return f in self.store_at(path).facts
+        return f in self.store_at(path).fact_set
 
     # -- construction ------------------------------------------------------
 
@@ -139,7 +151,7 @@ class KnowledgeBase:
         if len(path) > self.max_depth:
             raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
         store = self.store_at(path)
-        if f in store.facts:
+        if f in store.fact_set:
             return self  # idempotent; also terminates mirror ping-pong
         kb = self._with_store(path, replace(store, facts=store.facts + (f,)))
         kb = kb.with_constants(collect_constants(f))
@@ -160,7 +172,7 @@ class KnowledgeBase:
         is a deliberate, local act)."""
         path = tuple(path)
         store = self.store_at(path)
-        if f not in store.facts:
+        if f not in store.fact_set:
             return self
         return self._with_store(path, replace(store, facts=tuple(x for x in store.facts if x != f)))
 

@@ -3,7 +3,8 @@
 Every formula the rest of the package deals in is ground; anything that is
 not a boolean connective (attitudes, generics, defeasible conditionals,
 site/info/relation tokens, yields-atoms, plain atoms) is one opaque boolean
-variable, keyed by its canonical printed form.
+variable, keyed by its canonical printed form (`Formula.key`, cached on the
+node).
 
 `compile_program` walks a formula once: it numbers the opaque atoms in
 first-seen order and emits the formula's RPN program.  The programs are then
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import SatTooLarge, ValidationError
-from .formulas import And, Formula, Iff, Implies, Not, Or, is_ground, print_formula, sat_atomic
+from .formulas import And, Formula, Iff, Implies, Not, Or, print_formula, sat_atomic
 
 # An RPN program is a list of ints: a variable number (>= 0) pushes that
 # variable's truth table, a negative opcode combines the top of the stack.
@@ -58,7 +59,7 @@ def compile_program(f: Formula, index: dict[str, int], known: Mapping[str, int] 
 
     def emit(g: Formula) -> None:
         if sat_atomic(g):
-            key = print_formula(g)
+            key = g.key
             var = known.get(key)
             if var is None:
                 var = index.get(key)
@@ -118,7 +119,7 @@ def _extend(base: Compiled, formulas: Iterable[Formula]) -> tuple[dict[str, int]
     any group is decided if one exceeds MAX_VARS."""
     fs = tuple(formulas)
     for f in fs:
-        if not is_ground(f):
+        if not f.ground:
             raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
     new: dict[str, int] = {}
     programs = [compile_program(f, new, base.index) for f in fs]

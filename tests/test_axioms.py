@@ -134,6 +134,12 @@ def test_driver_rules_are_marked():
     assert AX["IntentionUpdate"].builtin == "intention-update"
 
 
+def test_standard_axioms_are_built_once_per_names():
+    assert standard_axioms() is standard_axioms()
+    assert standard_axioms("fred", "ginger") is standard_axioms("fred", "ginger")
+    assert standard_axioms("fred", "ginger") is not standard_axioms()
+
+
 def test_library_is_parameterized_by_agent_names():
     ax = standard_axioms("fred", "ginger")
     assert print_formula(ax["Charity"].consequent) == "(B fred (B ginger ?phi))"

@@ -23,7 +23,7 @@ from dicekit.engine import (
     specificity,
     yields_holds,
 )
-from dicekit.errors import StepBoundExceeded, ValidationError
+from dicekit.errors import DicekitError, PoolTooLarge, StepBoundExceeded, ValidationError
 from dicekit.formulas import (
     And,
     Att,
@@ -187,9 +187,11 @@ def test_closure_matches_reference_on_penguin_kb():
 def _random_open_rule_system(rng):
     """Facts and hard rules over a few constants, and rules with variables.
 
-    p, q and rel are stated by facts, and the rules conclude p and q; h, k and
-    site occur only in hard rules, so a conjunct over them matches no stored
-    fact and holds, if at all, through a hard rule.  site and rel bind their
+    p, q and rel are stated by facts and by hard rules, and the rules conclude
+    p and q; h, k and site occur only in hard rules, so a conjunct over them
+    matches no stored fact and holds, if at all, through a hard rule.  A
+    conjunct over p, q or rel can hold through a hard rule for one grounding
+    while a fact fits another.  site and rel bind their
     variables as slots and p, q, h and k as terms, and half the rules share a
     variable between the two kinds.  The store states random groundings of
     the rules' own conjuncts, some of them negated, so that conjuncts often
@@ -218,7 +220,7 @@ def _random_open_rule_system(rng):
     for lit in stated:
         if rng.random() < 0.2:
             lit = lit[5:-1] if lit.startswith("(not ") else f"(not {lit})"
-        if lit.removeprefix("(not ")[1:].startswith(("h ", "k ", "site ")):
+        if lit.removeprefix("(not ")[1:].startswith(("h ", "k ", "site ")) or rng.random() < 0.3:
             premise = "seed" if rng.random() < 0.7 else rng.choice(stated)
             hard.append(f"(-> {premise} {lit})")
         else:
@@ -255,6 +257,26 @@ def test_closure_of_open_rules_matches_reference_over_full_grounding():
             store.facts, store.hard_rules, _ground_on_constants(rules, kb.constants)
         )
         assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
+
+
+def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():
+    # (p a) is a fact and (p b) holds only through a hard rule: the conjunct
+    # binds from the store's atoms as well as from its facts
+    kb = kb_with(["seed", "(p a)"], hard=["(-> seed (p b))"])
+    res = defeasible_closure(kb, (make_rule("R", ["(p ?x)"], "(q ?x)"),))
+    assert [print_formula(f) for f in res.kb.facts_at(())] == ["seed", "(p a)", "(q a)", "(q b)"]
+
+
+def test_pool_cap_raises_instead_of_dropping_candidates():
+    # 22 constants and three unbound variables under an `or`: 22**3 = 10648
+    # candidates exceed the cap, and (q c0 c1 c2) would be lost silently
+    kb = kb_with(["seed"], hard=["(-> seed (r c0 c1 c2))"]).with_constants(f"c{i}" for i in range(22))
+    rule = make_rule("R", ["(or (r ?x ?y ?z) (s ?x ?y ?z))"], "(q ?x ?y ?z)")
+    with pytest.raises(PoolTooLarge) as err:
+        defeasible_closure(kb, (rule,))
+    assert isinstance(err.value, DicekitError)
+    assert "(or (r ?x ?y ?z) (s ?x ?y ?z))" in str(err.value)
+    assert "10648 candidates" in str(err.value)
 
 
 # ------------------------------------------------------------------ instantiation

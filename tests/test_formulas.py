@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicekit import formulas as formulas_module
 from dicekit.errors import ParseError, ValidationError
 from dicekit.formulas import (
     Action,
@@ -74,9 +78,10 @@ leaves = st.one_of(
     st.builds(InfoToken, NAMES, NAMES),
     st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, NAMES, NAMES),
 )
-formulas = st.recursive(
-    leaves,
-    lambda kids: st.one_of(
+
+
+def compounds(kids):
+    return st.one_of(
         st.builds(Not, kids),
         st.builds(lambda a, b: And((a, b)), kids, kids),
         st.builds(lambda a, b: Or((a, b)), kids, kids),
@@ -88,9 +93,36 @@ formulas = st.recursive(
         st.builds(Imp, kids),
         st.builds(Yields, kids, kids),
         st.builds(Att, st.sampled_from(("B", "W", "I")), AGENTS, kids),
+    )
+
+
+formulas = st.recursive(leaves, compounds, max_leaves=10)
+
+# rule patterns: ?-variables in terms, ?-slots in tokens and relations,
+# formula metavariables, and generics with or without a free variable
+TERMS = st.one_of(NAMES.map(Const), st.sampled_from(("x", "y")).map(Var))
+SLOTS = st.one_of(NAMES, st.sampled_from(("?x", "?y")))
+open_generics = st.builds(
+    lambda p, t, q, phi: Generic(
+        "x",
+        Atom(p, (Var("x"), t)),
+        Atom(q, (Var("x"),)) if phi is None else And((Atom(q, (Var("x"),)), phi)),
     ),
-    max_leaves=10,
+    NAMES,
+    TERMS,
+    NAMES,
+    st.one_of(st.none(), st.builds(FVar, st.sampled_from(("phi", "psi")))),
 )
+pattern_leaves = st.one_of(
+    leaves,
+    open_generics,
+    st.builds(lambda pred, args: Atom(pred, tuple(args)), NAMES, st.lists(TERMS, max_size=3)),
+    st.builds(FVar, st.sampled_from(("phi", "psi")), st.sampled_from((None, "doing"))),
+    st.builds(SiteToken, SLOTS, SLOTS, SLOTS),
+    st.builds(InfoToken, SLOTS, SLOTS),
+    st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, SLOTS, SLOTS),
+)
+patterns = st.recursive(pattern_leaves, compounds, max_leaves=10)
 
 # ---------------------------------------------------------------------- printing
 
@@ -109,6 +141,59 @@ def test_str_is_canonical_print(f):
 @given(formulas)
 def test_generated_formulas_are_ground(f):
     assert is_ground(f)
+
+
+# ------------------------------------------------------------------------ keying
+
+
+@settings(max_examples=300)
+@given(patterns)
+def test_cached_groundness_agrees_with_the_full_walk(f):
+    assert is_ground(f) == (not free_variables(f) and not metavariables(f))
+    for g in subformulas(f):
+        assert g.ground == (not free_variables(g) and not metavariables(g))
+
+
+@given(patterns)
+def test_each_node_is_rendered_once(f):
+    rendered = collections.Counter()
+    render = formulas_module._render
+
+    def counting(g):
+        rendered[id(g)] += 1
+        return render(g)
+
+    parents = []
+    with mock.patch.object(formulas_module, "_render", counting):
+        for _ in range(3):
+            for g in subformulas(f):
+                print_formula(g)
+                is_ground(g)
+            parents.append(Not(f))
+            assert print_formula(parents[-1]) == f"(not {print_formula(f)})"
+            assert is_ground(parents[-1]) == is_ground(f)
+            assert str(f) == print_formula(f)
+    assert set(rendered.values()) == {1}
+    assert {id(g) for g in subformulas(f)} <= set(rendered)
+
+
+def test_key_is_the_canonical_print():
+    f = parse_formula("(B A (and (p a) (not (q b))))")
+    assert f.key == print_formula(f) == "(B A (and (p a) (not (q b))))"
+    assert f.body.parts[1].key == "(not (q b))"
+
+
+def test_print_formula_rejects_a_non_formula():
+    with pytest.raises(TypeError):
+        print_formula(3)
+
+
+def test_a_pattern_and_a_fact_may_share_a_key():
+    # (p ?x) and (p x) print alike but are different formulas
+    pattern, fact = parse_formula("(p ?x)"), parse_formula("(p x)")
+    assert pattern.key == fact.key
+    assert pattern != fact
+    assert not pattern.ground and fact.ground
 
 
 def test_zero_ary_atom_prints_bare():

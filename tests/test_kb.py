@@ -9,7 +9,7 @@ import pytest
 import reference
 from dicekit import satcore
 from dicekit.errors import DepthExceeded, SatTooLarge, ValidationError
-from dicekit.formulas import Att, Atom, Iff, Implies, Not, parse_formula, print_formula
+from dicekit.formulas import Att, Atom, Const, Iff, Implies, Not, parse_formula, print_formula
 from dicekit.kb import KnowledgeBase, Store
 
 
@@ -131,6 +131,19 @@ def test_nested_view_reroots():
 def test_store_formulas_concatenates_facts_and_rules():
     s = Store(facts=(Atom("p"),), hard_rules=(parse_formula("(-> p q)"),))
     assert s.formulas() == (Atom("p"), parse_formula("(-> p q)"))
+
+
+def test_store_keeps_a_fact_set_and_the_facts_in_key_order():
+    kb = kb0().assert_fact((), parse_formula("(and (q b) (p a) (not r))"))
+    store = kb.store_at(())
+    assert [print_formula(f) for f in store.facts_sorted] == ["(not r)", "(p a)", "(q b)"]
+    assert store.fact_set == frozenset(store.facts)
+    assert kb.has_fact((), parse_formula("(p a)"))
+    assert kb.retract_fact((), parse_formula("(q b)")).facts_at(()) == (Atom("p", (Const("a"),)), Not(Atom("r")))
+    # membership is structural: a pattern that prints like a fact is not it
+    kb = kb0().assert_fact((), parse_formula("(p x)"))
+    assert kb.has_fact((), parse_formula("(p x)"))
+    assert not kb.has_fact((), parse_formula("(p ?x)"))
 
 
 def test_walk_and_paths_are_sorted():

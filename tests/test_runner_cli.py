@@ -246,6 +246,21 @@ def test_cli_malformed_scenario_exits_3(tmp_path, capsys):
     assert "unknown directive" in err
 
 
+def test_cli_pool_cap_exits_3(tmp_path, capsys):
+    scn = tmp_path / "wide.scn"
+    consts = " ".join(f"c{i}" for i in range(22))
+    scn.write_text(
+        f"agents A I constants {consts}\n"
+        "context [] { fact seed hard (-> seed (r c0 c1 c2)) }\n"
+        "rule Wide default (> (or (r ?x ?y ?z) (s ?x ?y ?z)) (q ?x ?y ?z))\n"
+        "utterance a assertion p\n"
+    )
+    code = main(["run", str(scn)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "(or (r ?x ?y ?z) (s ?x ?y ?z))" in err
+
+
 def test_cli_failed_expectation_exit_code(tmp_path, capsys):
     scn = tmp_path / "wrong.scn"
     scn.write_text("agents A I utterance a assertion p expect (B I q)\n")
