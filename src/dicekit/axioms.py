@@ -416,8 +416,7 @@ def apply_support_relation(
             kbd = kb.assert_fact((), delta)
         else:
             kbd = kb
-        # without a hypothesis kbd is kb, whose closure is base_kb already
-        base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx, base_kb if delta is None else None)
+        base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx)
         for gen in viable:
             for d in sorted(kbd.constants):
                 try:

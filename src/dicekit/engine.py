@@ -27,6 +27,13 @@ and compares -- g must follow from the augmented store but not from the store
 alone.  Inside closure itself, yields-atoms in rule antecedents only match
 stored (previously verified) facts, which keeps hypothetical reasoning from
 recursing without bound.
+
+Knowledge bases and stores are immutable, so work on them is done once.  A
+closure is recorded on the knowledge base it closes, keyed by path, active
+rules and step bound (see `defeasible_closure`): the base closure of every
+`yields` test on a knowledge base that was already closed is a lookup.  Each
+store decides each ground query once (see `kb.Store`), and
+`yields` verdicts are kept per evaluation context (`EvalContext`).
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .formulas import (
     Doing,
     Eventually,
     Formula,
-    FVar,
     Not,
     Plan,
     Yields,
@@ -55,11 +61,9 @@ from .formulas import (
     instantiate,
     is_ground,
     match,
-    metavariables,
     parse_formula,
     print_formula,
     sat_atomic,
-    subformulas,
     substitute,
 )
 from .kb import ContextPath, KnowledgeBase
@@ -229,18 +233,13 @@ def yields_holds(kb: KnowledgeBase, path: ContextPath, left: Formula, right: For
 
 
 def _closed_pair(
-    kb: KnowledgeBase,
-    path: ContextPath,
-    added: Formula,
-    ctx: EvalContext,
-    base: KnowledgeBase | None = None,
+    kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext
 ) -> tuple[KnowledgeBase, KnowledgeBase]:
     """The closures at path of the store alone and of the store plus `added`,
     under the context's rules and step bound.  One pair answers every
-    yields-question about `added` there.  A caller that already holds the
-    closure of `kb` alone passes it as `base`, and it is not recomputed."""
-    if base is None:
-        base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
+    yields-question about `added` there; the closure of the store alone is
+    computed once per knowledge base (see `defeasible_closure`)."""
+    base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
     augmented = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
     return base, augmented
 
@@ -304,10 +303,6 @@ class _Inst:
 class ClosureResult:
     kb: KnowledgeBase
     steps: tuple[InferenceStep, ...]
-
-
-def _fvar_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, FVar))
 
 
 def _pattern_str(pat: Formula) -> str:
@@ -375,8 +370,8 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
     term/slot variables over the constant pool and formula metavariables
     over the candidate pool (when given), as the closure does for conjuncts
     without anchors.  An enumeration over `_POOL_CAP` raises `PoolTooLarge`."""
-    vars_needed = metavariables(pat) | free_variables(pat)
-    fvars = _fvar_names(pat)
+    vars_needed = pat.variables
+    fvars = pat.fvar_names
     out: dict[str, Binding] = {}
 
     def push(b: Binding) -> None:
@@ -523,10 +518,41 @@ def defeasible_closure(
 ) -> ClosureResult:
     """Fire rules to a fixpoint at one path.  See the module docstring for the
     conflict regime.  Rules scoped "root" are skipped at nested paths; the
-    store's own declared defaults always participate."""
+    store's own declared defaults always participate.
+
+    Each closure is computed once per knowledge base, path, active rule set
+    and step bound, and recorded in the knowledge base's closure memo
+    (`KnowledgeBase._closures`), which lives and dies with it.  The memo is
+    keyed by the path, the identities of the active rules (the record keeps
+    them alive, so an identity is never reused) and `max_steps`.  A record
+    holds the closed knowledge base (None when nothing fired, so that a
+    knowledge base never refers to itself) and the trace entries the
+    closure wrote; a repeated closure appends the same entries to the
+    caller's trace, numbering its steps on from the caller's.  A closure
+    that raises records nothing, so it raises again on every call."""
     path = tuple(path)
     trace = trace if trace is not None else Trace()
-    active = _active_rules(rules, kb.store_at(path).defaults, path)
+    active = tuple(_active_rules(rules, kb.store_at(path).defaults, path))
+    key = (path, tuple(map(id, active)), max_steps)
+    record = kb._closures.get(key)
+    if record is None:
+        start = len(trace.entries)
+        result = _fixpoint(kb, active, path, trace, max_steps)
+        entries = tuple(trace.entries[start:])
+        kb._closures[key] = (active, None if result.kb is kb else result.kb, entries)
+        return result
+    _, out, entries = record
+    steps = []
+    for e in entries:
+        if isinstance(e, InferenceStep):
+            steps.append(trace.step(e.mode, e.rule, e.binding, e.added))
+        else:
+            trace.note(e)
+    return ClosureResult(kb if out is None else out, tuple(steps))
+
+
+def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_steps: int) -> ClosureResult:
+    """The closure itself: rounds of instances, arbitration and firing."""
     fired: list[InferenceStep] = []
     out = kb
     for _ in range(max_steps):

@@ -22,9 +22,11 @@ formulas; ``?f:doing`` restricts the metavariable to R-shaped bodies.
 Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
 (`Formula.ground`, what `is_ground` returns) are computed on first use from
-its children's cached values and kept on the node.  Equality stays
-structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
-equality only between ground formulas.
+its children's cached values and kept on the node.  So are a pattern's
+variables (`Formula.variables` and `Formula.fvar_names`), which rule
+matching reads on every round.  Equality stays structural.  `(p ?x)` and
+`(p x)` print alike, so a key stands in for equality only between ground
+formulas.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ class Formula:
     def ground(self) -> bool:
         """No term variable is free and no metavariable occurs."""
         return _ground(self)
+
+    @functools.cached_property
+    def variables(self) -> frozenset[str]:
+        """What a match must bind: the free term variables, the formula
+        metavariables and the ?-slots."""
+        return metavariables(self) | free_variables(self)
+
+    @functools.cached_property
+    def fvar_names(self) -> frozenset[str]:
+        """The names of the formula metavariables."""
+        return frozenset(g.name for g in subformulas(self) if isinstance(g, FVar))
 
 
 @dataclass(frozen=True)

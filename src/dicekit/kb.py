@@ -59,9 +59,10 @@ class Store:
     A store is never changed, only replaced, so what is derived from it is
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
-    itself), the fact set for membership and the facts in key order for rule
-    matching.  Each formula is keyed once (see `formulas`), so none of these
-    re-prints a fact."""
+    itself), the fact set for membership, the facts in key order for rule
+    matching, and the verdict of each ground query (see `_decide`).
+    Each formula is keyed once (see `formulas`), so none of these re-prints
+    a fact."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -98,9 +99,47 @@ class Store:
                 todo.extend(children(f))
         return tuple(found[k] for k in sorted(found))
 
+    @functools.cached_property
+    def _verdicts(self) -> dict:
+        return {}
+
+    def entails(self, f: Formula) -> bool:
+        return not self._decide(f.key, (Not(f),))
+
+    def satisfiable_with(self, extra: tuple[Formula, ...]) -> bool:
+        """Satisfiability of the store together with the extra formulas."""
+        return self._decide(tuple(f.key for f in extra), extra)
+
+    def _decide(self, key, extra: tuple[Formula, ...]) -> bool:
+        """Satisfiability of the store with the extras, decided once per
+        store and key.  `entails(f)` keys its query `(not f)` by `f.key`, a
+        string, and `satisfiable_with` keys the extras by the tuple of their
+        keys, so the two never meet.
+
+        The compiled form is read and the extras ground-checked before the
+        memo is consulted, so an over-cap store (`SatTooLarge`) and a
+        non-ground query (`ValidationError`; `(p ?x)` and `(p x)` share a
+        key) raise on every call.  Errors are never stored."""
+        compiled = self.compiled
+        if not all(f.ground for f in extra):
+            return satcore.satisfiable(extra, base=compiled)  # raises ValidationError
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = satcore.satisfiable(extra, base=compiled)
+        return verdict
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Stores by context path, the constants they mention, the nesting bound
+    and the viewpoints that root consistency also checks.
+
+    A knowledge base is never changed, only replaced (every assert returns a
+    new one), so it carries a closure memo that lives and dies with it:
+    `engine.defeasible_closure` records there the result of closing it at a
+    path under a rule set and step bound, and answers the same closure again
+    from the record.  Queries are decided once per store (see `Store`)."""
+
     stores: dict[ContextPath, Store] = field(default_factory=dict)
     constants: frozenset[str] = frozenset()
     max_depth: int = 3
@@ -108,6 +147,11 @@ class KnowledgeBase:
     root_consistency_paths: tuple[ContextPath, ...] = ()
 
     # -- access ------------------------------------------------------------
+
+    @functools.cached_property
+    def _closures(self) -> dict:
+        """The engine's closure memo (see `engine.defeasible_closure`)."""
+        return {}
 
     def store_at(self, path: ContextPath) -> Store:
         return self.stores.get(tuple(path), Store())
@@ -200,11 +244,11 @@ class KnowledgeBase:
     # -- queries -----------------------------------------------------------
 
     def entails(self, path: ContextPath, f: Formula) -> bool:
-        return not satcore.satisfiable((Not(f),), base=self.store_at(path).compiled)
+        return self.store_at(path).entails(f)
 
     def consistent_with(self, path: ContextPath, extra: Iterable[Formula] = ()) -> bool:
         """Satisfiability of one store together with extra formulas."""
-        return satcore.satisfiable(extra, base=self.store_at(path).compiled)
+        return self.store_at(path).satisfiable_with(tuple(extra))
 
     def jointly_consistent_with(self, extra: Iterable[Formula] = ()) -> bool:
         """Satisfiability of the extras against the root store and each
@@ -215,7 +259,7 @@ class KnowledgeBase:
         """
         extra = tuple(extra)
         for p in ((),) + tuple(self.root_consistency_paths):
-            if not satcore.satisfiable(extra, base=self.store_at(p).compiled):
+            if not self.store_at(p).satisfiable_with(extra):
                 return False
         return True
 

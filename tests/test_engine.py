@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -149,8 +152,70 @@ def test_chain_needs_a_quiet_round_to_certify_fixpoint():
     rules = (make_rule("r1", ["p"], "q"), make_rule("r2", ["q"], "r"))
     res = defeasible_closure(kb, rules, max_steps=3)
     assert res.kb.has_fact((), Atom("r"))
+    # the step bound is part of the memo key, and a failure is never recorded
+    for _ in range(2):
+        with pytest.raises(StepBoundExceeded):
+            defeasible_closure(kb, rules, max_steps=2)
+    assert defeasible_closure(kb, rules, max_steps=3).kb is res.kb
+
+
+def test_closure_memo_keeps_rules_step_bounds_and_paths_apart():
+    kb = KnowledgeBase().assert_fact((), Atom("p")).assert_fact(("A",), Atom("p"))
+    to_q = make_rule("R", ["p"], "q", scope="everywhere")
+    to_r = make_rule("R", ["p"], "r", scope="everywhere")  # same name, other consequent
+    by_q = defeasible_closure(kb, (to_q,)).kb
+    by_r = defeasible_closure(kb, (to_r,)).kb
+    assert by_q.has_fact((), Atom("q")) and not by_q.has_fact((), Atom("r"))
+    assert by_r.has_fact((), Atom("r")) and not by_r.has_fact((), Atom("q"))
+    # one round fires, the next certifies the fixpoint
     with pytest.raises(StepBoundExceeded):
-        defeasible_closure(kb, rules, max_steps=2)
+        defeasible_closure(kb, (to_q,), max_steps=1)
+    assert defeasible_closure(kb, (to_q,), max_steps=2).kb.has_fact((), Atom("q"))
+    nested = defeasible_closure(kb, (to_q,), ("A",)).kb
+    assert nested.has_fact(("A",), Atom("q"))
+    assert not nested.has_fact((), Atom("q"))  # the mirror surfaces (B A q) only
+    assert len(kb._closures) == 4
+
+
+def test_a_repeated_closure_replays_its_trace():
+    kb = kb_with(["p"], hard=["(-> (and q r) (not s))"])
+    rules = (
+        make_rule("r1", ["p"], "q"),
+        make_rule("r2", ["p"], "r"),
+        make_rule("r3", ["p"], "s"),
+    )
+
+
+    def started() -> Trace:
+        trace = Trace()
+        trace.note("before")
+        trace.step("DMP", "earlier", {}, (Atom("p"),))
+        return trace
+
+    miss_trace, hit_trace = started(), started()
+    miss = defeasible_closure(kb, rules, trace=miss_trace)
+    hit = defeasible_closure(kb, rules, trace=hit_trace)
+    assert hit.kb is miss.kb
+    assert hit_trace.lines() == miss_trace.lines()
+    assert any("deferred" in line for line in hit_trace.lines())
+    # steps are numbered on from the caller's trace
+    assert [s.index for s in hit.steps] == [2, 3]
+    assert hit.steps == miss.steps == hit_trace.steps()[1:]
+    alone = defeasible_closure(kb, rules)
+    assert [s.index for s in alone.steps] == [1, 2]
+
+
+def test_a_closure_that_fires_nothing_leaves_no_reference_cycle():
+    kb = kb_with(["p"])
+    assert defeasible_closure(kb, (BIRD,)).kb is kb
+    assert defeasible_closure(kb, (BIRD,)).kb is kb
+    alive = weakref.ref(kb)
+    gc.disable()
+    try:
+        del kb
+        assert alive() is None  # freed by reference counting, not by the cycle collector
+    finally:
+        gc.enable()
 
 
 def test_closure_is_order_invariant():
@@ -166,7 +231,10 @@ def test_closure_is_order_invariant():
     rng = random.Random(7)
     for _ in range(10):
         rng.shuffle(rules)
-        got = {print_formula(f) for f in defeasible_closure(kb, rules).kb.facts_at(())}
+        # a fresh knowledge base each time, so that its closure memo cannot answer
+        fresh = replace(kb)
+        assert fresh == kb and fresh is not kb
+        got = {print_formula(f) for f in defeasible_closure(fresh, rules).kb.facts_at(())}
         assert got == want
 
 
@@ -414,12 +482,16 @@ def test_nonmon_yields_requires_novelty():
 
 
 def test_nonmon_yields_matches_reference():
+    # one knowledge base for the closure and every query: their base
+    # closures come from its closure memo
     kb = kb_with([], hard=["(-> penguin bird)"])
     ref_rules = [
         reference.RefRule("Bird", (Atom("bird"),), Atom("fly")),
         reference.RefRule("Penguin", (Atom("penguin"),), Not(Atom("fly"))),
     ]
     hard = [parse_formula("(-> penguin bird)")]
+    closed = defeasible_closure(kb, (BIRD, PENGUIN)).kb
+    assert set(closed.facts_at(())) == set(reference.ref_closure([], hard, ref_rules))
     for phi, psi in [
         (Atom("bird"), Atom("fly")),
         (Atom("penguin"), Atom("fly")),

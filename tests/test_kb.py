@@ -196,11 +196,12 @@ def test_compiled_store_queries_match_enumeration_oracle():
             pool = rng.choice((atoms[:3], atoms[-3:], atoms, lacking, atoms[:2] + lacking))
             q = reference.random_formula(rng, pool, rng.randint(0, 2))
             r = reference.random_formula(rng, atoms + lacking, rng.randint(0, 2))
-            assert kb.entails((), q) == reference.entails(fs, q)
-            assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
-            assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
-            assert kb.jointly_consistent_with((q,)) == (
-                reference.satisfiable(fs + (q,)) and reference.satisfiable(nested_fs + (q,)))
+            for _ in range(2):  # the repeat is answered by the store's verdict memo
+                assert kb.entails((), q) == reference.entails(fs, q)
+                assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
+                assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
+                assert kb.jointly_consistent_with((q,)) == (
+                    reference.satisfiable(fs + (q,)) and reference.satisfiable(nested_fs + (q,)))
         # every query above ran against the one compiled form of the store
         assert kb.store_at(()) is root and root.compiled is compiled
         assert compiled.sat == reference.satisfiable(fs)
@@ -224,7 +225,15 @@ def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
         kb.consistent_with((), (q,))
         kb.jointly_consistent_with((q,))
     store = kb.store_at(())
-    assert len(compiled) == len(store.formulas()) + 3 * len(queries)
+    # the root check of jointly_consistent_with reuses consistent_with's verdict
+    assert len(compiled) == len(store.formulas()) + 2 * len(queries)
+    # every verdict is kept on the store: asking again compiles nothing
+    compiled.clear()
+    for q in queries:
+        kb.entails((), q)
+        kb.consistent_with((), (q,))
+        kb.jointly_consistent_with((q,))
+    assert compiled == []
 
 
 def test_entails_raises_on_an_over_cap_store_group():
@@ -233,15 +242,26 @@ def test_entails_raises_on_an_over_cap_store_group():
     for i in range(satcore.MAX_VARS):
         kb = kb.add_hard_rule((), parse_formula(f"(-> p{i} p{i + 1})"))
     kb = kb.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q")))
-    with pytest.raises(SatTooLarge):
-        kb.entails((), Atom("q"))
-    with pytest.raises(SatTooLarge):
-        kb.consistent_with((), (Atom("r"),))
+    for _ in range(2):  # an error is never kept as a verdict
+        with pytest.raises(SatTooLarge):
+            kb.entails((), Atom("q"))
+        with pytest.raises(SatTooLarge):
+            kb.consistent_with((), (Atom("r"),))
+        with pytest.raises(SatTooLarge):
+            kb.jointly_consistent_with((Atom("r"),))
 
 
 def test_entails_rejects_a_non_ground_query():
     kb = kb0().assert_fact((), Atom("p"))
     query = parse_formula("(p ?x)")
-    with pytest.raises(ValidationError) as err:
-        kb.entails((), query)
-    assert str(err.value) == f"satisfiability needs ground formulas, got {print_formula(Not(query))}"
+    # the ground (p x) prints like the query, and its verdict is kept first
+    assert not kb.entails((), parse_formula("(p x)"))
+    assert kb.consistent_with((), (parse_formula("(p x)"),))
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            kb.entails((), query)
+        assert str(err.value) == f"satisfiability needs ground formulas, got {print_formula(Not(query))}"
+        with pytest.raises(ValidationError):
+            kb.consistent_with((), (query,))
+        with pytest.raises(ValidationError):
+            kb.jointly_consistent_with((query,))
