@@ -34,6 +34,12 @@ rules and step bound (see `defeasible_closure`): the base closure of every
 `yields` test on a knowledge base that was already closed is a lookup.  Each
 store decides each ground query once (see `kb.Store`), and
 `yields` verdicts are kept per evaluation context (`EvalContext`).
+
+Within one closure the store only grows and its hard rules stay fixed, so
+rounds are semi-naive (see `_fixpoint`): a rule's instances are carried into
+the next round while no new fact touches its conjuncts and no constant is
+added, an instance whose consequent held is settled and skipped from then
+on, and each pair of antecedents is compared by `specificity` once.
 """
 
 from __future__ import annotations
@@ -504,7 +510,8 @@ def _active_rules(rules, store_defaults, path: ContextPath):
         out.append(r)
     # a store's own declared defaults always run there, whatever their scope
     out.extend(r for r in store_defaults if not r.driver)
-    out.sort(key=lambda r: r.name)
+    # a total order, so that rules that share a name run in one order whatever the input order
+    out.sort(key=lambda r: (r.name, r.consequent.key, tuple(a.key for a in r.antecedent)))
     return out
 
 
@@ -551,21 +558,76 @@ def defeasible_closure(
     return ClosureResult(kb if out is None else out, tuple(steps))
 
 
+def _touches(rule: DefaultRule, facts) -> bool:
+    """Whether one of the facts matches a conjunct of the rule, or the fact's
+    atom one of the conjunct's `_anchors`.  New facts that touch none leave
+    the rule's instances as they were: a binding only narrows a match, so a
+    fact no conjunct matches unbound extends no binding, and the store's new
+    atoms are the new facts' (facts are literals, see `kb`)."""
+    for f in facts:
+        atom = f.body if isinstance(f, Not) else f
+        for pat in rule.antecedent:
+            if match(pat, f) is not None:
+                return True
+            if any(match(anchor, atom) is not None for anchor in _anchors(pat) or ()):
+                return True
+    return False
+
+
+_MIRRORED = {"first": "second", "second": "first", "incomparable": "incomparable"}
+
+
 def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_steps: int) -> ClosureResult:
-    """The closure itself: rounds of instances, arbitration and firing."""
+    """The closure itself: rounds of instances, arbitration and firing.
+
+    The store at the path only grows inside a closure, its hard rules stay
+    as they are, and every table below is keyed by rule identity (`active`
+    keeps the rules alive), so rules that share a name never meet:
+    - A rule's instances are carried into the next round while no fact added
+      since they were built touches the rule (see `_touches`) and no
+      constant was added (constants only grow, so a count compares them);
+      builtins are rebuilt every round.
+    - An instance whose consequent held is settled: it holds in every
+      larger store, so later rounds skip it.
+    - `specificity` depends on the antecedents and the hard rules alone, so
+      each pair of antecedents is compared once, and the mirrored pair is
+      answered from the same comparison."""
     fired: list[InferenceStep] = []
     out = kb
+    carried: dict[int, tuple[int, int, list[_Inst]]] = {}  # id(rule) -> (facts, constants, instances)
+    settled: set[tuple[int, str]] = set()
+    compared: dict[tuple, str] = {}
+
+    def compare(i: _Inst, j: _Inst) -> str:
+        pair = (tuple(a.key for a in i.ants), tuple(a.key for a in j.ants))
+        cmp = compared.get(pair)
+        if cmp is None:
+            cmp = compared[pair] = specificity(i.ants, j.ants, out, path)
+            compared[pair[::-1]] = _MIRRORED[cmp]
+        return cmp
+
     for _ in range(max_steps):
+        facts = out.store_at(path).facts
         insts: list[_Inst] = []
         for rule in active:
             if rule.builtin:
                 insts.extend(_BUILTINS[rule.builtin](rule, out, path))
+                continue
+            carry = carried.get(id(rule))
+            if carry is None or carry[1] != len(out.constants) or _touches(rule, facts[carry[0]:]):
+                carry = (len(facts), len(out.constants), rule_instances(rule, out, path))
             else:
-                insts.extend(rule_instances(rule, out, path))
+                carry = (len(facts),) + carry[1:]
+            carried[id(rule)] = carry
+            insts.extend(carry[2])
         # applicability against the current store
         applicable = []
         for i in insts:
+            ident = (id(i.rule), i.key)
+            if ident in settled:
+                continue
             if holds(out, path, i.cons):
+                settled.add(ident)
                 continue
             if not all(holds(out, path, a) for a in i.ants):
                 continue
@@ -576,7 +638,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
         if not applicable:
             break
         ok_alone = {
-            i.key + i.rule.name: (i.rule.hard or out.consistent_with(path, (i.cons,)))
+            (id(i.rule), i.key): (i.rule.hard or out.consistent_with(path, (i.cons,)))
             for i in applicable
         }
         winners: list[tuple[_Inst, str]] = []
@@ -585,7 +647,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             if i.rule.hard:
                 winners.append((i, "Hard"))
                 continue
-            if not ok_alone[i.key + i.rule.name]:
+            if not ok_alone[id(i.rule), i.key]:
                 trace.note(
                     f"closure@{'/'.join(path) or 'root'}: {i.rule.name} {i.key} blocked,"
                     " consequent conflicts with the store"
@@ -594,11 +656,11 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             contested = False
             defeated = False
             for j in applicable:
-                if j is i or j.rule.hard or not ok_alone[j.key + j.rule.name]:
+                if j is i or j.rule.hard or not ok_alone[id(j.rule), j.key]:
                     continue
                 if out.consistent_with(path, (i.cons, j.cons)):
                     continue
-                cmp = specificity(i.ants, j.ants, out, path)
+                cmp = compare(i, j)
                 if cmp == "first":
                     contested = True
                 elif cmp == "second":
@@ -609,7 +671,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                     )
                 else:
                     defeated = True
-                    pair = tuple(sorted((i.rule.name + i.key, j.rule.name + j.key)))
+                    pair = frozenset(((id(i.rule), i.key), (id(j.rule), j.key)))
                     if pair not in noted_standoffs:
                         noted_standoffs.add(pair)
                         trace.note(
@@ -628,9 +690,9 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                     " conflicts with facts added earlier this round"
                 )
                 continue
-            before = out.store_at(path).fact_set
+            before = len(out.store_at(path).facts)
             out = out.assert_fact(path, i.cons)
-            added = tuple(f for f in out.store_at(path).facts if f not in before)
+            added = out.store_at(path).facts[before:]  # facts are only appended
             step = trace.step(mode, i.rule.name, i.binding, added or conjuncts(i.cons))
             fired.append(step)
             if i.rule.absent:

@@ -59,10 +59,13 @@ class Store:
     A store is never changed, only replaced, so what is derived from it is
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
-    itself), the fact set for membership, the facts in key order for rule
-    matching, and the verdict of each ground query (see `_decide`).
-    Each formula is keyed once (see `formulas`), so none of these re-prints
-    a fact."""
+    itself, and a one-literal query compiles nothing), the fact set for
+    membership, the facts in key order for rule matching, and the verdict
+    of each ground query (see `_decide`).  A store made by `with_literal`
+    from one whose compiled form is built gets its own by extending that
+    one with the literal (`satcore.add_literal`); every other store
+    compiles from scratch.  Each formula is keyed once (see `formulas`), so
+    none of these re-prints a fact."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -70,6 +73,14 @@ class Store:
 
     def formulas(self) -> tuple[Formula, ...]:
         return self.facts + self.hard_rules
+
+    def with_literal(self, f: Formula) -> "Store":
+        """The store with one more fact, a ground literal."""
+        child = replace(self, facts=self.facts + (f,))
+        compiled = self.__dict__.get("compiled")  # built, and did not raise
+        if compiled is not None:
+            child.__dict__["compiled"] = satcore.add_literal(compiled, f)
+        return child
 
     @functools.cached_property
     def fact_set(self) -> frozenset[Formula]:
@@ -197,7 +208,7 @@ class KnowledgeBase:
         store = self.store_at(path)
         if f in store.fact_set:
             return self  # idempotent; also terminates mirror ping-pong
-        kb = self._with_store(path, replace(store, facts=store.facts + (f,)))
+        kb = self._with_store(path, store.with_literal(f))
         kb = kb.with_constants(collect_constants(f))
         if not mirror:
             return kb

@@ -14,13 +14,21 @@ its own truth table.  Every group is checked against `MAX_VARS` before any is
 decided, so whether `SatTooLarge` is raised does not depend on formula order.
 
 A store answers many queries, so `compile_formulas` compiles its formulas
-once into a `Compiled` form: the atom index, the groups with their programs,
-an atom-to-group map and the verdict.  `satisfiable(extra, base=compiled)`
-then compiles only the extra formulas, numbering their new atoms after the
-base's.  It merges the base groups the extras touch with the extras, and
-decides only those merged groups: an untouched base group is satisfiable
-whenever the base is.  A call without a base runs the same routine over an
-empty base.
+once into a `Compiled` form: the atom index, the groups with their programs
+and truth tables, each variable's group and its position there, and the
+verdict.  `satisfiable(extra, base=compiled)` then compiles only the extra
+formulas, numbering their new atoms after the base's.  It merges the base
+groups the extras touch with the extras, and decides only those merged
+groups: an untouched base group is satisfiable whenever the base is.  A call
+without a base runs the same routine over an empty base.
+
+Most queries are one literal: an opaque atom or its negation, under any
+number of `not`s.  `satisfiable` decides such a query from the stored table
+of the atom's group alone (some assignment it allows gives the atom the
+wanted value), and a new atom is free, so the query compiles nothing.  A
+store one literal larger than a compiled one is compiled by `add_literal`:
+an atom the base numbers narrows its group's table by the atom's mask, and a
+new atom becomes a group of its own, so no other group is touched.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -100,16 +108,21 @@ def compile_program(f: Formula, index: dict[str, int], known: Mapping[str, int] 
 @dataclass(frozen=True, eq=False)
 class Compiled:
     """A formula set compiled once: its atom index, its groups (no two share a
-    variable), each variable's group number and whether the set is
-    satisfiable.  Read-only once built."""
+    variable), each group's truth table (0 when the group is unsatisfiable),
+    each variable's group number and its position among the group's
+    variables, and whether the set is satisfiable.  Read-only once built; a
+    `Compiled` made by `add_literal` shares what it did not change with its
+    base."""
 
     index: dict[str, int]
     groups: tuple[Group, ...]
+    tables: tuple[int, ...]
     group_of: list[int]
+    position: list[int]
     sat: bool
 
 
-_EMPTY = Compiled({}, (), [], True)
+_EMPTY = Compiled({}, (), (), [], [], True)
 
 
 def _extend(base: Compiled, formulas: Iterable[Formula]) -> tuple[dict[str, int], list[Group]]:
@@ -118,9 +131,7 @@ def _extend(base: Compiled, formulas: Iterable[Formula]) -> tuple[dict[str, int]
     (union-find over base group numbers and new variables).  Raises before
     any group is decided if one exceeds MAX_VARS."""
     fs = tuple(formulas)
-    for f in fs:
-        if not f.ground:
-            raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
+    _require_ground(fs)
     new: dict[str, int] = {}
     programs = [compile_program(f, new, base.index) for f in fs]
     n_base, n_groups, group_of = len(base.index), len(base.groups), base.group_of
@@ -191,7 +202,9 @@ def _eval(prog: list[int], masks: dict[int, int], full: int) -> int:
     return stack[-1]
 
 
-def _group_satisfiable(variables: list[int], programs: list[list[int]]) -> bool:
+def _table(variables: list[int], programs: list[list[int]]) -> int:
+    """The group's truth table: bit j is set iff assignment j satisfies every
+    program (0 when none does)."""
     n = len(variables)
     full = (1 << (1 << n)) - 1
     masks = {v: _var_mask(k, n) for k, v in enumerate(variables)}
@@ -199,30 +212,93 @@ def _group_satisfiable(variables: list[int], programs: list[list[int]]) -> bool:
     for prog in programs:
         acc &= _eval(prog, masks, full)
         if not acc:
-            return False
-    return True
+            break
+    return acc
+
+
+def _literal(f: Formula) -> tuple[Formula, int] | None:
+    """(atom, nots) when f is an opaque atom under `nots` nested `not`s,
+    else None."""
+    nots = 0
+    while isinstance(f, Not):
+        f, nots = f.body, nots + 1
+    return (f, nots) if sat_atomic(f) else None
+
+
+def _narrowed(base: Compiled, var: int, nots: int) -> int:
+    """The table of var's group, narrowed to the assignments under which var
+    under `nots` nested `not`s is true."""
+    mask = _var_mask(base.position[var], len(base.groups[base.group_of[var]][0]))
+    table = base.tables[base.group_of[var]]
+    return table & ~mask if nots % 2 else table & mask
+
+
+def _require_ground(fs: tuple[Formula, ...]) -> None:
+    for f in fs:
+        if not f.ground:
+            raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
 
 
 def compile_formulas(formulas: Iterable[Formula]) -> Compiled:
     """Compile a formula set once, for `satisfiable(..., base=...)`."""
     index, groups = _extend(_EMPTY, formulas)
     group_of = [0] * len(index)
+    position = [0] * len(index)
     for g, (vs, _) in enumerate(groups):
-        for v in vs:
+        for k, v in enumerate(vs):
             group_of[v] = g
-    sat = all(_group_satisfiable(vs, ps) for vs, ps in groups)
-    return Compiled(index, tuple(groups), group_of, sat)
+            position[v] = k
+    tables = tuple(_table(vs, ps) for vs, ps in groups)
+    return Compiled(index, tuple(groups), tables, group_of, position, all(tables))
+
+
+def add_literal(base: Compiled, literal: Formula) -> Compiled:
+    """The compiled form of base's formulas plus one ground literal (an opaque
+    atom under some number of `not`s), built from base without compiling
+    anything: an atom base numbers narrows its group's table, and a new atom
+    becomes a group of one variable."""
+    atom, nots = _literal(literal)
+    var = base.index.get(atom.key)
+    if var is None:
+        var = len(base.index)
+        # a group of one variable: assignment 1 makes it true, assignment 0 false
+        return Compiled(
+            {**base.index, atom.key: var},
+            base.groups + (([var], [[var] + [OP_NOT] * nots]),),
+            base.tables + (0b01 if nots % 2 else 0b10,),
+            base.group_of + [len(base.groups)],
+            base.position + [0],
+            base.sat,
+        )
+    g = base.group_of[var]
+    vs, ps = base.groups[g]
+    table = _narrowed(base, var, nots)
+    return Compiled(
+        base.index,
+        base.groups[:g] + ((vs, ps + [[var] + [OP_NOT] * nots]),) + base.groups[g + 1:],
+        base.tables[:g] + (table,) + base.tables[g + 1:],
+        base.group_of,
+        base.position,
+        base.sat and table != 0,
+    )
 
 
 def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:
     """Satisfiability of the formulas together with a compiled base (none by
     default).  Only the formulas are compiled, and only the base groups they
-    touch are decided again."""
+    touch are decided again; one literal is decided from its group's stored
+    table, and compiles nothing."""
     base = _EMPTY if base is None else base
-    _, groups = _extend(base, formulas)
+    fs = tuple(formulas)
+    lit = _literal(fs[0]) if len(fs) == 1 else None
+    if lit is not None:
+        _require_ground(fs)
+        var = base.index.get(lit[0].key)
+        return base.sat and (var is None or _narrowed(base, var, lit[1]) != 0)
+    _, groups = _extend(base, fs)
     if not base.sat:
         return False
-    return all(_group_satisfiable(vs, ps) for vs, ps in groups)
+    return all(_table(vs, ps) for vs, ps in groups)
 
 
 def entailed_by(store: Iterable[Formula], query: Formula) -> bool:

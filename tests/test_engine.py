@@ -159,6 +159,49 @@ def test_chain_needs_a_quiet_round_to_certify_fixpoint():
     assert defeasible_closure(kb, rules, max_steps=3).kb is res.kb
 
 
+def test_a_rule_whose_only_matching_fact_fires_late_still_fires():
+    # (s a) is fired in round 3, and Late matches it alone.  Through's one
+    # instance is bound from the hard rule's atom (w a) in round 1 and
+    # carried since; it holds only once (s a) does.
+    kb = kb_with(["(p a)"], hard=["(-> (s a) (w a))"])
+    rules = (
+        make_rule("A", ["(p ?x)"], "(q ?x)"),
+        make_rule("B", ["(q ?x)"], "(r ?x)"),
+        make_rule("C", ["(r ?x)"], "(s ?x)"),
+        make_rule("Late", ["(s ?x)"], "(t ?x)"),
+        make_rule("Through", ["(w ?x)"], "(v ?x)"),
+    )
+    res = defeasible_closure(kb, rules, max_steps=5)
+    assert [(s.rule, print_formula(s.added[0])) for s in res.steps] == [
+        ("A", "(q a)"), ("B", "(r a)"), ("C", "(s a)"), ("Late", "(t a)"), ("Through", "(v a)"),
+    ]
+    with pytest.raises(StepBoundExceeded):  # round 4 fires, round 5 certifies the fixpoint
+        defeasible_closure(kb, rules, max_steps=4)
+
+
+def test_a_compound_conjunct_binds_a_constant_a_consequent_brings_in():
+    # the `or` conjunct binds ?x from the constant pool; (p c) matches no
+    # conjunct, but it brings in the constant c, so Either is bound again
+    kb = kb_with(["seed"]).with_constants(("a",))
+    rules = (make_rule("New", ["seed"], "(p c)"), make_rule("Either", ["(or (p ?x) (q ?x))"], "(r ?x)"))
+    res = defeasible_closure(kb, rules)
+    assert [print_formula(f) for f in res.kb.facts_at(())] == ["seed", "(p c)", "(r c)"]
+
+
+def test_rules_that_share_a_name_are_kept_apart():
+    # one R is blocked by (not q), and the other R fires, in either order
+    kb = kb_with(["p", "(not q)"])
+    to_q, to_s = make_rule("R", ["p"], "q"), make_rule("R", ["p"], "s")
+    lines = []
+    for rules in ((to_q, to_s), (to_s, to_q)):
+        trace = Trace()
+        res = defeasible_closure(replace(kb), rules, trace=trace)
+        assert res.kb.has_fact((), Atom("s")) and not res.kb.entails((), Atom("q"))
+        lines.append(trace.lines())
+    blocked = "closure@root: R {} blocked, consequent conflicts with the store"
+    assert lines[0] == lines[1] == [blocked, "step 1 DMP R {} => s", blocked]
+
+
 def test_closure_memo_keeps_rules_step_bounds_and_paths_apart():
     kb = KnowledgeBase().assert_fact((), Atom("p")).assert_fact(("A",), Atom("p"))
     to_q = make_rule("R", ["p"], "q", scope="everywhere")

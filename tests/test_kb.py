@@ -178,6 +178,22 @@ def _random_store(rng, atoms) -> Store:
     return Store(facts=tuple(facts), hard_rules=tuple(rules))
 
 
+def _check_queries(rng, kb, atoms, n_queries) -> None:
+    """Entailment and consistency queries at the root, against the oracle."""
+    fs, nested_fs = kb.store_at(()).formulas(), kb.store_at(("A",)).formulas()
+    lacking = ["x0", "x1"]
+    for _ in range(n_queries):
+        pool = rng.choice((atoms[:3], atoms[-3:], atoms, lacking, atoms[:2] + lacking))
+        q = reference.random_formula(rng, pool, rng.randint(0, 2))
+        r = reference.random_formula(rng, atoms + lacking, rng.randint(0, 2))
+        for _ in range(2):  # the repeat is answered by the store's verdict memo
+            assert kb.entails((), q) == reference.entails(fs, q)
+            assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
+            assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
+            assert kb.jointly_consistent_with((q,)) == (
+                reference.satisfiable(fs + (q,)) and reference.satisfiable(nested_fs + (q,)))
+
+
 def test_compiled_store_queries_match_enumeration_oracle():
     rng = random.Random(4711)
     seen_unsat = seen_sat = 0
@@ -185,26 +201,42 @@ def test_compiled_store_queries_match_enumeration_oracle():
         atoms = [f"a{i}" for i in range(rng.randint(6, 10))]
         root, nested = _random_store(rng, atoms), _random_store(rng, atoms)
         kb = KnowledgeBase(stores={(): root, ("A",): nested}, root_consistency_paths=(("A",),))
-        fs, nested_fs = root.formulas(), nested.formulas()
+        fs = root.formulas()
         if reference.satisfiable(fs):
             seen_sat += 1
         else:
             seen_unsat += 1
         compiled = root.compiled
-        lacking = ["x0", "x1"]
-        for _ in range(15):
-            pool = rng.choice((atoms[:3], atoms[-3:], atoms, lacking, atoms[:2] + lacking))
-            q = reference.random_formula(rng, pool, rng.randint(0, 2))
-            r = reference.random_formula(rng, atoms + lacking, rng.randint(0, 2))
-            for _ in range(2):  # the repeat is answered by the store's verdict memo
-                assert kb.entails((), q) == reference.entails(fs, q)
-                assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
-                assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
-                assert kb.jointly_consistent_with((q,)) == (
-                    reference.satisfiable(fs + (q,)) and reference.satisfiable(nested_fs + (q,)))
+        _check_queries(rng, kb, atoms, 15)
         # every query above ran against the one compiled form of the store
         assert kb.store_at(()) is root and root.compiled is compiled
         assert compiled.sat == reference.satisfiable(fs)
+    assert seen_sat and seen_unsat
+
+
+def test_stores_grown_literal_by_literal_match_enumeration_oracle():
+    # each child extends its parent's compiled form with its one new literal;
+    # the literals name atoms the root lacks too, and take both signs of one
+    rng = random.Random(1986)
+    seen_unsat = seen_sat = 0
+    for _ in range(20):
+        atoms = [f"a{i}" for i in range(rng.randint(6, 8))]
+        kb = KnowledgeBase(stores={(): _random_store(rng, atoms), ("A",): _random_store(rng, atoms)},
+                           root_consistency_paths=(("A",),))
+        kb.store_at(()).compiled
+        both = Atom(rng.choice(atoms + ["x0"]))
+        literals = [reference.random_literal(rng, atoms + ["x0", "x1"]) for _ in range(rng.randint(1, 4))]
+        at = rng.randrange(len(literals) + 1)
+        literals[at:at] = [both, Not(both)][:: rng.choice((1, -1))]
+        for lit in literals:
+            kb = kb.assert_fact((), lit)
+            store = kb.store_at(())
+            assert "compiled" in store.__dict__  # built from the parent's, not on first use
+            fs = store.formulas()
+            assert store.compiled.sat == reference.satisfiable(fs)
+            seen_sat += store.compiled.sat
+            seen_unsat += not store.compiled.sat
+            _check_queries(rng, kb, atoms, 3)
     assert seen_sat and seen_unsat
 
 
@@ -225,8 +257,12 @@ def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
         kb.consistent_with((), (q,))
         kb.jointly_consistent_with((q,))
     store = kb.store_at(())
-    # the root check of jointly_consistent_with reuses consistent_with's verdict
-    assert len(compiled) == len(store.formulas()) + 2 * len(queries)
+    # the root check of jointly_consistent_with reuses consistent_with's
+    # verdict, and a one-literal query (q, t, v and their negations) is
+    # decided from its group's table without compiling
+    compound = [q for q in queries if q.key.startswith(("(or", "(and"))]
+    assert len(compound) == 2
+    assert len(compiled) == len(store.formulas()) + 2 * len(compound)
     # every verdict is kept on the store: asking again compiles nothing
     compiled.clear()
     for q in queries:
@@ -242,26 +278,37 @@ def test_entails_raises_on_an_over_cap_store_group():
     for i in range(satcore.MAX_VARS):
         kb = kb.add_hard_rule((), parse_formula(f"(-> p{i} p{i + 1})"))
     kb = kb.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q")))
-    for _ in range(2):  # an error is never kept as a verdict
-        with pytest.raises(SatTooLarge):
-            kb.entails((), Atom("q"))
-        with pytest.raises(SatTooLarge):
-            kb.consistent_with((), (Atom("r"),))
-        with pytest.raises(SatTooLarge):
-            kb.jointly_consistent_with((Atom("r"),))
+
+    def raises_on_every_query(k: KnowledgeBase) -> None:
+        for _ in range(2):  # an error is never kept as a verdict
+            with pytest.raises(SatTooLarge):
+                k.entails((), Atom("q"))
+            with pytest.raises(SatTooLarge):
+                k.consistent_with((), (Atom("r"),))
+            with pytest.raises(SatTooLarge):
+                k.jointly_consistent_with((Atom("r"),))
+
+    raises_on_every_query(kb)
+    # a child of a store whose compile raised compiles from scratch, and raises too
+    raises_on_every_query(kb.assert_fact((), Atom("r")))
 
 
 def test_entails_rejects_a_non_ground_query():
-    kb = kb0().assert_fact((), Atom("p"))
     query = parse_formula("(p ?x)")
-    # the ground (p x) prints like the query, and its verdict is kept first
-    assert not kb.entails((), parse_formula("(p x)"))
-    assert kb.consistent_with((), (parse_formula("(p x)"),))
-    for _ in range(2):
-        with pytest.raises(ValidationError) as err:
-            kb.entails((), query)
-        assert str(err.value) == f"satisfiability needs ground formulas, got {print_formula(Not(query))}"
-        with pytest.raises(ValidationError):
-            kb.consistent_with((), (query,))
-        with pytest.raises(ValidationError):
-            kb.jointly_consistent_with((query,))
+    kb = kb0().assert_fact((), Atom("p"))
+    kb.store_at(()).compiled
+    # the second store extends the first's compiled form, and is unsatisfiable:
+    # there every literal query would otherwise answer False
+    for sat, kb in ((True, kb), (False, kb.assert_fact((), Not(Atom("p"))))):
+        # the ground (p x) prints like the query, and its verdict is kept first
+        assert kb.entails((), parse_formula("(p x)")) == (not sat)
+        assert kb.consistent_with((), (parse_formula("(p x)"),)) == sat
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                kb.entails((), query)
+            assert str(err.value) == f"satisfiability needs ground formulas, got {print_formula(Not(query))}"
+            for extra in ((query,), (Not(Not(query)),), (Not(query), Atom("q"))):
+                with pytest.raises(ValidationError):
+                    kb.consistent_with((), extra)
+                with pytest.raises(ValidationError):
+                    kb.jointly_consistent_with(extra)

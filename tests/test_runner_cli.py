@@ -261,6 +261,20 @@ def test_cli_pool_cap_exits_3(tmp_path, capsys):
     assert "(or (r ?x ?y ?z) (s ?x ?y ?z))" in err
 
 
+def test_cli_keeps_rules_that_share_a_name_apart(tmp_path, capsys):
+    scn = tmp_path / "same_name.scn"
+    scn.write_text(
+        "agents A I\n"
+        "context [] { fact p fact (not q) }\n"
+        "rule R default (> p q)\n"
+        "rule R default (> p s)\n"
+        "expect coherent\n"
+        "expect s\n"
+    )
+    assert main(["run", str(scn)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cli_failed_expectation_exit_code(tmp_path, capsys):
     scn = tmp_path / "wrong.scn"
     scn.write_text("agents A I utterance a assertion p expect (B I q)\n")

@@ -93,9 +93,32 @@ def test_compiled_base_numbers_new_atoms_after_its_own():
     assert not unsat.sat and not satcore.satisfiable([Atom("s")], base=unsat)
 
 
+def test_add_literal_extends_a_base_without_compiling(monkeypatch):
+    base = satcore.compile_formulas([parse_formula("(-> p q)"), Atom("r")])
+    before = (dict(base.index), [(list(vs), [list(p) for p in ps]) for vs, ps in base.groups], base.tables)
+    monkeypatch.setattr(satcore, "compile_program", None)  # neither a child nor a literal query compiles
+    not_q = satcore.add_literal(base, Not(Atom("q")))
+    assert not_q.index is base.index and not_q.sat
+    assert not satcore.satisfiable([Atom("p")], base=not_q)
+    assert satcore.satisfiable([Not(Not(Atom("r")))], base=not_q)
+    s = satcore.add_literal(not_q, Not(Not(Atom("s"))))  # a new atom: a group of its own
+    assert s.index == {"p": 0, "q": 1, "r": 2, "s": 3} and s.groups[-1] == ([3], [[3, satcore.OP_NOT, satcore.OP_NOT]])
+    assert not satcore.satisfiable([Not(Atom("s"))], base=s)
+    both = satcore.add_literal(s, Not(Atom("s")))
+    assert s.sat and not both.sat and not satcore.satisfiable([Atom("t")], base=both)
+    # the bases are read-only: each child shares what it did not change
+    assert (base.index, [(vs, ps) for vs, ps in base.groups], base.tables) == before
+
+
 def test_non_ground_formulas_rejected():
-    with pytest.raises(ValidationError):
-        satcore.satisfiable((parse_formula("(p ?x)"),))
+    literal = parse_formula("(p ?x)")
+    # a one-literal query is checked before its group's table is read, and
+    # before an unsatisfiable base answers False
+    for base in (None, satcore.compile_formulas([parse_formula("(p x)")]),
+                 satcore.compile_formulas([Atom("q"), Not(Atom("q"))])):
+        for fs in ((literal,), (Not(Not(literal)),), (literal, Atom("q")), (Or((literal, Atom("q"))),)):
+            with pytest.raises(ValidationError):
+                satcore.satisfiable(fs, base=base)
 
 
 def test_kernels_match_enumeration_oracle():
