@@ -10,23 +10,25 @@ neither antecedent is strictly stronger both stay silent -- sceptical
 resolution.  The result is order-independent: candidate instances are
 collected per round and fired in a canonical order.
 
-Candidate instances are grounded against the store.  Each antecedent conjunct
-binds its variables by matching stored facts.  A conjunct that is opaque to
-the SAT layer, or the negation or eventuality of such a formula, binds from
-the store's atoms as well, whether or not a fact fits: a satisfiable store
-entails an opaque formula or its negation only if the formula is one of its
-atoms, so every other grounding could never apply, and a grounding that holds
-through a hard rule alone is found there.  Other conjuncts that no fact fits,
-which can hold with no atom at all (a tautology does), and abduction, whose
-hypotheses need not hold, enumerate the constant pool; an enumeration over
-`_POOL_CAP` candidates raises `PoolTooLarge` rather than drop any.
+Candidate instances are grounded against the store's atoms.  A conjunct that
+is opaque to the SAT layer, or the negation or eventuality of such a formula,
+is anchored (see `_anchors`): a satisfiable store entails it only if an
+instance of it is among the store's atoms, so binding it from the atoms is
+exact, and finds the groundings that hold through a hard rule alone.  Other
+conjuncts (an `or`, say) can hold with no atom at all, so they bind nothing:
+a rule is range-restricted, every variable of such a conjunct occurring in an
+anchored one (Datalog's safety condition, checked by `DefaultRule`), and
+`holds` checks them once the anchored conjuncts have bound them.  Abduction,
+whose hypotheses need not hold, binds from the facts and, failing them, the
+constant pool; an enumeration over `_POOL_CAP` candidates raises
+`PoolTooLarge` rather than drop any.
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
 and compares -- g must follow from the augmented store but not from the store
-alone.  Inside closure itself, yields-atoms in rule antecedents only match
-stored (previously verified) facts, which keeps hypothetical reasoning from
-recursing without bound.
+alone.  Inside closure itself, yields-atoms in rule antecedents hold only if
+the store entails them (as a verified fact, say), never by nested closure,
+which keeps hypothetical reasoning from recursing without bound.
 
 Knowledge bases and stores are immutable, so work on them is done once.  A
 closure is recorded on the knowledge base it closes, keyed by path, active
@@ -37,9 +39,9 @@ store decides each ground query once (see `kb.Store`), and
 
 Within one closure the store only grows and its hard rules stay fixed, so
 rounds are semi-naive (see `_fixpoint`): a rule's instances are carried into
-the next round while no new fact touches its conjuncts and no constant is
-added, an instance whose consequent held is settled and skipped from then
-on, and each pair of antecedents is compared by `specificity` once.
+the next round while no new fact touches its anchored conjuncts, an instance
+whose consequent held is settled and skipped from then on, and each pair of
+antecedents is compared by `specificity` once.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .formulas import (
     Done,
     Doing,
     Eventually,
+    FVar,
     Formula,
     Not,
     Plan,
@@ -74,7 +77,7 @@ from .formulas import (
 )
 from .kb import ContextPath, KnowledgeBase
 
-_POOL_CAP = 10000  # most candidates a constant-pool enumeration may take (abduction, non-opaque conjuncts)
+_POOL_CAP = 10000  # most candidates abduction's constant-pool enumeration may take
 
 
 # ----------------------------------------------------------------------- rules
@@ -90,6 +93,9 @@ class DefaultRule:
     out of closures at nested paths.  driver=True marks rules applied by a
     dedicated procedure rather than the closure loop; builtin names a special
     matcher.
+
+    Rules are range-restricted: each variable of a conjunct without
+    `_anchors` occurs in an anchored one, the only ones the closure binds.
     """
 
     name: str
@@ -109,6 +115,39 @@ class DefaultRule:
         for i in self.abducible:
             if not 0 <= i < len(self.antecedent):
                 raise ValidationError(f"abducible index {i} out of range in rule {self.name}")
+        loose = [p for p in self.antecedent if _anchors(p) is None]
+        bound = frozenset().union(*(p.variables for p in self.antecedent if p not in loose))
+        for p in loose:
+            unbound = p.variables - bound
+            if unbound:
+                raise ValidationError(
+                    f"rule {self.name}: conjunct {_pattern_str(p)} leaves"
+                    f" {', '.join('?' + v for v in sorted(unbound))} unbound; each variable of"
+                    " a compound conjunct must occur in an atomic, negated or eventual one"
+                )
+
+
+def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
+    """The opaque patterns of which a ground instance of the conjunct must
+    match one among a satisfiable store's atoms to hold there under the
+    closure's context-free `holds`; None when it can hold otherwise.
+
+    A satisfiable store entails an opaque formula, or its negation, only if
+    the formula is one of its atoms; an eventuality holds also through its
+    body.  A formula metavariable of no shape can stand for a compound
+    formula, so it is no anchor."""
+    if isinstance(pat, Eventually):
+        inner = _anchors(pat.body)
+        return None if inner is None else (pat,) + inner
+    body = pat.body if isinstance(pat, Not) else pat
+    opaque = body.shape is not None if isinstance(body, FVar) else sat_atomic(body)
+    return (body,) if opaque else None
+
+
+def _pattern_str(pat: Formula) -> str:
+    """A pattern printed with its `?` variables (`print_formula` prints a
+    term variable by its bare name)."""
+    return print_formula(substitute(pat, {v: f"?{v}" for v in free_variables(pat)}))
 
 
 def _as_formula(x) -> Formula:
@@ -311,16 +350,6 @@ class ClosureResult:
     steps: tuple[InferenceStep, ...]
 
 
-def _pattern_str(pat: Formula) -> str:
-    """A pattern printed with its `?` variables (`print_formula` prints a
-    term variable by its bare name)."""
-    return print_formula(substitute(pat, {v: f"?{v}" for v in free_variables(pat)}))
-
-
-def _bind_key(b: Binding) -> str:
-    return render_binding(b)
-
-
 def _pool_confines(b: Binding, pool) -> bool:
     """A candidate pool both supplies unbound metavariables and confines bound
     ones: a binding whose pooled variable landed outside the pool is rejected."""
@@ -333,22 +362,6 @@ def _pool_confines(b: Binding, pool) -> bool:
     return True
 
 
-def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
-    """The opaque patterns of which a ground instance of the conjunct must
-    match one among a satisfiable store's atoms to hold there under the
-    closure's context-free `holds`; None when it can hold otherwise.
-
-    A satisfiable store entails an opaque formula, or its negation, only if
-    the formula is one of its atoms; an eventuality holds also through its
-    body."""
-    if isinstance(pat, Eventually):
-        inner = _anchors(pat.body)
-        return None if inner is None else (pat,) + inner
-    if isinstance(pat, Not):
-        return (pat.body,) if sat_atomic(pat.body) else None
-    return (pat,) if sat_atomic(pat) else None
-
-
 def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
     """`match` extended by a binding whose values are compared by name: a
     slot binds a bare name and a term a `Const`, so one variable shared by a
@@ -359,29 +372,18 @@ def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
     return {**m, **b}
 
 
-def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=None, fvar_pool=None):
-    """One conjunct's worth of binding extension: match stored facts, and
-    bind the remaining variables from the store's atoms as well (given a
-    store and a conjunct with anchors); failing both, from the constant and
-    candidate pools.
-
-    The closure passes its store.  At a satisfiable store a ground instance
-    holds only if one of its `_anchors` is among the store's atoms, and at
-    an unsatisfiable store every consequent holds already, so no instance
-    applies.  Binding from the atoms therefore keeps every instance the
-    constant-pool enumeration could make applicable, the ones that hold
-    through a hard rule while another grounding is a fact included, and it
-    never hits `_POOL_CAP`; bound values still come from the constant pool.
-    Abduction passes no store: a hypothesis need not hold, so it enumerates
-    term/slot variables over the constant pool and formula metavariables
-    over the candidate pool (when given), as the closure does for conjuncts
-    without anchors.  An enumeration over `_POOL_CAP` raises `PoolTooLarge`."""
+def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, fvar_pool=None):
+    """Abduction's binding extension by one conjunct: match the facts, and
+    failing them enumerate term/slot variables over the constant pool and
+    formula metavariables over the candidate pool (when given), since a
+    hypothesis need not hold.  An enumeration over `_POOL_CAP` candidates
+    raises `PoolTooLarge`."""
     vars_needed = pat.variables
     fvars = pat.fvar_names
     out: dict[str, Binding] = {}
 
     def push(b: Binding) -> None:
-        out.setdefault(_bind_key(b), b)
+        out.setdefault(render_binding(b), b)
 
     for b in bindings:
         unbound = vars_needed - b.keys()
@@ -394,23 +396,10 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
             if m is not None:
                 matched = True
                 push(m)
+        if matched:
+            continue
         term_unbound = sorted(unbound - fvars)
         fvar_unbound = sorted(unbound & fvars)
-        anchors = _anchors(pat) if store is not None and not fvar_unbound else None
-        if matched and anchors is None:
-            continue
-        # the instantiated conjunct may also hold through hard rules, or be
-        # supplied later by an abduction pool
-        if anchors is not None:
-            for anchor in anchors:
-                for atom in store.atoms:
-                    m = _match_rendered(anchor, atom, b)
-                    if m is None:
-                        continue
-                    names = [render_value(m[n]) for n in term_unbound]
-                    if all(n in pool_consts for n in names):
-                        push({**m, **{v: Const(n) for v, n in zip(term_unbound, names)}})
-            continue
         candidates: list[Binding] = [b]
         if fvar_unbound:
             if not fvar_pool or any(n not in fvar_pool for n in fvar_unbound):
@@ -443,17 +432,32 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, store=No
 
 
 def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
-    """Ground instances of a rule against the store at a path, canonical order."""
-    store = kb.store_at(path)
-    facts_sorted = store.facts_sorted
-    pool_consts = tuple(sorted(kb.constants))
+    """Ground instances of a rule against the store at a path, canonical order.
+
+    Only anchored conjuncts bind, each from the store's atoms: at a
+    satisfiable store an instance holds only if one of its `_anchors` is
+    among them, and at an unsatisfiable one every consequent holds already,
+    so no instance applies."""
+    atoms = kb.store_at(path).atoms
     bindings: list[Binding] = [{}]
     for pat in rule.antecedent:
-        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, store)
+        anchors = _anchors(pat)
+        if anchors is None:
+            continue
+        out: dict[str, Binding] = {}
+        for b in bindings:
+            if pat.variables <= b.keys():
+                out.setdefault(render_binding(b), b)
+                continue
+            for anchor in anchors:
+                for atom in atoms:
+                    m = _match_rendered(anchor, atom, b)
+                    if m is not None:
+                        out.setdefault(render_binding(m), m)
+        bindings = list(out.values())
         if not bindings:
             return []
     insts = []
-    seen = set()
     for b in bindings:
         try:
             ants = tuple(instantiate(p, b) for p in rule.antecedent)
@@ -462,11 +466,7 @@ def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> l
             continue
         if not all(is_ground(a) for a in ants) or not is_ground(cons):
             continue
-        key = _bind_key(b)
-        if (rule.name, key) in seen:
-            continue
-        seen.add((rule.name, key))
-        insts.append(_Inst(rule, b, ants, cons, key))
+        insts.append(_Inst(rule, b, ants, cons, render_binding(b)))
     insts.sort(key=lambda i: i.key)
     return insts
 
@@ -480,7 +480,7 @@ def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: Cont
             agent = pat.agent
     if agent is None:
         return []
-    facts = kb.store_at(path).facts_sorted
+    facts = kb.store_at(path).facts
     intended = [f.body.plan for f in facts if isinstance(f, Att) and f.kind == "I" and f.agent == agent and isinstance(f.body, Doing)]
     done = [f.plan for f in facts if isinstance(f, Done)]
     insts = []
@@ -492,7 +492,7 @@ def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: Cont
             suffix = Plan(p.steps[k:])
             cons = And((Att("I", agent, Doing(suffix)), Not(Att("I", agent, Doing(q)))))
             b: Binding = {"done": Done(q), "plan": Att("I", agent, Doing(p))}
-            insts.append(_Inst(rule, b, (Att("I", agent, Doing(p)), Done(q)), cons, _bind_key(b)))
+            insts.append(_Inst(rule, b, (Att("I", agent, Doing(p)), Done(q)), cons, render_binding(b)))
     insts.sort(key=lambda i: i.key)
     return insts
 
@@ -559,16 +559,14 @@ def defeasible_closure(
 
 
 def _touches(rule: DefaultRule, facts) -> bool:
-    """Whether one of the facts matches a conjunct of the rule, or the fact's
-    atom one of the conjunct's `_anchors`.  New facts that touch none leave
-    the rule's instances as they were: a binding only narrows a match, so a
-    fact no conjunct matches unbound extends no binding, and the store's new
-    atoms are the new facts' (facts are literals, see `kb`)."""
+    """Whether one of the facts' atoms matches one of the `_anchors` of a
+    conjunct of the rule.  New facts that touch none leave the rule's
+    instances as they were: only anchored conjuncts bind, a binding only
+    narrows a match, and the store's new atoms are the new facts' (facts
+    are literals, see `kb`)."""
     for f in facts:
         atom = f.body if isinstance(f, Not) else f
         for pat in rule.antecedent:
-            if match(pat, f) is not None:
-                return True
             if any(match(anchor, atom) is not None for anchor in _anchors(pat) or ()):
                 return True
     return False
@@ -584,9 +582,8 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     as they are, and every table below is keyed by rule identity (`active`
     keeps the rules alive), so rules that share a name never meet:
     - A rule's instances are carried into the next round while no fact added
-      since they were built touches the rule (see `_touches`) and no
-      constant was added (constants only grow, so a count compares them);
-      builtins are rebuilt every round.
+      since they were built touches the rule (see `_touches`); builtins are
+      rebuilt every round.
     - An instance whose consequent held is settled: it holds in every
       larger store, so later rounds skip it.
     - `specificity` depends on the antecedents and the hard rules alone, so
@@ -594,7 +591,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
       answered from the same comparison."""
     fired: list[InferenceStep] = []
     out = kb
-    carried: dict[int, tuple[int, int, list[_Inst]]] = {}  # id(rule) -> (facts, constants, instances)
+    carried: dict[int, tuple[int, list[_Inst]]] = {}  # id(rule) -> (facts, instances)
     settled: set[tuple[int, str]] = set()
     compared: dict[tuple, str] = {}
 
@@ -614,12 +611,12 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 insts.extend(_BUILTINS[rule.builtin](rule, out, path))
                 continue
             carry = carried.get(id(rule))
-            if carry is None or carry[1] != len(out.constants) or _touches(rule, facts[carry[0]:]):
-                carry = (len(facts), len(out.constants), rule_instances(rule, out, path))
+            if carry is None or _touches(rule, facts[carry[0]:]):
+                carry = (len(facts), rule_instances(rule, out, path))
             else:
-                carry = (len(facts),) + carry[1:]
+                carry = (len(facts), carry[1])
             carried[id(rule)] = carry
-            insts.extend(carry[2])
+            insts.extend(carry[1])
         # applicability against the current store
         applicable = []
         for i in insts:
@@ -749,8 +746,8 @@ def abduce(
     seen = set()
     for f in facts_sorted:
         m = match(rule.consequent, f, {})
-        if m is not None and _bind_key(m) not in seen:
-            seen.add(_bind_key(m))
+        if m is not None and render_binding(m) not in seen:
+            seen.add(render_binding(m))
             bindings.append(m)
     for pat in rule.antecedent:
         bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, fvar_pool=pool)
@@ -789,6 +786,6 @@ def abduce(
         if not all(s.compiled.sat for s in scratch.stores.values()):
             continue
         seen_hyp.add(hyp_key)
-        results.append(AbductionResult(rule.name, _bind_key(b), hyp))
+        results.append(AbductionResult(rule.name, render_binding(b), hyp))
         trace.step("Abduction", rule.name, b, hyp)
     return tuple(results)

@@ -32,8 +32,9 @@ class SatTooLarge(DicekitError):
 
 
 class PoolTooLarge(DicekitError):
-    """Binding a conjunct's unbound variables from the constant pool would
-    take more candidates than the enumeration cap allows."""
+    """Abduction's binding of a conjunct's unbound variables from the
+    constant pool would take more candidates than the enumeration cap
+    allows."""
 
 
 class NoAntecedent(DicekitError):

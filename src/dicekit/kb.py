@@ -60,8 +60,8 @@ class Store:
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
     itself, and a one-literal query compiles nothing), the fact set for
-    membership, the facts in key order for rule matching, and the verdict
-    of each ground query (see `_decide`).  A store made by `with_literal`
+    membership, the opaque atoms for rule matching, and the verdict of
+    each ground query (see `_decide`).  A store made by `with_literal`
     from one whose compiled form is built gets its own by extending that
     one with the literal (`satcore.add_literal`); every other store
     compiles from scratch.  Each formula is keyed once (see `formulas`), so
@@ -85,11 +85,6 @@ class Store:
     @functools.cached_property
     def fact_set(self) -> frozenset[Formula]:
         return frozenset(self.facts)
-
-    @functools.cached_property
-    def facts_sorted(self) -> tuple[Formula, ...]:
-        """The facts in canonical key order."""
-        return tuple(sorted(self.facts, key=print_formula))
 
     @functools.cached_property
     def compiled(self) -> satcore.Compiled:

@@ -179,13 +179,18 @@ def test_a_rule_whose_only_matching_fact_fires_late_still_fires():
         defeasible_closure(kb, rules, max_steps=4)
 
 
-def test_a_compound_conjunct_binds_a_constant_a_consequent_brings_in():
-    # the `or` conjunct binds ?x from the constant pool; (p c) matches no
-    # conjunct, but it brings in the constant c, so Either is bound again
-    kb = kb_with(["seed"]).with_constants(("a",))
-    rules = (make_rule("New", ["seed"], "(p c)"), make_rule("Either", ["(or (p ?x) (q ?x))"], "(r ?x)"))
-    res = defeasible_closure(kb, rules)
-    assert [print_formula(f) for f in res.kb.facts_at(())] == ["seed", "(p c)", "(r c)"]
+def test_a_compound_conjunct_whose_variables_nothing_else_binds_is_rejected():
+    # an `or` can hold with no atom of the store, so it binds nothing, and a
+    # rule whose only conjunct it is could never be grounded
+    with pytest.raises(ValidationError) as err:
+        make_rule("Either", ["(or (p ?x) (q ?x))"], "(r ?x)")
+    assert "Either" in str(err.value) and "(or (p ?x) (q ?x))" in str(err.value)
+    with pytest.raises(ValidationError, match=r"leaves \?y unbound"):
+        make_rule("Half", ["(p ?x)", "(or (q ?x) (q ?y))"], "(r ?x)")
+    # a formula metavariable of no shape can stand for a compound formula
+    with pytest.raises(ValidationError):
+        make_rule("Bare", ["?phi"], "(B I ?phi)")
+    assert make_rule("Bound", ["(W A ?phi)", "?phi"], "(B I ?phi)").name == "Bound"
 
 
 def test_rules_that_share_a_name_are_kept_apart():
@@ -370,6 +375,39 @@ def test_closure_of_open_rules_matches_reference_over_full_grounding():
         assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
 
 
+_COMPOUNDS = (
+    "(or {ant} (h ?{0}))",
+    "(or (p ?{0}) (not (p ?{0})))",
+    "(or (p ?{0}) (q ?{1}))",
+    "(and (q ?{0}) (not (h ?{1})))",
+    "(-> (h ?{0}) (p ?{1}))",
+    "(not (and (p ?{0}) (k ?{0} ?{1})))",
+)
+
+
+def test_closure_of_rules_with_compound_conjuncts_matches_reference():
+    # each rule of a random open rule system gains, at a random position, a
+    # compound conjunct over variables its other conjuncts bind; some hold
+    # whenever the rule's other conjuncts do ({ant} is one of them)
+    rng = random.Random(1988)
+    for _ in range(200):
+        kb, rules = _random_open_rule_system(rng)
+        widened = []
+        for rule in rules:
+            names = sorted(set().union(*(a.variables for a in rule.antecedent)))
+            ant = engine._pattern_str(rng.choice(rule.antecedent))
+            compound = rng.choice(_COMPOUNDS).format(rng.choice(names), rng.choice(names), ant=ant)
+            ants = list(rule.antecedent)
+            ants.insert(rng.randint(0, len(ants)), parse_formula(compound))
+            widened.append(replace(rule, antecedent=tuple(ants)))
+        store = kb.store_at(())
+        got = defeasible_closure(kb, widened).kb.facts_at(())
+        want = reference.ref_closure(
+            store.facts, store.hard_rules, _ground_on_constants(widened, kb.constants)
+        )
+        assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
+
+
 def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():
     # (p a) is a fact and (p b) holds only through a hard rule: the conjunct
     # binds from the store's atoms as well as from its facts
@@ -379,15 +417,25 @@ def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():
 
 
 def test_pool_cap_raises_instead_of_dropping_candidates():
-    # 22 constants and three unbound variables under an `or`: 22**3 = 10648
-    # candidates exceed the cap, and (q c0 c1 c2) would be lost silently
-    kb = kb_with(["seed"], hard=["(-> seed (r c0 c1 c2))"]).with_constants(f"c{i}" for i in range(22))
-    rule = make_rule("R", ["(or (r ?x ?y ?z) (s ?x ?y ?z))"], "(q ?x ?y ?z)")
+    # abduction binds ?w from the observed (q c0); no fact fits the
+    # abducible conjunct, so its three other variables range over the 22
+    # constants: 22**3 = 10648 candidates exceed the cap
+    kb = kb_with(["seed", "(q c0)"]).with_constants(f"c{i}" for i in range(22))
+    rule = make_rule("R", ["seed", "(r ?w ?x ?y ?z)"], "(q ?w)", abducible=frozenset({1}))
     with pytest.raises(PoolTooLarge) as err:
-        defeasible_closure(kb, (rule,))
+        abduce(kb, rule, ())
     assert isinstance(err.value, DicekitError)
-    assert "(or (r ?x ?y ?z) (s ?x ?y ?z))" in str(err.value)
+    assert "(r ?w ?x ?y ?z)" in str(err.value)
     assert "10648 candidates" in str(err.value)
+
+
+def test_closure_binds_values_that_are_no_declared_constant():
+    # no constants are declared; the site token is bound from the hard
+    # rule's atom, as it is from a stated fact
+    rule = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
+    for kb in (kb_with(["seed"], hard=["(-> seed (site t u0 u1))"]), kb_with(["(site t u0 u1)"])):
+        assert not kb.constants
+        assert defeasible_closure(kb, (rule,)).kb.has_fact((), parse_formula("(open u0)"))
 
 
 # ------------------------------------------------------------------ instantiation
@@ -410,10 +458,10 @@ def test_rule_instances_bind_unmatched_conjuncts_from_the_store_atoms():
     assert rule_instances(rule, bare, ()) == []
     hard = kb_with(["seed"], hard=["(-> seed (p b))"]).with_constants(("a",))
     assert [i.key for i in rule_instances(rule, hard, ())] == ["{x=b}"]
-    # bound values still come from the constants only
+    # bound values need not be declared constants
     site = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
     tokens = kb_with(["(not (site t u0 u1))"])
-    assert rule_instances(site, tokens, ()) == []
+    assert [i.key for i in rule_instances(site, tokens, ())] == ["{t=t, x=u0, y=u1}"]
     named = tokens.with_constants(("t", "u0", "u1"))
     assert [i.key for i in rule_instances(site, named, ())] == ["{t=t, x=u0, y=u1}"]
 
@@ -436,19 +484,17 @@ def test_rule_instances_bind_negated_and_eventual_conjuncts_from_the_store_atoms
     assert keys == ["{x=b}", "{x=c}"]
 
 
-def test_rule_instances_fall_back_to_the_constant_pool_only_when_unmatched():
+def test_compound_conjuncts_bind_nothing_in_either_order():
     # a compound conjunct can hold without any atom of the store (this one is
-    # a tautology), so its unbound variables range over the constant pool
+    # a tautology), so it binds nothing: alone it is rejected, and beside an
+    # anchored conjunct it is checked once that conjunct has bound ?x
     taut = "(or (r ?x) (not (r ?x)))"
-    rule = make_rule("R", [taut], "(q ?x)")
-    bare = kb_with(["seed"]).with_constants(("a", "b"))
-    assert [i.key for i in rule_instances(rule, bare, ())] == ["{x=a}", "{x=b}"]
-    derived = defeasible_closure(bare, (rule,)).kb
-    assert derived.has_fact((), parse_formula("(q a)")) and derived.has_fact((), parse_formula("(q b)"))
-    # a variable bound by a stored fact is not enumerated again
-    pair = make_rule("P", ["(p ?x)", taut], "(q ?x)")
+    with pytest.raises(ValidationError):
+        make_rule("R", [taut], "(q ?x)")
     kb = kb_with(["(p a)"]).with_constants(("a", "b", "c"))
-    assert [i.key for i in rule_instances(pair, kb, ())] == ["{x=a}"]
+    for ants in (["(p ?x)", taut], [taut, "(p ?x)"]):
+        pair = make_rule("P", ants, "(q ?x)")
+        assert [i.key for i in rule_instances(pair, kb, ())] == ["{x=a}"], ants
 
 
 def test_closure_reach_does_not_depend_on_the_number_of_constants():

@@ -133,10 +133,9 @@ def test_store_formulas_concatenates_facts_and_rules():
     assert s.formulas() == (Atom("p"), parse_formula("(-> p q)"))
 
 
-def test_store_keeps_a_fact_set_and_the_facts_in_key_order():
+def test_store_keeps_a_fact_set():
     kb = kb0().assert_fact((), parse_formula("(and (q b) (p a) (not r))"))
     store = kb.store_at(())
-    assert [print_formula(f) for f in store.facts_sorted] == ["(not r)", "(p a)", "(q b)"]
     assert store.fact_set == frozenset(store.facts)
     assert kb.has_fact((), parse_formula("(p a)"))
     assert kb.retract_fact((), parse_formula("(q b)")).facts_at(()) == (Atom("p", (Const("a"),)), Not(Atom("r")))
