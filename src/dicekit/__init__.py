@@ -33,7 +33,6 @@ from .errors import (
     NoAntecedent,
     NotAPrefix,
     ParseError,
-    PoolTooLarge,
     SatTooLarge,
     StepBoundExceeded,
     ValidationError,
@@ -63,7 +62,6 @@ from .formulas import (
     SiteToken,
     Var,
     Yields,
-    instance_of,
     instantiate,
     match,
     parse_formula,
@@ -83,7 +81,6 @@ from .scenario import Scenario, load, loads
 from .sdrs import (
     Attachment,
     Constituent,
-    RelationRegistry,
     Sdrs,
     UpdateSite,
     Verdict,
@@ -131,9 +128,7 @@ __all__ = [
     "Or",
     "ParseError",
     "Plan",
-    "PoolTooLarge",
     "RelAtom",
-    "RelationRegistry",
     "RunReport",
     "SatTooLarge",
     "Scenario",
@@ -155,7 +150,6 @@ __all__ = [
     "entailed_by",
     "explain",
     "holds",
-    "instance_of",
     "instantiate",
     "load",
     "loads",

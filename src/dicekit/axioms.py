@@ -48,13 +48,12 @@ from .formulas import (
     Yields,
     conj,
     conjuncts,
-    instance_of,
     print_formula,
     subformulas,
     substitute,
 )
 from .kb import ContextPath, KnowledgeBase
-from .sdrs import RelationRegistry, UpdateSite
+from .sdrs import UpdateSite
 
 AXIOM_NAMES = (
     "Narration",
@@ -81,7 +80,6 @@ class AxiomSet:
     author: str
     interpreter: str
     rules: tuple[DefaultRule, ...]
-    registry: RelationRegistry = RelationRegistry()
 
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rules)
@@ -419,15 +417,10 @@ def apply_support_relation(
         base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx)
         for gen in viable:
             for d in sorted(kbd.constants):
-                try:
-                    psi = conj(
-                        conjuncts(substitute(gen.antecedent, {gen.var: d}))
-                        + conjuncts(substitute(gen.consequent, {gen.var: d}))
-                    )
-                except ValidationError:
-                    continue
-                if instance_of(psi, gen) is None:
-                    continue
+                psi = conj(
+                    conjuncts(substitute(gen.antecedent, {gen.var: d}))
+                    + conjuncts(substitute(gen.consequent, {gen.var: d}))
+                )
                 if holds(aug_d, (), psi) and not holds(base_d, (), psi):
                     justification = (rel,) + (() if delta is None else (delta,))
                     return SupportApplication(

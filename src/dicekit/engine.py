@@ -19,9 +19,9 @@ conjuncts (an `or`, say) can hold with no atom at all, so they bind nothing:
 a rule is range-restricted, every variable of such a conjunct occurring in an
 anchored one (Datalog's safety condition, checked by `DefaultRule`), and
 `holds` checks them once the anchored conjuncts have bound them.  Abduction,
-whose hypotheses need not hold, binds from the facts and, failing them, the
-constant pool; an enumeration over `_POOL_CAP` candidates raises
-`PoolTooLarge` rather than drop any.
+whose hypotheses need not hold, binds from the facts and, for a formula
+metavariable that no fact binds, from the candidate pool; a variable that
+nothing binds yields no hypothesis, whatever the number of constants.
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
@@ -32,10 +32,9 @@ which keeps hypothetical reasoning from recursing without bound.
 
 Knowledge bases and stores are immutable, so work on them is done once.  A
 closure is recorded on the knowledge base it closes, keyed by path, active
-rules and step bound (see `defeasible_closure`): the base closure of every
-`yields` test on a knowledge base that was already closed is a lookup.  Each
-store decides each ground query once (see `kb.Store`), and
-`yields` verdicts are kept per evaluation context (`EvalContext`).
+rules and step bound (see `defeasible_closure`): each closure a `yields` test
+needs is computed once per knowledge base, and a repeated test is a lookup.
+Each store decides each ground query once (see `kb.Store`).
 
 Within one closure the store only grows and its hard rules stay fixed, so
 rounds are semi-naive (see `_fixpoint`): a rule's instances are carried into
@@ -47,15 +46,14 @@ antecedents is compared by `specificity` once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import satcore
-from .errors import PoolTooLarge, StepBoundExceeded, ValidationError
+from .errors import StepBoundExceeded, ValidationError
 from .formulas import (
     And,
     Att,
     Binding,
-    Const,
     Done,
     Doing,
     Eventually,
@@ -76,8 +74,6 @@ from .formulas import (
     substitute,
 )
 from .kb import ContextPath, KnowledgeBase
-
-_POOL_CAP = 10000  # most candidates abduction's constant-pool enumeration may take
 
 
 # ----------------------------------------------------------------------- rules
@@ -168,18 +164,10 @@ def make_rule(name: str, antecedent, consequent, **kw) -> DefaultRule:
 # ----------------------------------------------------------------------- trace
 
 
-def render_value(v) -> str:
-    if isinstance(v, Formula):
-        return print_formula(v)
-    if isinstance(v, Const):
-        return v.name
-    return str(v)
-
-
 def render_binding(b: Binding) -> str:
     if not b:
         return "{}"
-    return "{" + ", ".join(f"{k}={render_value(b[k])}" for k in sorted(b)) + "}"
+    return "{" + ", ".join(f"{k}={b[k]}" for k in sorted(b)) + "}"
 
 
 @dataclass(frozen=True)
@@ -223,23 +211,14 @@ class Trace:
 # ----------------------------------------------------------- lazy entailment
 
 
-_IN_PROGRESS = object()
-
-
-@dataclass
+@dataclass(frozen=True)
 class EvalContext:
-    """Carries the rule set and a memo table for one evaluation episode.
-
-    The yields-cache holds one table per knowledge base, keyed by its id, and
-    each entry keeps its knowledge base alive so that the id cannot be reused.
-    A context can therefore outlive asserts: a new knowledge base gets a table
-    of its own, and no answer computed against another one is returned.
-    """
+    """The rule set and step bound under which `holds` evaluates yields-atoms
+    by nested closure; the closures are recorded on the knowledge bases they
+    close (see `defeasible_closure`), not here."""
 
     rules: tuple[DefaultRule, ...] = ()
     max_steps: int = 1000
-    #: id(kb) -> (kb, {(path, left, right): verdict})
-    yields_cache: dict = field(default_factory=dict)
 
 
 def holds(kb: KnowledgeBase, path: ContextPath, f: Formula, ctx: EvalContext | None = None) -> bool:
@@ -253,28 +232,14 @@ def holds(kb: KnowledgeBase, path: ContextPath, f: Formula, ctx: EvalContext | N
         case And(parts):
             return all(holds(kb, path, p, ctx) for p in parts)
         case Yields(left, right) if ctx is not None:
-            return yields_holds(kb, path, left, right, ctx)
+            return nonmon_yields(kb, ctx.rules, path, left, right, ctx=ctx)
         case Att("B", agent, Yields(left, right)) if ctx is not None:
             inner = tuple(path) + (agent,)
             if len(inner) <= kb.max_depth:
-                return yields_holds(kb, inner, left, right, ctx)
+                return nonmon_yields(kb, ctx.rules, inner, left, right, ctx=ctx)
             return False
         case _:
             return False
-
-
-def yields_holds(kb: KnowledgeBase, path: ContextPath, left: Formula, right: Formula, ctx: EvalContext) -> bool:
-    memo = ctx.yields_cache.setdefault(id(kb), (kb, {}))[1]
-    key = (tuple(path), print_formula(left), print_formula(right))
-    cached = memo.get(key)
-    if cached is _IN_PROGRESS:
-        return False  # occurs-check: a yields-atom cannot support itself
-    if cached is not None:
-        return cached
-    memo[key] = _IN_PROGRESS
-    verdict = nonmon_yields(kb, ctx.rules, path, left, right, ctx=ctx)
-    memo[key] = verdict
-    return verdict
 
 
 def _closed_pair(
@@ -300,7 +265,9 @@ def nonmon_yields(
 ) -> bool:
     """phi defeasibly yields psi against the store at path: the closure of the
     store plus phi entails psi, while the closure of the store alone does not.
-    A given context supplies the rules, the step bound and the yields memo."""
+    A given context supplies the rules and the step bound; both closures are
+    recorded on the knowledge bases they close, so a repeated query closes
+    nothing anew, and a closure that raises raises again."""
     ctx = ctx or EvalContext(rules=tuple(rules))
     base, augmented = _closed_pair(kb, path, phi, ctx)
     return holds(augmented, path, psi, ctx) and not holds(base, path, psi, ctx)
@@ -356,8 +323,8 @@ def _pool_confines(b: Binding, pool) -> bool:
     for name, allowed in pool.items():
         if name not in b:
             continue
-        want = render_value(b[name])
-        if not any(render_value(a) == want for a in allowed):
+        want = str(b[name])
+        if not any(str(a) == want for a in allowed):
             return False
     return True
 
@@ -367,67 +334,30 @@ def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
     slot binds a bare name and a term a `Const`, so one variable shared by a
     slot and a term would never match `b` structurally."""
     m = match(pat, f)
-    if m is None or any(render_value(b[k]) != render_value(v) for k, v in m.items() if k in b):
+    if m is None or any(str(b[k]) != str(v) for k, v in m.items() if k in b):
         return None
     return {**m, **b}
 
 
-def _extend_bindings(pat: Formula, bindings, facts_sorted, pool_consts, fvar_pool=None):
+def _extend_bindings(pat: Formula, bindings, facts_sorted, fvar_pool=None):
     """Abduction's binding extension by one conjunct: match the facts, and
-    failing them enumerate term/slot variables over the constant pool and
-    formula metavariables over the candidate pool (when given), since a
-    hypothesis need not hold.  An enumeration over `_POOL_CAP` candidates
-    raises `PoolTooLarge`."""
-    vars_needed = pat.variables
-    fvars = pat.fvar_names
+    failing them bind formula metavariables from the candidate pool (when
+    given), since a hypothesis need not hold.  A variable that neither binds
+    (a term variable no fact matches, say) drops the binding: no constant is
+    guessed."""
     out: dict[str, Binding] = {}
-
-    def push(b: Binding) -> None:
-        out.setdefault(render_binding(b), b)
-
     for b in bindings:
-        unbound = vars_needed - b.keys()
+        unbound = pat.variables - b.keys()
         if not unbound:
-            push(b)
+            out.setdefault(render_binding(b), b)
             continue
-        matched = False
-        for f in facts_sorted:
-            m = match(pat, f, b)
-            if m is not None:
-                matched = True
-                push(m)
-        if matched:
-            continue
-        term_unbound = sorted(unbound - fvars)
-        fvar_unbound = sorted(unbound & fvars)
-        candidates: list[Binding] = [b]
-        if fvar_unbound:
-            if not fvar_pool or any(n not in fvar_pool for n in fvar_unbound):
-                candidates = []
-            else:
-                new: list[Binding] = []
-                for combo in itertools.product(*(tuple(fvar_pool[n]) for n in fvar_unbound)):
-                    nb = dict(b)
-                    nb.update(zip(fvar_unbound, combo))
-                    new.append(nb)
-                candidates = new
-        if candidates and term_unbound:
-            count = len(pool_consts) ** len(term_unbound)
-            if count > _POOL_CAP:
-                raise PoolTooLarge(
-                    f"binding {_pattern_str(pat)} from the constant pool takes {count}"
-                    f" candidates, over the cap of {_POOL_CAP}"
-                )
-            new = []
-            for base in candidates:
-                for combo in itertools.product(pool_consts, repeat=len(term_unbound)):
-                    nb = dict(base)
-                    nb.update(zip(term_unbound, (Const(c) for c in combo)))
-                    new.append(nb)
-            candidates = new
-        for nb in candidates:
-            if not (vars_needed - nb.keys()):
-                push(nb)
+        matched = [m for f in facts_sorted if (m := match(pat, f, b)) is not None]
+        if not matched and fvar_pool and unbound <= pat.fvar_names and all(n in fvar_pool for n in unbound):
+            names = sorted(unbound)
+            for combo in itertools.product(*(tuple(fvar_pool[n]) for n in names)):
+                matched.append({**b, **dict(zip(names, combo))})
+        for m in matched:
+            out.setdefault(render_binding(m), m)
     return list(out.values())
 
 
@@ -733,6 +663,10 @@ def abduce(
     abducible, and the hypothesis set is consistent with every store it would
     touch (hypotheses are mirrored into nested contexts for the check, so
     attributing not-B to an agent whose store contains B is rejected).
+
+    Variables bind from the facts and the observed formulas and, for formula
+    metavariables alone, from `pool`.  A variable that nothing binds yields
+    no hypothesis, whatever the number of constants: no constant is guessed.
     """
     path = tuple(path)
     ctx = ctx or EvalContext()
@@ -740,7 +674,6 @@ def abduce(
     trace = trace if trace is not None else Trace()
     store = kb.store_at(path)
     facts_sorted = sorted(store.facts + observed, key=print_formula)
-    pool_consts = tuple(sorted(kb.constants))
 
     bindings: list[Binding] = []
     seen = set()
@@ -750,7 +683,7 @@ def abduce(
             seen.add(render_binding(m))
             bindings.append(m)
     for pat in rule.antecedent:
-        bindings = _extend_bindings(pat, bindings, facts_sorted, pool_consts, fvar_pool=pool)
+        bindings = _extend_bindings(pat, bindings, facts_sorted, fvar_pool=pool)
         if not bindings:
             return ()
 

@@ -31,12 +31,6 @@ class SatTooLarge(DicekitError):
     (the cap is per group, not per instance)."""
 
 
-class PoolTooLarge(DicekitError):
-    """Abduction's binding of a conjunct's unbound variables from the
-    constant pool would take more candidates than the enumeration cap
-    allows."""
-
-
 class NoAntecedent(DicekitError):
     """Plan anaphor resolution found no accessible candidate."""
 

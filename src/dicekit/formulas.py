@@ -596,23 +596,6 @@ def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
             return f
 
 
-def instance_of(f: Formula, g: Formula) -> str | None:
-    """Witness constant d such that f is (ant and cons)[x/d] of generic g, else None.
-
-    Conjuncts are compared as multisets, so argument order inside the
-    conjunction does not matter.
-    """
-    if not isinstance(g, Generic):
-        return None
-    want = conjuncts(f)
-    for d in sorted(collect_constants(f)):
-        m = {g.var: d}
-        pattern = conjuncts(substitute(g.antecedent, m)) + conjuncts(substitute(g.consequent, m))
-        if sorted(want, key=print_formula) == sorted(pattern, key=print_formula):
-            return d
-    return None
-
-
 # ------------------------------------------------------------------ pattern matching
 
 Binding = dict[str, "Formula | str | Const"]

@@ -222,7 +222,7 @@ def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
 def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str, ...]]:
     """Phase 1: `new` attaches to the most recent open constituent.  Returns
     the site and the right frontier it was chosen from."""
-    frontier = open_attachment_sites(prior, run.axioms.registry)
+    frontier = open_attachment_sites(prior)
     site = UpdateSite(f"tau{len(prior.order)}", frontier[0], new)
     run.sites.append(site)
     # Narration and Result exclude one another over the pair; installed per
@@ -245,7 +245,7 @@ def _resolve_anaphor(run: _Run, site: UpdateSite, prior: Sdrs) -> Plan | None:
     NoAntecedent or AmbiguousAntecedent when no unique plan is accessible."""
     if not run.kb.entails((), Atom("cause", (Const(THAT_WAY), Const(site.new)))):
         return None
-    resolved, from_cid = resolve_plan_anaphor(prior, run.axioms.registry, run.provenance)
+    resolved, from_cid = resolve_plan_anaphor(prior, run.provenance)
     run.trace.note(f"plan anaphor resolved: that-way => {resolved} (intended since {from_cid})")
     run.kb = run.kb.assert_fact((), Atom("cause", (Const(site.attach_to), Const(site.new))))
     return resolved

@@ -17,6 +17,9 @@ from .kb import KnowledgeBase
 
 MOODS = ("assertion", "imperative")
 
+#: relations that subordinate, keeping their parent on the right frontier
+SUBORDINATING = frozenset({"Evidence"})
+
 
 @dataclass(frozen=True)
 class Constituent:
@@ -27,16 +30,6 @@ class Constituent:
     def __post_init__(self):
         if self.mood not in MOODS:
             raise ValidationError(f"unknown mood {self.mood!r}")
-
-
-@dataclass(frozen=True)
-class RelationRegistry:
-    """Which relations subordinate, keeping their parent on the right frontier."""
-
-    subordinating: frozenset[str] = frozenset({"Evidence"})
-
-    def is_subordinating(self, rel: str) -> bool:
-        return rel in self.subordinating
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ def attach(
     return replace(s, attachments=s.attachments + (a,))
 
 
-def open_attachment_sites(s: Sdrs, registry: RelationRegistry) -> tuple[str, ...]:
+def open_attachment_sites(s: Sdrs) -> tuple[str, ...]:
     """The right frontier, most recent first: the last-arrived constituent,
     plus every constituent reachable from it upward through subordinating
     attachments."""
@@ -118,7 +111,7 @@ def open_attachment_sites(s: Sdrs, registry: RelationRegistry) -> tuple[str, ...
         node = frontier[cursor]
         cursor += 1
         for a in s.attachments:
-            if a.child == node and registry.is_subordinating(a.rel.rel) and a.parent not in frontier:
+            if a.child == node and a.rel.rel in SUBORDINATING and a.parent not in frontier:
                 frontier.append(a.parent)
     return tuple(frontier)
 
@@ -152,13 +145,12 @@ def coherent(s: Sdrs, kb: KnowledgeBase) -> Verdict:
 
 def resolve_plan_anaphor(
     s: Sdrs,
-    registry: RelationRegistry,
     provenance: dict[Plan, str],
 ) -> tuple[Plan, str]:
     """Resolve a plan-valued anaphor ("that way") to the unique intended plan
     whose provenance constituent sits on the right frontier.  Returns the plan
     and its provenance constituent."""
-    frontier = open_attachment_sites(s, registry)
+    frontier = open_attachment_sites(s)
     candidates = [(p, cid) for p, cid in provenance.items() if cid in frontier]
     if not candidates:
         raise NoAntecedent("no intended plan is accessible from the right frontier")

@@ -39,7 +39,6 @@ from dicekit.formulas import (
     conj,
     conjuncts,
     free_variables,
-    instance_of,
     instantiate,
     is_ground,
     match,
@@ -333,16 +332,6 @@ def test_substitute_replaces_free_variables():
 def test_substitute_respects_generic_shadowing():
     g = parse_formula("(forall x (> (p x) (q x)))")
     assert substitute(g, {"x": "a"}) == g
-
-
-def test_instance_of_finds_witness():
-    g = parse_formula("(forall x (> (and (bill x) (bad x)) (veto x)))")
-    f = parse_formula("(and (bill h) (bad h) (veto h))")
-    assert instance_of(f, g) == "h"
-    shuffled = parse_formula("(and (veto h) (bad h) (bill h))")
-    assert instance_of(shuffled, g) == "h"
-    assert instance_of(parse_formula("(and (bill h) (bad h))"), g) is None
-    assert instance_of(f, parse_formula("(p a)")) is None
 
 
 # ---------------------------------------------------------------------- matching

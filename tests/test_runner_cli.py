@@ -246,7 +246,7 @@ def test_cli_malformed_scenario_exits_3(tmp_path, capsys):
     assert "unknown directive" in err
 
 
-def test_cli_pool_cap_exits_3(tmp_path, capsys):
+def test_cli_rule_that_is_not_range_restricted_exits_3(tmp_path, capsys):
     scn = tmp_path / "wide.scn"
     consts = " ".join(f"c{i}" for i in range(22))
     scn.write_text(

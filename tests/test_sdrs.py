@@ -10,7 +10,7 @@ from dicekit.kb import KnowledgeBase
 from dicekit.sdrs import (
     Attachment,
     Constituent,
-    RelationRegistry,
+    SUBORDINATING,
     Sdrs,
     UpdateSite,
     attach,
@@ -18,8 +18,6 @@ from dicekit.sdrs import (
     open_attachment_sites,
     resolve_plan_anaphor,
 )
-
-REG = RelationRegistry()
 
 
 def discourse(*ids: str) -> Sdrs:
@@ -30,9 +28,9 @@ def discourse(*ids: str) -> Sdrs:
 
 
 def test_registry_defaults():
-    assert REG.is_subordinating("Evidence")
-    assert not REG.is_subordinating("Result")
-    assert not REG.is_subordinating("Narration")
+    assert "Evidence" in SUBORDINATING
+    assert "Result" not in SUBORDINATING
+    assert "Narration" not in SUBORDINATING
 
 
 def test_constituent_mood_is_validated():
@@ -68,29 +66,29 @@ def test_attach_requires_known_constituents():
 
 
 def test_frontier_of_empty_discourse_is_empty():
-    assert open_attachment_sites(Sdrs(), REG) == ()
+    assert open_attachment_sites(Sdrs()) == ()
 
 
 def test_coordinating_attachment_closes_the_parent():
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
-    assert open_attachment_sites(s, REG) == ("b",)
+    assert open_attachment_sites(s) == ("b",)
 
 
 def test_subordinating_attachment_keeps_the_parent_open():
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Evidence", ("b", "a")))
-    assert open_attachment_sites(s, REG) == ("b", "a")
+    assert open_attachment_sites(s) == ("b", "a")
 
 
 def test_frontier_walks_subordination_chains():
     s = discourse("a", "b", "c")
     s = attach(s, UpdateSite("tau1", "a", "b"), RelAtom("Evidence", ("b", "a")))
     s = attach(s, UpdateSite("tau2", "b", "c"), RelAtom("Evidence", ("c", "b")))
-    assert open_attachment_sites(s, REG) == ("c", "b", "a")
+    assert open_attachment_sites(s) == ("c", "b", "a")
     # a coordinating step at the top cuts the chain below it
     s2 = discourse("a", "b", "c")
     s2 = attach(s2, UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
     s2 = attach(s2, UpdateSite("tau2", "b", "c"), RelAtom("Evidence", ("c", "b")))
-    assert open_attachment_sites(s2, REG) == ("c", "b")
+    assert open_attachment_sites(s2) == ("c", "b")
 
 
 def test_frontier_starts_at_the_latest_constituent():
@@ -98,7 +96,7 @@ def test_frontier_starts_at_the_latest_constituent():
     s = attach(s, UpdateSite("tau1", "a", "b"), RelAtom("Evidence", ("b", "a")))
     s = s.with_constituent(Constituent("c", Atom("p")))
     # c is unattached: the frontier is just c until a relation lands
-    assert open_attachment_sites(s, REG) == ("c",)
+    assert open_attachment_sites(s) == ("c",)
 
 
 def test_coherence_requires_every_later_constituent_attached():
@@ -128,7 +126,7 @@ def test_coherence_payload_spans_configured_viewpoints():
 def test_plan_anaphor_resolves_to_the_unique_frontier_plan():
     plan = Plan((Action("go"),))
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Evidence", ("b", "a")))
-    got = resolve_plan_anaphor(s, REG, {plan: "a"})
+    got = resolve_plan_anaphor(s, {plan: "a"})
     assert got == (plan, "a")
 
 
@@ -137,14 +135,14 @@ def test_plan_anaphor_requires_an_accessible_antecedent():
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Result", ("a", "b")))
     # a is closed off by the coordinating attachment
     with pytest.raises(NoAntecedent):
-        resolve_plan_anaphor(s, REG, {plan: "a"})
+        resolve_plan_anaphor(s, {plan: "a"})
 
 
 def test_plan_anaphor_rejects_ambiguity():
     p1, p2 = Plan((Action("go"),)), Plan((Action("stay"),))
     s = attach(discourse("a", "b"), UpdateSite("tau1", "a", "b"), RelAtom("Evidence", ("b", "a")))
     with pytest.raises(AmbiguousAntecedent):
-        resolve_plan_anaphor(s, REG, {p1: "a", p2: "b"})
+        resolve_plan_anaphor(s, {p1: "a", p2: "b"})
 
 
 def test_sdrs_accessors():
