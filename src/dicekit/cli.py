@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import DicekitError
-from .runner import explain, run_scenario, write_report
+from .runner import run_scenario, write_report
 from .scenario import load
 
 

@@ -36,17 +36,30 @@ rules and step bound (see `defeasible_closure`): each closure a `yields` test
 needs is computed once per knowledge base, and a repeated test is a lookup.
 Each store decides each ground query once (see `kb.Store`).
 
-Within one closure the store only grows and its hard rules stay fixed, so
-rounds are semi-naive (see `_fixpoint`): a rule's instances are carried into
-the next round while no new fact touches its anchored conjuncts, an instance
-whose consequent held is settled and skipped from then on, and each pair of
-antecedents is compared by `specificity` once.
+Closures follow the lineage of the store they close (see `kb.Store`): a
+store made from another by asserting facts or adding hard rules or defaults
+only grows, and so does the store inside one closure.  Each closure leaves a
+carry on the store it ends at, and on the store it started from as that
+store stood after the first round: for each rule, by identity, its instances
+with the fact and hard-rule counts they were bound at, and the instances
+whose consequent has held, which are settled for good (see `_fixpoint`).  A
+later closure of a descendant starts from that carry, round by round alike:
+a rule that no atom gained since touches keeps its instances, a touched rule
+binds the new atoms alone, one anchored conjunct at a time (a semi-naive
+delta, see `rule_instances`), and only the unsettled instances are checked.
+An instance that cannot apply, because no grounded anchor of one of its
+conjuncts is among the store's atoms, is not built until such an atom
+arrives.  A store that `retract_fact` makes, and any store made directly,
+starts a new lineage with an empty carry: the same code with nothing
+carried.  Within a closure, each pair of antecedents is compared by
+`specificity` once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Container, NamedTuple
 
 from . import satcore
 from .errors import StepBoundExceeded, ValidationError
@@ -73,7 +86,7 @@ from .formulas import (
     sat_atomic,
     substitute,
 )
-from .kb import ContextPath, KnowledgeBase
+from .kb import Atoms, ContextPath, KnowledgeBase
 
 
 # ----------------------------------------------------------------------- rules
@@ -121,6 +134,13 @@ class DefaultRule:
                     f" {', '.join('?' + v for v in sorted(unbound))} unbound; each variable of"
                     " a compound conjunct must occur in an atomic, negated or eventual one"
                 )
+
+
+def _anchored(rule: DefaultRule) -> list[tuple[Formula, tuple[Formula, ...]]]:
+    """The anchored conjuncts of the rule's antecedent, in order, each with
+    its `_anchors`: the conjuncts the closure binds.  Not kept on the rule,
+    which would keep these for as long as the rule lives."""
+    return [(p, a) for p in rule.antecedent if (a := _anchors(p)) is not None]
 
 
 def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
@@ -361,42 +381,118 @@ def _extend_bindings(pat: Formula, bindings, facts_sorted, fvar_pool=None):
     return list(out.values())
 
 
-def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
+def _ground_key(anchor: Formula, b: Binding) -> str | None:
+    """The key of an anchor grounded by a binding that binds its variables;
+    None when the binding cannot ground it (a slot bound for a formula)."""
+    if not anchor.variables:
+        return anchor.key
+    try:
+        return instantiate(anchor, b).key
+    except ValidationError:
+        return None
+
+
+def _candidates(anchor: Formula, atoms: Atoms):
+    """The atoms an anchor can match: those of its functor, or all of them."""
+    keys, index = atoms
+    head = anchor.functor
+    return keys.values() if head is None else index.get(head, ())
+
+
+def _bind_conjunct(bindings, pat: Formula, anchors, atoms: Atoms, old: Container[str] = ()) -> list[Binding]:
+    """Extend each binding by one anchored conjunct from the atoms, less any
+    whose key is in `old`.  A conjunct the binding already grounds binds
+    nothing, and the binding stays only if one of the grounded anchors is
+    among the atoms: otherwise the conjunct cannot hold."""
+    out: dict[str, Binding] = {}
+    for b in bindings:
+        if pat.variables <= b.keys():
+            for anchor in anchors:
+                key = _ground_key(anchor, b)
+                if key in atoms[0] and key not in old:
+                    out.setdefault(render_binding(b), b)
+                    break
+            continue
+        for anchor in anchors:
+            for atom in _candidates(anchor, atoms):
+                if atom.key in old:
+                    continue
+                m = _match_rendered(anchor, atom, b)
+                if m is not None:
+                    out.setdefault(render_binding(m), m)
+    return list(out.values())
+
+
+def _touches_conjunct(anchors, new: Atoms) -> bool:
+    """Whether one of the new atoms is an instance of one of the anchors."""
+    for anchor in anchors:
+        if not anchor.variables:
+            if anchor.key in new[0]:
+                return True
+        elif any(match(anchor, a) is not None for a in _candidates(anchor, new)):
+            return True
+    return False
+
+
+def _touches(rule: DefaultRule, new: Atoms) -> bool:
+    """Whether one of the new atoms is an instance of an anchor of one of
+    the rule's conjuncts.  New atoms that touch none leave the rule's
+    instances as they were: only anchored conjuncts bind, a binding only
+    narrows a match, and a grounded anchor is an instance of its pattern."""
+    return any(_touches_conjunct(anchors, new) for _, anchors in _anchored(rule))
+
+
+def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new: Atoms | None = None) -> list[_Inst]:
     """Ground instances of a rule against the store at a path, canonical order.
 
     Only anchored conjuncts bind, each from the store's atoms: at a
-    satisfiable store an instance holds only if one of its `_anchors` is
-    among them, and at an unsatisfiable one every consequent holds already,
-    so no instance applies."""
-    atoms = kb.store_at(path).atoms
-    bindings: list[Binding] = [{}]
-    for pat in rule.antecedent:
-        anchors = _anchors(pat)
-        if anchors is None:
-            continue
-        out: dict[str, Binding] = {}
-        for b in bindings:
-            if pat.variables <= b.keys():
-                out.setdefault(render_binding(b), b)
-                continue
-            for anchor in anchors:
-                for atom in atoms:
-                    m = _match_rendered(anchor, atom, b)
-                    if m is not None:
-                        out.setdefault(render_binding(m), m)
-        bindings = list(out.values())
-        if not bindings:
-            return []
+    satisfiable store an instance holds only if, for each anchored conjunct,
+    one of its grounded `_anchors` is among them, and at an unsatisfiable one
+    every consequent holds already, so no instance applies.  An instance
+    that cannot apply is not built: a conjunct that earlier conjuncts ground
+    is kept only when a grounded anchor is among the atoms.
+
+    `new` is some of the store's atoms, which must include every atom added
+    since instances were last bound (by default, all of them).  Only the
+    instances that bind one of them are built, each once (semi-naive, after
+    Bancilhon & Ramakrishnan 1986): for each conjunct a new atom touches,
+    the conjunct binds from the new atoms, the conjuncts before it from the
+    others and the conjuncts after it from all.  Instances that bind none
+    were built before; so were the instances of a rule with no anchored
+    conjunct, which has the one empty binding whatever the store."""
+    store = kb.store_at(path)
+    every: Atoms = (store.atoms, store.by_functor)
+    anchored = _anchored(rule)
+    found: dict[str, Binding] = {}
+    if new is None:
+        new = every
+        if not anchored:
+            found[render_binding({})] = {}
+    prefix: list[Binding] = [{}]  # bindings of the conjuncts before i, from the old atoms
+    for i, (pat, anchors) in enumerate(anchored):
+        if _touches_conjunct(anchors, new):
+            bindings = _bind_conjunct(prefix, pat, anchors, new)
+            for later, later_anchors in anchored[i + 1:]:
+                if not bindings:
+                    break
+                bindings = _bind_conjunct(bindings, later, later_anchors, every)
+            for b in bindings:
+                found.setdefault(render_binding(b), b)
+        if new is every:
+            break  # no atom is old
+        prefix = _bind_conjunct(prefix, pat, anchors, every, old=new[0])
+        if not prefix:
+            break
     insts = []
-    for b in bindings:
+    for key, b in found.items():
         try:
-            ants = tuple(instantiate(p, b) for p in rule.antecedent)
-            cons = instantiate(rule.consequent, b)
+            ants = tuple(p if not p.variables else instantiate(p, b) for p in rule.antecedent)
+            cons = rule.consequent if not rule.consequent.variables else instantiate(rule.consequent, b)
         except ValidationError:
             continue
         if not all(is_ground(a) for a in ants) or not is_ground(cons):
             continue
-        insts.append(_Inst(rule, b, ants, cons, render_binding(b)))
+        insts.append(_Inst(rule, b, ants, cons, key))
     insts.sort(key=lambda i: i.key)
     return insts
 
@@ -488,41 +584,52 @@ def defeasible_closure(
     return ClosureResult(kb if out is None else out, tuple(steps))
 
 
-def _touches(rule: DefaultRule, facts) -> bool:
-    """Whether one of the facts' atoms matches one of the `_anchors` of a
-    conjunct of the rule.  New facts that touch none leave the rule's
-    instances as they were: only anchored conjuncts bind, a binding only
-    narrows a match, and the store's new atoms are the new facts' (facts
-    are literals, see `kb`)."""
-    for f in facts:
-        atom = f.body if isinstance(f, Not) else f
-        for pat in rule.antecedent:
-            if any(match(anchor, atom) is not None for anchor in _anchors(pat) or ()):
-                return True
-    return False
-
-
 _MIRRORED = {"first": "second", "second": "first", "incomparable": "incomparable"}
+
+
+class _Carried(NamedTuple):
+    """One rule's matching state along a lineage of stores: the rule itself
+    (so that its identity, the carry's key, is never reused), the store's
+    (facts, hard rules) counts its instances were bound at, its instances
+    not yet settled, in canonical order, and the keys of the settled ones."""
+
+    rule: DefaultRule
+    count: tuple[int, int]
+    live: tuple[_Inst, ...]
+    settled: frozenset[str]
 
 
 def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_steps: int) -> ClosureResult:
     """The closure itself: rounds of instances, arbitration and firing.
 
-    The store at the path only grows inside a closure, its hard rules stay
-    as they are, and every table below is keyed by rule identity (`active`
-    keeps the rules alive), so rules that share a name never meet:
-    - A rule's instances are carried into the next round while no fact added
-      since they were built touches the rule (see `_touches`); builtins are
-      rebuilt every round.
+    A closure starts from the carry of the store at the path (`Store.carry`).
+    It leaves its carry after the first round on that store, and its final
+    carry on the store it ends at, for the closures of either store's
+    descendants (a `yields` test closes a store and that store plus a
+    formula, say).  The carry holds, for each rule by identity, a
+    `_Carried` record; it holds rules, instances and counts, never a store
+    or a knowledge base, so no store keeps its ancestors alive.  Along a
+    lineage (see `kb.Store`) a store only gains facts and hard rules, and so
+    does the store inside a closure, which makes both of these sound:
+    - A rule's instances stay instances.  When the store has gained atoms
+      since they were bound, a rule the new atoms touch (see `_touches`)
+      binds those alone (see `rule_instances`), and the rest are carried as
+      they are; builtins are rebuilt every round.
     - An instance whose consequent held is settled: it holds in every
-      larger store, so later rounds skip it.
-    - `specificity` depends on the antecedents and the hard rules alone, so
-      each pair of antecedents is compared once, and the mirrored pair is
-      answered from the same comparison."""
+      larger store, so no later round or closure checks it again.
+    An instance that cannot apply is never built, so a rule whose
+    instances wait for an atom costs nothing until the atom arrives.  A
+    store that starts a lineage has an empty carry, and each of its rules
+    binds from all of its atoms.
+
+    Every table is keyed by rule identity (`active` keeps the rules alive),
+    so rules that share a name never meet.  `specificity` depends on the
+    antecedents and the hard rules alone, so within a closure each pair of
+    antecedents is compared once, and the mirrored pair is answered from the
+    same comparison."""
     fired: list[InferenceStep] = []
     out = kb
-    carried: dict[int, tuple[int, list[_Inst]]] = {}  # id(rule) -> (facts, instances)
-    settled: set[tuple[int, str]] = set()
+    carry: dict[int, _Carried] = dict(kb.store_at(path).carry)
     compared: dict[tuple, str] = {}
 
     def compare(i: _Inst, j: _Inst) -> str:
@@ -534,27 +641,36 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
         return cmp
 
     for _ in range(max_steps):
-        facts = out.store_at(path).facts
+        store = out.store_at(path)
+        count = (len(store.facts), len(store.hard_rules))
+        added: dict[tuple[int, int], Atoms] = {}  # since -> the atoms gained since then
         insts: list[_Inst] = []
         for rule in active:
             if rule.builtin:
                 insts.extend(_BUILTINS[rule.builtin](rule, out, path))
                 continue
-            carry = carried.get(id(rule))
-            if carry is None or _touches(rule, facts[carry[0]:]):
-                carry = (len(facts), rule_instances(rule, out, path))
-            else:
-                carry = (len(facts), carry[1])
-            carried[id(rule)] = carry
-            insts.extend(carry[1])
+            entry = carry.get(id(rule))
+            if entry is None:
+                entry = _Carried(rule, count, tuple(rule_instances(rule, out, path)), frozenset())
+            elif entry.count != count:
+                new = added.get(entry.count)
+                if new is None:
+                    new = added[entry.count] = store.atoms_since(entry.count)
+                live = entry.live
+                if _touches(rule, new):
+                    known = entry.settled.union(i.key for i in live)
+                    more = tuple(i for i in rule_instances(rule, out, path, new) if i.key not in known)
+                    if more:
+                        live = tuple(sorted(live + more, key=lambda i: i.key))
+                entry = _Carried(rule, count, live, entry.settled)
+            carry[id(rule)] = entry
+            insts.extend(entry.live)
         # applicability against the current store
         applicable = []
+        settled: dict[int, set[str]] = {}  # id(rule) -> keys settled this round
         for i in insts:
-            ident = (id(i.rule), i.key)
-            if ident in settled:
-                continue
             if holds(out, path, i.cons):
-                settled.add(ident)
+                settled.setdefault(id(i.rule), set()).add(i.key)
                 continue
             if not all(holds(out, path, a) for a in i.ants):
                 continue
@@ -562,6 +678,13 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             if any(holds(out, path, a) for a in absent):
                 continue
             applicable.append(i)
+        for ident, keys in settled.items():
+            e = carry.get(ident)
+            if e is None:
+                continue  # a builtin's instances are built again every round
+            carry[ident] = _Carried(e.rule, e.count, tuple(i for i in e.live if i.key not in keys), e.settled | keys)
+        if out is kb:  # the first round's carry is the input store's, for its other descendants
+            kb.store_at(path).keep_carry(dict(carry))
         if not applicable:
             break
         ok_alone = {
@@ -632,6 +755,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             break
     else:
         raise StepBoundExceeded(f"no fixpoint within {max_steps} rounds at path {path}")
+    out.store_at(path).keep_carry(carry)
     return ClosureResult(out, tuple(fired))
 
 

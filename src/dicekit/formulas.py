@@ -23,10 +23,10 @@ Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
 (`Formula.ground`, what `is_ground` returns) are computed on first use from
 its children's cached values and kept on the node.  So are a pattern's
-variables (`Formula.variables` and `Formula.fvar_names`), which rule
-matching reads on every round.  Equality stays structural.  `(p ?x)` and
-`(p x)` print alike, so a key stands in for equality only between ground
-formulas.
+variables (`Formula.variables` and `Formula.fvar_names`) and its functor
+(`Formula.functor`), which rule matching reads on every round.  Equality
+stays structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
+equality only between ground formulas.
 """
 
 from __future__ import annotations
@@ -108,6 +108,16 @@ class Formula:
         """What a match must bind: the free term variables, the formula
         metavariables and the ?-slots."""
         return metavariables(self) | free_variables(self)
+
+    @functools.cached_property
+    def functor(self) -> tuple | None:
+        """What `match` compares literally at the head of the formula: its
+        class name and, for an atom or relation atom, the predicate and
+        arity, for an attitude its kind and agent.  A pattern matches only
+        formulas of its own functor.  A `doing` metavariable has the functor
+        of `Doing`, and any other metavariable has None: it may match a
+        formula of any functor (or, of an unknown shape, raise)."""
+        return _functor(self)
 
     @functools.cached_property
     def fvar_names(self) -> frozenset[str]:
@@ -693,6 +703,22 @@ def match(pattern: Formula, fact: Formula, binding: Binding | None = None) -> Bi
                 if b is None:
                     return None
             return b
+
+
+def _functor(f: Formula) -> tuple | None:
+    # the class by name: a tuple of strings and ints is one the cycle
+    # collector stops tracking, and every formula node keeps one
+    match f:
+        case FVar(_, shape):
+            return ("Doing",) if shape == "doing" else None
+        case Atom(pred, args):
+            return ("Atom", pred, len(args))
+        case RelAtom(rel, args):
+            return ("RelAtom", rel, len(args))
+        case Att(kind, agent, _):
+            return ("Att", kind, agent)
+        case _:
+            return (type(f).__name__,)
 
 
 def _slot_value(pat: str, b: Binding) -> str:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from . import satcore
-from .errors import DepthExceeded, ValidationError
+from .errors import DepthExceeded, SatTooLarge, ValidationError
 from .formulas import (
-    And,
     Att,
     Formula,
     Iff,
@@ -51,6 +50,32 @@ def _literal_conjunction(f: Formula) -> bool:
     return all(_is_literal(c) for c in conjuncts(f))
 
 
+#: atoms by canonical key, and the same atoms by functor (see `Formula.functor`)
+Atoms = tuple[Mapping[str, Formula], Mapping[tuple, tuple[Formula, ...]]]
+
+
+def _atoms_of(formulas: Iterable[Formula]) -> dict[str, Formula]:
+    """The opaque atoms of the formulas by canonical key, in first-seen order."""
+    found: dict[str, Formula] = {}
+    for f in formulas:
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if sat_atomic(g):
+                found.setdefault(g.key, g)
+            else:
+                todo.extend(reversed(children(g)))
+    return found
+
+
+def _by_functor(atoms: Iterable[Formula]) -> dict[tuple, tuple[Formula, ...]]:
+    """The atoms grouped by `Formula.functor`, each group in the given order."""
+    out: dict[tuple, list[Formula]] = {}
+    for a in atoms:
+        out.setdefault(a.functor, []).append(a)
+    return {k: tuple(v) for k, v in out.items()}
+
+
 @dataclass(frozen=True)
 class Store:
     """One context's contents.  Tuples, not sets: iteration order is load order,
@@ -60,12 +85,22 @@ class Store:
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
     itself, and a one-literal query compiles nothing), the fact set for
-    membership, the opaque atoms for rule matching, and the verdict of
-    each ground query (see `_decide`).  A store made by `with_literal`
-    from one whose compiled form is built gets its own by extending that
-    one with the literal (`satcore.add_literal`); every other store
-    compiles from scratch.  Each formula is keyed once (see `formulas`), so
-    none of these re-prints a fact."""
+    membership, the opaque atoms by key and by functor for rule matching,
+    and the verdict of each ground query (see `_decide`).  Each formula is
+    keyed once (see `formulas`), so none of these re-prints a fact.
+
+    A store made from a parent by `with_literal`, `with_hard_rule` or
+    `with_default` extends what the parent has built instead of building
+    it again: the compiled form by the new literal (`satcore.add_literal`)
+    or hard rule (`satcore.add_formula`, which merges the groups the rule
+    touches), the fact set by the new fact, and the atoms by the new
+    formula's.  It also takes over the
+    parent's `carry`, what the engine's last closure along this line of
+    stores left for the next (see `engine._fixpoint`).  Those three only
+    append, so a descendant's facts and hard rules begin with its
+    ancestor's.  `KnowledgeBase.retract_fact`, which removes a fact, makes
+    its store afresh: it starts a new lineage, with nothing built and an
+    empty carry, as does every store made directly."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -77,9 +112,47 @@ class Store:
     def with_literal(self, f: Formula) -> "Store":
         """The store with one more fact, a ground literal."""
         child = replace(self, facts=self.facts + (f,))
-        compiled = self.__dict__.get("compiled")  # built, and did not raise
-        if compiled is not None:
-            child.__dict__["compiled"] = satcore.add_literal(compiled, f)
+        if "fact_set" in self.__dict__:
+            child.__dict__["fact_set"] = self.fact_set | {f}
+        return self._extended(child, f, satcore.add_literal)
+
+    def with_hard_rule(self, f: Formula) -> "Store":
+        """The store with one more hard rule, a ground formula."""
+        child = replace(self, hard_rules=self.hard_rules + (f,))
+        if "fact_set" in self.__dict__:
+            child.__dict__["fact_set"] = self.fact_set
+        return self._extended(child, f, satcore.add_formula)
+
+    def with_default(self, rule) -> "Store":
+        """The store with one more declared default; its formulas, and so
+        all it has built, are unchanged."""
+        child = replace(self, defaults=self.defaults + (rule,))
+        for name in ("fact_set", "compiled", "atoms", "by_functor", "carry"):
+            if name in self.__dict__:
+                child.__dict__[name] = self.__dict__[name]
+        return child
+
+    def _extended(self, child: "Store", f: Formula, extend) -> "Store":
+        """child, one formula f larger than this store, given what this store
+        has built, extended by f, and this store's carry."""
+        built = self.__dict__
+        if "compiled" in built:  # built, and did not raise
+            try:
+                child.__dict__["compiled"] = extend(built["compiled"], f)
+            except SatTooLarge:
+                pass  # the child's own compile raises on each query
+        if "atoms" in built:
+            atoms, index = built["atoms"], self.by_functor
+            new = [a for k, a in _atoms_of((f,)).items() if k not in atoms]
+            if new:
+                atoms = {**atoms, **{a.key: a for a in new}}
+                index = dict(index)
+                for k, group in _by_functor(new).items():
+                    index[k] = index.get(k, ()) + group
+            child.__dict__["atoms"] = atoms
+            child.__dict__["by_functor"] = index
+        if "carry" in built:
+            child.__dict__["carry"] = built["carry"]
         return child
 
     @functools.cached_property
@@ -91,19 +164,37 @@ class Store:
         return satcore.compile_formulas(self.formulas())
 
     @functools.cached_property
-    def atoms(self) -> tuple[Formula, ...]:
-        """The opaque atoms of the store's facts and hard rules, one per
-        canonical key, in canonical order.  Built apart from `compiled`, so
-        asking for them never raises `SatTooLarge`."""
-        found: dict[str, Formula] = {}
-        todo = list(self.formulas())
-        while todo:
-            f = todo.pop()
-            if sat_atomic(f):
-                found.setdefault(f.key, f)
-            else:
-                todo.extend(children(f))
-        return tuple(found[k] for k in sorted(found))
+    def atoms(self) -> dict[str, Formula]:
+        """The opaque atoms of the store's facts and hard rules by canonical
+        key.  Built apart from `compiled`, so asking for them never raises
+        `SatTooLarge`."""
+        return _atoms_of(self.formulas())
+
+    @functools.cached_property
+    def by_functor(self) -> dict[tuple, tuple[Formula, ...]]:
+        """The store's atoms by `Formula.functor`: the atoms a pattern can match."""
+        return _by_functor(self.atoms.values())
+
+    def atoms_since(self, counts: tuple[int, int]) -> Atoms:
+        """The atoms of the facts and hard rules after the first `counts`
+        (facts, hard rules): every atom the store has gained since an
+        ancestor along its lineage had that many of each, and perhaps some
+        it had before."""
+        n_facts, n_hard = counts
+        atoms = _atoms_of(self.facts[n_facts:] + self.hard_rules[n_hard:])
+        return atoms, _by_functor(atoms.values())
+
+    @functools.cached_property
+    def carry(self) -> dict:
+        """What the engine's last closure of this store, or of its nearest
+        closed ancestor, left for the next closure (see `engine._fixpoint`);
+        opaque here, and never changed in place."""
+        return {}
+
+    def keep_carry(self, carry: dict) -> None:
+        """Record what a closure that ended at this store leaves for the
+        closures of the store and its descendants."""
+        self.__dict__["carry"] = carry
 
     @functools.cached_property
     def _verdicts(self) -> dict:
@@ -219,7 +310,8 @@ class KnowledgeBase:
 
     def retract_fact(self, path: ContextPath, f: Formula) -> "KnowledgeBase":
         """Remove a literal from one store (no mirror propagation: retraction
-        is a deliberate, local act)."""
+        is a deliberate, local act).  The store is made afresh, so it starts a
+        new lineage (see `Store`)."""
         path = tuple(path)
         store = self.store_at(path)
         if f not in store.fact_set:
@@ -237,7 +329,7 @@ class KnowledgeBase:
         store = self.store_at(path)
         if f in store.hard_rules:
             return self
-        kb = self._with_store(path, replace(store, hard_rules=store.hard_rules + (f,)))
+        kb = self._with_store(path, store.with_hard_rule(f))
         return kb.with_constants(collect_constants(f))
 
     def with_default(self, path: ContextPath, rule) -> "KnowledgeBase":
@@ -245,7 +337,7 @@ class KnowledgeBase:
         if len(path) > self.max_depth:
             raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
         store = self.store_at(path)
-        return self._with_store(path, replace(store, defaults=store.defaults + (rule,)))
+        return self._with_store(path, store.with_default(rule))
 
     # -- queries -----------------------------------------------------------
 

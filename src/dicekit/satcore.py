@@ -28,7 +28,9 @@ of the atom's group alone (some assignment it allows gives the atom the
 wanted value), and a new atom is free, so the query compiles nothing.  A
 store one literal larger than a compiled one is compiled by `add_literal`:
 an atom the base numbers narrows its group's table by the atom's mask, and a
-new atom becomes a group of its own, so no other group is touched.
+new atom becomes a group of its own, so no other group is touched.  A store
+one hard rule larger is compiled by `add_formula`, which merges the groups
+the rule touches with its new atoms and builds that one group's table.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -239,17 +241,22 @@ def _require_ground(fs: tuple[Formula, ...]) -> None:
             raise ValidationError(f"satisfiability needs ground formulas, got {print_formula(f)}")
 
 
-def compile_formulas(formulas: Iterable[Formula]) -> Compiled:
-    """Compile a formula set once, for `satisfiable(..., base=...)`."""
-    index, groups = _extend(_EMPTY, formulas)
-    group_of = [0] * len(index)
-    position = [0] * len(index)
+def _numbering(groups: list[Group], n_vars: int) -> tuple[list[int], list[int]]:
+    """Each variable's group number and its position among the group's variables."""
+    group_of = [0] * n_vars
+    position = [0] * n_vars
     for g, (vs, _) in enumerate(groups):
         for k, v in enumerate(vs):
             group_of[v] = g
             position[v] = k
+    return group_of, position
+
+
+def compile_formulas(formulas: Iterable[Formula]) -> Compiled:
+    """Compile a formula set once, for `satisfiable(..., base=...)`."""
+    index, groups = _extend(_EMPTY, formulas)
     tables = tuple(_table(vs, ps) for vs, ps in groups)
-    return Compiled(index, tuple(groups), tables, group_of, position, all(tables))
+    return Compiled(index, tuple(groups), tables, *_numbering(groups, len(index)), all(tables))
 
 
 def add_literal(base: Compiled, literal: Formula) -> Compiled:
@@ -281,6 +288,20 @@ def add_literal(base: Compiled, literal: Formula) -> Compiled:
         base.position,
         base.sat and table != 0,
     )
+
+
+def add_formula(base: Compiled, f: Formula) -> Compiled:
+    """The compiled form of base's formulas plus one ground formula (a hard
+    rule, say), built from base: the base groups that share an atom with f
+    merge with f's new atoms into one group, whose table alone is built, and
+    every other group is kept as it is.  Raises `SatTooLarge` when the merged
+    group exceeds MAX_VARS, as compiling the whole set would."""
+    new, (merged,) = _extend(base, (f,))  # one formula's atoms form one group
+    touched = {base.group_of[v] for v in merged[0] if v < len(base.index)}
+    groups = [grp for g, grp in enumerate(base.groups) if g not in touched] + [merged]
+    tables = tuple(t for g, t in enumerate(base.tables) if g not in touched) + (_table(*merged),)
+    index = {**base.index, **new}
+    return Compiled(index, tuple(groups), tables, *_numbering(groups, len(index)), base.sat and tables[-1] != 0)
 
 
 def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:

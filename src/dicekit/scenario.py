@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import sexp
 from .engine import DefaultRule

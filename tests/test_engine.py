@@ -40,7 +40,7 @@ from dicekit.formulas import (
     parse_formula,
     print_formula,
 )
-from dicekit.kb import KnowledgeBase
+from dicekit.kb import KnowledgeBase, Store
 
 
 def kb_with(facts=(), hard=()):
@@ -405,6 +405,89 @@ def test_closure_of_rules_with_compound_conjuncts_matches_reference():
             store.facts, store.hard_rules, _ground_on_constants(widened, kb.constants)
         )
         assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
+
+
+def _rebuilt(kb: KnowledgeBase) -> KnowledgeBase:
+    """An equal knowledge base whose stores are new `Store` objects, with
+    nothing built and an empty carry (`dataclasses.replace` would share the
+    stores, and so their carries)."""
+    return KnowledgeBase(
+        stores={p: Store(s.facts, s.hard_rules, s.defaults) for p, s in kb.stores.items()},
+        constants=kb.constants,
+        max_depth=kb.max_depth,
+        root_consistency_paths=kb.root_consistency_paths,
+    )
+
+
+def _closed_state(kb: KnowledgeBase, rules) -> tuple:
+    trace = Trace()
+    out = defeasible_closure(kb, rules, trace=trace).kb
+    stores = {p: ([print_formula(f) for f in s.facts], [print_formula(f) for f in s.hard_rules]) for p, s in out.walk()}
+    return out, stores, trace.lines()
+
+
+def test_closing_along_a_lineage_matches_closing_afresh():
+    # random open rule systems under random asserted facts, hard rules and
+    # retractions (mostly of derived facts), closed between steps under random
+    # subsets of the rules: each closure along the lineage, which starts from
+    # the carry its ancestors left, writes the same stores and trace as the
+    # closure of an equal knowledge base built afresh, and leaves for each
+    # rule it ran the instances, settled or not, that a fresh binding finds
+    rng = random.Random(1982)
+    retracted = hardened = 0
+    for _ in range(60):
+        kb, rules = _random_open_rule_system(rng)
+        consts = sorted(kb.constants)
+        patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
+
+        def grounding() -> str:
+            return rng.choice(patterns).replace("?x", rng.choice(consts)).replace("?y", rng.choice(consts))
+
+        derived: list = []
+        for _ in range(rng.randint(3, 6)):
+            lit = grounding()
+            move = rng.random()
+            if move < 0.35:
+                kb = kb.assert_fact((), parse_formula(lit))
+            elif move < 0.7:
+                premise = "seed" if rng.random() < 0.6 else grounding()
+                kb = kb.add_hard_rule((), parse_formula(f"(-> {premise} {lit})"))
+                hardened += 1
+            elif kb.facts_at(()):
+                kb = kb.retract_fact((), rng.choice(derived or list(kb.facts_at(()))))
+                retracted += 1
+            active = tuple(r for r in rules if rng.random() < 0.7) or rules
+            closed, stores, lines = _closed_state(kb, active)
+            assert (stores, lines) == _closed_state(_rebuilt(kb), active)[1:]
+            carry = closed.store_at(()).carry
+            for rule in active:
+                left = carry[id(rule)]
+                assert {i.key for i in left.live} | left.settled == {
+                    i.key for i in rule_instances(rule, _rebuilt(closed), ())}
+            derived = list(closed.facts_at(())[len(kb.facts_at(())):])
+            # go on from the closed knowledge base, or now and then from the unclosed one
+            kb = closed if rng.random() < 0.8 else kb
+    assert retracted >= 20 and hardened >= 60
+
+
+def test_a_settled_instance_fires_again_once_its_consequent_is_retracted():
+    kb = kb_with(["p"])
+    rule = make_rule("R", ["p"], "q")
+    closed = defeasible_closure(kb, (rule,)).kb
+    assert closed.has_fact((), Atom("q"))
+    # the closed store's carry settles R {}; the store without q starts afresh
+    res = defeasible_closure(closed.retract_fact((), Atom("q")), (rule,))
+    assert [(s.rule, print_formula(s.added[0])) for s in res.steps] == [("R", "q")]
+
+
+def test_an_instance_wakes_through_the_atoms_of_a_new_hard_rule():
+    # (q a) is no atom of the first store, so R has no instance there; the
+    # hard rule added after the closure brings (q a), and R's instance with it
+    rule = make_rule("R", ["(q a)"], "r")
+    closed = defeasible_closure(kb_with(["p"]), (rule,)).kb
+    assert not closed.has_fact((), Atom("r"))
+    grown = closed.add_hard_rule((), parse_formula("(-> p (q a))"))
+    assert defeasible_closure(grown, (rule,)).kb.has_fact((), Atom("r"))
 
 
 def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():

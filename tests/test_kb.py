@@ -239,6 +239,44 @@ def test_stores_grown_literal_by_literal_match_enumeration_oracle():
     assert seen_sat and seen_unsat
 
 
+def _functor_keys(store: Store) -> dict:
+    return {k: {a.key for a in group} for k, group in store.by_functor.items()}
+
+
+def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
+    # hard rules, over atoms the root lacks too, and literals, one at a time:
+    # each child extends its parent's compiled form (merging the groups a rule
+    # touches), fact set and atoms, and agrees with a store built afresh and
+    # the oracle
+    rng = random.Random(1982)
+    seen_unsat = seen_sat = 0
+    for _ in range(12):
+        atoms = [f"a{i}" for i in range(rng.randint(6, 8))]
+        kb = KnowledgeBase(stores={(): _random_store(rng, atoms), ("A",): _random_store(rng, atoms)},
+                           root_consistency_paths=(("A",),))
+        kb.store_at(()).compiled
+        kb.store_at(()).by_functor
+        kb.store_at(()).fact_set
+        for _ in range(rng.randint(1, 4)):
+            pool = atoms + ["x0", "x1"]
+            if rng.random() < 0.3:
+                kb = kb.assert_fact((), reference.random_literal(rng, pool))
+            else:
+                left = reference.random_formula(rng, pool, rng.randint(0, 2))
+                right = reference.random_formula(rng, pool, rng.randint(0, 2))
+                kb = kb.add_hard_rule((), (Implies if rng.random() < 0.7 else Iff)(left, right))
+            store = kb.store_at(())
+            assert {"fact_set", "compiled", "atoms", "by_functor"} <= store.__dict__.keys()
+            fresh = Store(store.facts, store.hard_rules)
+            assert store.fact_set == fresh.fact_set
+            assert store.atoms == fresh.atoms and _functor_keys(store) == _functor_keys(fresh)
+            assert store.compiled.sat == fresh.compiled.sat == reference.satisfiable(store.formulas())
+            seen_sat += store.compiled.sat
+            seen_unsat += not store.compiled.sat
+            _check_queries(rng, kb, atoms, 2)
+    assert seen_sat and seen_unsat
+
+
 def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
     compiled = []
     real = satcore.compile_program
@@ -290,6 +328,16 @@ def test_entails_raises_on_an_over_cap_store_group():
     raises_on_every_query(kb)
     # a child of a store whose compile raised compiles from scratch, and raises too
     raises_on_every_query(kb.assert_fact((), Atom("r")))
+    # so does a child whose hard rule joins two compiled groups over the cap
+    half = satcore.MAX_VARS // 2 + 1
+    grown = kb0()
+    for chain in ("p", "r"):
+        for i in range(half - 1):
+            grown = grown.add_hard_rule((), parse_formula(f"(-> {chain}{i} {chain}{i + 1})"))
+    assert len(grown.store_at(()).compiled.groups) == 2
+    grown = grown.add_hard_rule((), parse_formula(f"(-> p{half - 1} r0)"))
+    assert "compiled" not in grown.store_at(()).__dict__
+    raises_on_every_query(grown.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q"))))
 
 
 def test_entails_rejects_a_non_ground_query():

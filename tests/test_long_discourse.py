@@ -19,7 +19,7 @@ def chain_scenario(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", [5, 6, 8, 10, 16, 30])
+@pytest.mark.parametrize("n", [5, 6, 8, 10, 16, 30, 60])
 def test_long_enablement_chain_is_coherent(n):
     report = run_scenario(loads(chain_scenario(n), f"chain{n}"))
     assert report.verdict == "coherent"

@@ -78,6 +78,8 @@ def test_query_that_bridges_two_base_groups_over_the_cap_raises():
     assert satcore.satisfiable([Atom("p0")], base=base)
     with pytest.raises(SatTooLarge):
         satcore.satisfiable([parse_formula(f"(-> p{half - 1} r0)")], base=base)
+    with pytest.raises(SatTooLarge):
+        satcore.add_formula(base, parse_formula(f"(-> p{half - 1} r0)"))
 
 
 def test_compiled_base_numbers_new_atoms_after_its_own():
@@ -171,6 +173,38 @@ def test_disjoint_groups_match_enumeration_oracle():
         for query in (reference.random_formula(rng, g1, 2),
                       reference.random_formula(rng, g1 + g2, 2)):
             assert satcore.entailed_by(fs, query) == reference.entails(fs, query)
+
+
+def _partition(compiled: satcore.Compiled) -> set[frozenset[str]]:
+    key_of = {v: k for k, v in compiled.index.items()}
+    return {frozenset(key_of[v] for v in vs) for vs, _ in compiled.groups}
+
+
+def test_add_formula_merges_the_groups_it_touches():
+    # one formula at a time over disjoint groups, some over a new atom, some
+    # bridging two groups: the extended form agrees with compiling everything
+    rng = random.Random(1987)
+    seen_unsat = 0
+    for _ in range(30):
+        atoms = [f"c{i}" for i in range(rng.randint(8, 10))]
+        groups = _split(rng, atoms, rng.randint(2, 4))
+        fs = [f for g in groups for f in _group_formulas(rng, g, 0)]
+        compiled = satcore.compile_formulas(fs)
+        for _ in range(rng.randint(1, 4)):
+            over = rng.choice(groups) + rng.choice(([], ["x0"], rng.choice(groups)))
+            f = reference.random_formula(rng, over, rng.randint(1, 2))
+            compiled = satcore.add_formula(compiled, f)
+            fs.append(f)
+            whole = satcore.compile_formulas(fs)
+            assert compiled.sat == whole.sat == reference.satisfiable(fs)
+            assert _partition(compiled) == _partition(whole)
+            for v, k in enumerate(sorted(compiled.index, key=compiled.index.get)):
+                vs = compiled.groups[compiled.group_of[v]][0]
+                assert compiled.index[k] == v and vs[compiled.position[v]] == v
+            query = reference.random_formula(rng, atoms + ["x0", "x1"], 2)
+            assert satcore.satisfiable([query], base=compiled) == reference.satisfiable(fs + [query])
+            seen_unsat += not compiled.sat
+    assert seen_unsat
 
 
 def test_one_unsatisfiable_group_decides_the_instance():
