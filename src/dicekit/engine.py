@@ -75,7 +75,6 @@ from .formulas import (
     Not,
     Plan,
     Yields,
-    conj,
     conjuncts,
     free_variables,
     instantiate,
@@ -121,6 +120,8 @@ class DefaultRule:
     def __post_init__(self):
         if self.scope not in ("root", "everywhere"):
             raise ValidationError(f"bad rule scope {self.scope!r}")
+        if not self.antecedent:
+            raise ValidationError(f"rule {self.name} has an empty antecedent")
         for i in self.abducible:
             if not 0 <= i < len(self.antecedent):
                 raise ValidationError(f"abducible index {i} out of range in rule {self.name}")
@@ -302,13 +303,18 @@ def specificity(first, second, kb: KnowledgeBase, path: ContextPath = ()) -> str
     Returns "first" when the first antecedent strictly entails the second,
     "second" for the converse, else "incomparable" (including mutual
     entailment -- neither is more specific).
+
+    `a` entails `b` under the hard rules H when, for each conjunct d of b,
+    a plus (not d) is unsatisfiable against the store's compiled form of H
+    (`Store.hard_compiled`, extended along the store's lineage).  So only
+    the antecedents are ever decided, and literal ones compile nothing.
     """
     a = first.antecedent if isinstance(first, DefaultRule) else tuple(first)
     b = second.antecedent if isinstance(second, DefaultRule) else tuple(second)
-    hard = kb.store_at(path).hard_rules
+    hard = kb.store_at(path).hard_compiled
 
     def entails(src, dst) -> bool:
-        return satcore.entailed_by(tuple(src) + hard, conj(dst))
+        return not any(satcore.satisfiable(src + (Not(d),), base=hard) for d in dst)
 
     fwd = entails(a, b)
     back = entails(b, a)

@@ -84,7 +84,8 @@ class Store:
     A store is never changed, only replaced, so what is derived from it is
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
-    itself, and a one-literal query compiles nothing), the fact set for
+    itself, and a literal-shaped one compiles nothing), the compiled form of
+    the hard rules alone for `engine.specificity`, the fact set for
     membership, the opaque atoms by key and by functor for rule matching,
     and the verdict of each ground query (see `_decide`).  Each formula is
     keyed once (see `formulas`), so none of these re-prints a fact.
@@ -93,8 +94,9 @@ class Store:
     `with_default` extends what the parent has built instead of building
     it again: the compiled form by the new literal (`satcore.add_literal`)
     or hard rule (`satcore.add_formula`, which merges the groups the rule
-    touches), the fact set by the new fact, and the atoms by the new
-    formula's.  It also takes over the
+    touches), the compiled hard rules by a new hard rule alone (a literal
+    or a default passes them on as they are), the fact set by the new fact,
+    and the atoms by the new formula's.  It also takes over the
     parent's `carry`, what the engine's last closure along this line of
     stores left for the next (see `engine._fixpoint`).  Those three only
     append, so a descendant's facts and hard rules begin with its
@@ -114,33 +116,37 @@ class Store:
         child = replace(self, facts=self.facts + (f,))
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set | {f}
-        return self._extended(child, f, satcore.add_literal)
+        if "hard_compiled" in self.__dict__:  # a fact leaves the hard rules as they are
+            child.__dict__["hard_compiled"] = self.hard_compiled
+        return self._extended(child, f, satcore.add_literal, ("compiled",))
 
     def with_hard_rule(self, f: Formula) -> "Store":
         """The store with one more hard rule, a ground formula."""
         child = replace(self, hard_rules=self.hard_rules + (f,))
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set
-        return self._extended(child, f, satcore.add_formula)
+        return self._extended(child, f, satcore.add_formula, ("compiled", "hard_compiled"))
 
     def with_default(self, rule) -> "Store":
         """The store with one more declared default; its formulas, and so
         all it has built, are unchanged."""
         child = replace(self, defaults=self.defaults + (rule,))
-        for name in ("fact_set", "compiled", "atoms", "by_functor", "carry"):
+        for name in ("fact_set", "compiled", "hard_compiled", "atoms", "by_functor", "carry"):
             if name in self.__dict__:
                 child.__dict__[name] = self.__dict__[name]
         return child
 
-    def _extended(self, child: "Store", f: Formula, extend) -> "Store":
+    def _extended(self, child: "Store", f: Formula, extend, forms: tuple[str, ...]) -> "Store":
         """child, one formula f larger than this store, given what this store
-        has built, extended by f, and this store's carry."""
+        has built, extended by f (of the compiled forms, those named in
+        forms), and this store's carry."""
         built = self.__dict__
-        if "compiled" in built:  # built, and did not raise
-            try:
-                child.__dict__["compiled"] = extend(built["compiled"], f)
-            except SatTooLarge:
-                pass  # the child's own compile raises on each query
+        for name in forms:
+            if name in built:  # built, and did not raise
+                try:
+                    child.__dict__[name] = extend(built[name], f)
+                except SatTooLarge:
+                    pass  # the child's own compile raises on each query
         if "atoms" in built:
             atoms, index = built["atoms"], self.by_functor
             new = [a for k, a in _atoms_of((f,)).items() if k not in atoms]
@@ -162,6 +168,12 @@ class Store:
     @functools.cached_property
     def compiled(self) -> satcore.Compiled:
         return satcore.compile_formulas(self.formulas())
+
+    @functools.cached_property
+    def hard_compiled(self) -> satcore.Compiled:
+        """The compiled form of the hard rules alone, the base against which
+        `engine.specificity` compares antecedents."""
+        return satcore.compile_formulas(self.hard_rules)
 
     @functools.cached_property
     def atoms(self) -> dict[str, Formula]:
@@ -201,28 +213,29 @@ class Store:
         return {}
 
     def entails(self, f: Formula) -> bool:
-        return not self._decide(f.key, (Not(f),))
+        return not self._decide(f.key, (f,), lambda: (Not(f),))
 
     def satisfiable_with(self, extra: tuple[Formula, ...]) -> bool:
         """Satisfiability of the store together with the extra formulas."""
-        return self._decide(tuple(f.key for f in extra), extra)
+        return self._decide(tuple(f.key for f in extra), extra, lambda: extra)
 
-    def _decide(self, key, extra: tuple[Formula, ...]) -> bool:
-        """Satisfiability of the store with the extras, decided once per
-        store and key.  `entails(f)` keys its query `(not f)` by `f.key`, a
-        string, and `satisfiable_with` keys the extras by the tuple of their
-        keys, so the two never meet.
+    def _decide(self, key, parts: tuple[Formula, ...], extra) -> bool:
+        """Satisfiability of the store with the extras that `extra()` builds
+        from the formulas `parts`, decided once per store and key.
+        `entails(f)` keys its query `(not f)` by `f.key`, a string, and
+        builds it only when no verdict is kept; `satisfiable_with` keys the
+        extras by the tuple of their keys, so the two never meet.
 
-        The compiled form is read and the extras ground-checked before the
+        The compiled form is read and the parts ground-checked before the
         memo is consulted, so an over-cap store (`SatTooLarge`) and a
         non-ground query (`ValidationError`; `(p ?x)` and `(p x)` share a
         key) raise on every call.  Errors are never stored."""
         compiled = self.compiled
-        if not all(f.ground for f in extra):
-            return satcore.satisfiable(extra, base=compiled)  # raises ValidationError
+        if not all(f.ground for f in parts):
+            return satcore.satisfiable(extra(), base=compiled)  # raises ValidationError
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._verdicts[key] = satcore.satisfiable(extra, base=compiled)
+            verdict = self._verdicts[key] = satcore.satisfiable(extra(), base=compiled)
         return verdict
 
 
@@ -251,7 +264,8 @@ class KnowledgeBase:
         return {}
 
     def store_at(self, path: ContextPath) -> Store:
-        return self.stores.get(tuple(path), Store())
+        store = self.stores.get(tuple(path))
+        return Store() if store is None else store
 
     def paths(self) -> tuple[ContextPath, ...]:
         return tuple(sorted(self.stores))

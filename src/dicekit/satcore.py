@@ -22,15 +22,19 @@ groups the extras touch with the extras, and decides only those merged
 groups: an untouched base group is satisfiable whenever the base is.  A call
 without a base runs the same routine over an empty base.
 
-Most queries are one literal: an opaque atom or its negation, under any
-number of `not`s.  `satisfiable` decides such a query from the stored table
-of the atom's group alone (some assignment it allows gives the atom the
-wanted value), and a new atom is free, so the query compiles nothing.  A
-store one literal larger than a compiled one is compiled by `add_literal`:
-an atom the base numbers narrows its group's table by the atom's mask, and a
-new atom becomes a group of its own, so no other group is touched.  A store
-one hard rule larger is compiled by `add_formula`, which merges the groups
-the rule touches with its new atoms and builds that one group's table.
+Most queries are literal-shaped: a set of literals (opaque atoms under any
+number of `not`s, given as several extras or as an `and` of them), or the
+negation of one such conjunction (`entails` of an `and`).  `satisfiable`
+decides a literal set from the stored tables alone: it narrows each touched
+group's table by each literal's mask, and a literal on an atom the base
+lacks is free unless the set also holds its complement.  A negated
+conjunction is satisfiable iff one negated conjunct is, together with the
+other literals.  So such a query compiles nothing.  A store one literal
+larger than a compiled one is compiled by `add_literal`: an atom the base
+numbers narrows its group's table by the atom's mask, and a new atom becomes
+a group of its own, so no other group is touched.  A store one hard rule larger is compiled by `add_formula`,
+which merges the groups the rule touches with its new atoms and builds that
+one group's table.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -218,21 +222,71 @@ def _table(variables: list[int], programs: list[list[int]]) -> int:
     return acc
 
 
-def _literal(f: Formula) -> tuple[Formula, int] | None:
-    """(atom, nots) when f is an opaque atom under `nots` nested `not`s,
-    else None."""
+def _conjunction(f: Formula) -> list[tuple[Formula, int]] | None:
+    """The literals of f, as (atom, nots), when f is a literal or a
+    conjunction of literals (`and`s under an even number of `not`s, nested
+    in any way), else None."""
     nots = 0
     while isinstance(f, Not):
         f, nots = f.body, nots + 1
-    return (f, nots) if sat_atomic(f) else None
+    if sat_atomic(f):
+        return [(f, nots)]
+    if not isinstance(f, And) or nots % 2:
+        return None
+    out: list[tuple[Formula, int]] = []
+    for p in f.parts:
+        lits = _conjunction(p)
+        if lits is None:
+            return None
+        out += lits
+    return out
 
 
-def _narrowed(base: Compiled, var: int, nots: int) -> int:
-    """The table of var's group, narrowed to the assignments under which var
-    under `nots` nested `not`s is true."""
+def _literal_sets(fs: tuple[Formula, ...]) -> list[list[tuple[Formula, int]]] | None:
+    """The formulas as alternative literal sets, when each is a conjunction
+    of literals save at most one negated conjunction, else None: one set,
+    or, for a negated conjunction, one set per negated conjunct."""
+    lits: list[tuple[Formula, int]] = []
+    negated = None
+    for f in fs:
+        c = _conjunction(f)
+        if c is not None:
+            lits += c
+            continue
+        if negated is not None or not isinstance(f, Not):
+            return None
+        negated = _conjunction(f.body)
+        if negated is None:
+            return None
+    if negated is None:
+        return [lits]
+    return [lits + [(atom, nots + 1)] for atom, nots in negated]
+
+
+def _narrowed(base: Compiled, var: int, nots: int, table: int) -> int:
+    """table, a table of var's group, narrowed to the assignments under
+    which var under `nots` nested `not`s is true."""
     mask = _var_mask(base.position[var], len(base.groups[base.group_of[var]][0]))
-    table = base.tables[base.group_of[var]]
     return table & ~mask if nots % 2 else table & mask
+
+
+def _literals_fit(base: Compiled, lits: list[tuple[Formula, int]]) -> bool:
+    """Whether the literals fit some assignment the base's tables allow: each
+    touched group's table stays nonzero once narrowed by its literals, and no
+    atom the base lacks is wanted both true and false.  Assumes base.sat."""
+    tables: dict[int, int] = {}  # touched group -> its narrowed table
+    free: dict[str, int] = {}  # atom the base lacks -> the parity of its nots
+    for atom, nots in lits:
+        var = base.index.get(atom.key)
+        if var is None:
+            if free.setdefault(atom.key, nots % 2) != nots % 2:
+                return False
+            continue
+        g = base.group_of[var]
+        table = tables[g] = _narrowed(base, var, nots, tables.get(g, base.tables[g]))
+        if not table:
+            return False
+    return True
 
 
 def _require_ground(fs: tuple[Formula, ...]) -> None:
@@ -264,7 +318,7 @@ def add_literal(base: Compiled, literal: Formula) -> Compiled:
     atom under some number of `not`s), built from base without compiling
     anything: an atom base numbers narrows its group's table, and a new atom
     becomes a group of one variable."""
-    atom, nots = _literal(literal)
+    [(atom, nots)] = _conjunction(literal)
     var = base.index.get(atom.key)
     if var is None:
         var = len(base.index)
@@ -279,7 +333,7 @@ def add_literal(base: Compiled, literal: Formula) -> Compiled:
         )
     g = base.group_of[var]
     vs, ps = base.groups[g]
-    table = _narrowed(base, var, nots)
+    table = _narrowed(base, var, nots, base.tables[g])
     return Compiled(
         base.index,
         base.groups[:g] + ((vs, ps + [[var] + [OP_NOT] * nots]),) + base.groups[g + 1:],
@@ -306,16 +360,16 @@ def add_formula(base: Compiled, f: Formula) -> Compiled:
 
 def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:
     """Satisfiability of the formulas together with a compiled base (none by
-    default).  Only the formulas are compiled, and only the base groups they
-    touch are decided again; one literal is decided from its group's stored
-    table, and compiles nothing."""
+    default).  A literal set, or a negated conjunction of literals, is decided
+    from the base's stored tables and compiles nothing (see the module
+    docstring); other formulas are compiled, and only the base groups they
+    touch are decided again."""
     base = _EMPTY if base is None else base
     fs = tuple(formulas)
-    lit = _literal(fs[0]) if len(fs) == 1 else None
-    if lit is not None:
-        _require_ground(fs)
-        var = base.index.get(lit[0].key)
-        return base.sat and (var is None or _narrowed(base, var, lit[1]) != 0)
+    _require_ground(fs)
+    alternatives = _literal_sets(fs)
+    if alternatives is not None:
+        return base.sat and any(_literals_fit(base, lits) for lits in alternatives)
     _, groups = _extend(base, fs)
     if not base.sat:
         return False

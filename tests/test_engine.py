@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import reference
-from dicekit import engine
+from dicekit import engine, satcore
 from dicekit.engine import (
     DefaultRule,
     EvalContext,
@@ -25,15 +25,18 @@ from dicekit.engine import (
     rule_instances,
     specificity,
 )
-from dicekit.errors import StepBoundExceeded, ValidationError
+from dicekit.errors import SatTooLarge, StepBoundExceeded, ValidationError
 from dicekit.formulas import (
     And,
     Att,
     Atom,
     Const,
     Eventually,
+    Iff,
+    Implies,
     Not,
     Yields,
+    conj,
     free_variables,
     instantiate,
     metavariables,
@@ -190,6 +193,14 @@ def test_a_compound_conjunct_whose_variables_nothing_else_binds_is_rejected():
     with pytest.raises(ValidationError):
         make_rule("Bare", ["?phi"], "(B I ?phi)")
     assert make_rule("Bound", ["(W A ?phi)", "?phi"], "(B I ?phi)").name == "Bound"
+
+
+def test_a_rule_with_an_empty_antecedent_is_rejected():
+    # with no conjunct to compare, specificity would count it as true
+    with pytest.raises(ValidationError, match="rule Always has an empty antecedent"):
+        DefaultRule("Always", (), Atom("fly"))
+    with pytest.raises(ValidationError, match="Never"):
+        make_rule("Never", [], "(not fly)")
 
 
 def test_rules_that_share_a_name_are_kept_apart():
@@ -634,6 +645,56 @@ def test_specificity_compares_antecedents_under_hard_rules():
     assert specificity((Atom("bird"),), (Atom("penguin"),), kb) == "second"
     assert specificity((Atom("p"),), (Atom("p"),), kb) == "incomparable"
     assert specificity((Atom("p"),), (Atom("q"),), kb) == "incomparable"
+
+
+def _random_antecedent(rng, atoms) -> tuple:
+    """Ground conjuncts: mostly literals, now and then a compound formula."""
+    return tuple(reference.random_formula(rng, atoms, rng.randint(1, 2)) if rng.random() < 0.25
+                 else reference.random_literal(rng, atoms) for _ in range(rng.randint(1, 3)))
+
+
+def _brute_specificity(a, b, hard) -> str:
+    fwd = reference.entails(a + hard, conj(b))
+    back = reference.entails(b + hard, conj(a))
+    return "first" if fwd and not back else "second" if back and not fwd else "incomparable"
+
+
+def test_specificity_matches_brute_force_under_random_hard_rules():
+    # a store grown one hard rule (and now and then a fact, which specificity
+    # ignores) at a time, and the same hard rules in a store made directly
+    rng = random.Random(1994)
+    seen = dict.fromkeys(("first", "second", "incomparable"), 0)
+    for _ in range(30):
+        atoms = [f"a{i}" for i in range(rng.randint(4, 6))]
+        kb = KnowledgeBase()
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                kb = kb.assert_fact((), reference.random_literal(rng, atoms))
+            left = reference.random_formula(rng, atoms, rng.randint(0, 1))
+            right = reference.random_formula(rng, atoms, rng.randint(0, 1))
+            kb = kb.add_hard_rule((), (Implies if rng.random() < 0.7 else Iff)(left, right))
+            hard = kb.store_at(()).hard_rules
+            direct = KnowledgeBase(stores={(): Store(hard_rules=hard)})
+            for _ in range(5):
+                pool = atoms + ["x0"]
+                a, b = _random_antecedent(rng, pool), _random_antecedent(rng, pool)
+                expected = _brute_specificity(a, b, hard)
+                assert specificity(a, b, kb) == specificity(a, b, direct) == expected
+                seen[expected] += 1
+            # the next store extends this one's compiled hard rules
+            assert "hard_compiled" in kb.store_at(()).__dict__
+    assert all(seen.values())
+
+
+def test_specificity_under_an_over_cap_hard_rule_set_raises_on_every_call():
+    # p0 -> p1 -> ... -> p25: one group of MAX_VARS + 1 variables
+    kb = KnowledgeBase()
+    for i in range(satcore.MAX_VARS):
+        kb = kb.add_hard_rule((), parse_formula(f"(-> p{i} p{i + 1})"))
+    for k in (kb, kb.assert_fact((), Atom("q")), kb.add_hard_rule((), parse_formula("(-> q r)"))):
+        for _ in range(2):
+            with pytest.raises(SatTooLarge):
+                specificity((Atom("q"),), (Atom("r"),), k)
 
 
 # ------------------------------------------------------------------- lazy yields

@@ -7,9 +7,9 @@ import random
 import pytest
 
 import reference
-from dicekit import satcore
+from dicekit import kb as kb_module, satcore
 from dicekit.errors import DepthExceeded, SatTooLarge, ValidationError
-from dicekit.formulas import Att, Atom, Const, Iff, Implies, Not, parse_formula, print_formula
+from dicekit.formulas import And, Att, Atom, Const, Iff, Implies, Not, parse_formula, print_formula
 from dicekit.kb import KnowledgeBase, Store
 
 
@@ -245,9 +245,9 @@ def _functor_keys(store: Store) -> dict:
 
 def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
     # hard rules, over atoms the root lacks too, and literals, one at a time:
-    # each child extends its parent's compiled form (merging the groups a rule
-    # touches), fact set and atoms, and agrees with a store built afresh and
-    # the oracle
+    # each child extends its parent's compiled forms (merging the groups a
+    # rule touches; a literal leaves the compiled hard rules as they are),
+    # fact set and atoms, and agrees with a store built afresh and the oracle
     rng = random.Random(1982)
     seen_unsat = seen_sat = 0
     for _ in range(12):
@@ -255,6 +255,7 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
         kb = KnowledgeBase(stores={(): _random_store(rng, atoms), ("A",): _random_store(rng, atoms)},
                            root_consistency_paths=(("A",),))
         kb.store_at(()).compiled
+        kb.store_at(()).hard_compiled
         kb.store_at(()).by_functor
         kb.store_at(()).fact_set
         for _ in range(rng.randint(1, 4)):
@@ -266,11 +267,13 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
                 right = reference.random_formula(rng, pool, rng.randint(0, 2))
                 kb = kb.add_hard_rule((), (Implies if rng.random() < 0.7 else Iff)(left, right))
             store = kb.store_at(())
-            assert {"fact_set", "compiled", "atoms", "by_functor"} <= store.__dict__.keys()
+            assert {"fact_set", "compiled", "hard_compiled", "atoms", "by_functor"} <= store.__dict__.keys()
             fresh = Store(store.facts, store.hard_rules)
             assert store.fact_set == fresh.fact_set
             assert store.atoms == fresh.atoms and _functor_keys(store) == _functor_keys(fresh)
             assert store.compiled.sat == fresh.compiled.sat == reference.satisfiable(store.formulas())
+            assert store.hard_compiled.index.keys() == fresh.hard_compiled.index.keys()
+            assert store.hard_compiled.sat == fresh.hard_compiled.sat == reference.satisfiable(store.hard_rules)
             seen_sat += store.compiled.sat
             seen_unsat += not store.compiled.sat
             _check_queries(rng, kb, atoms, 2)
@@ -295,10 +298,10 @@ def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
         kb.jointly_consistent_with((q,))
     store = kb.store_at(())
     # the root check of jointly_consistent_with reuses consistent_with's
-    # verdict, and a one-literal query (q, t, v and their negations) is
-    # decided from its group's table without compiling
-    compound = [q for q in queries if q.key.startswith(("(or", "(and"))]
-    assert len(compound) == 2
+    # verdict, and a literal-shaped query (q, t, v, (and p (not t)) and
+    # their negations) is decided from the groups' tables without compiling
+    compound = [q for q in queries if q.key.startswith("(or")]
+    assert len(compound) == 1
     assert len(compiled) == len(store.formulas()) + 2 * len(compound)
     # every verdict is kept on the store: asking again compiles nothing
     compiled.clear()
@@ -307,6 +310,44 @@ def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
         kb.consistent_with((), (q,))
         kb.jointly_consistent_with((q,))
     assert compiled == []
+
+
+def test_literal_shaped_queries_compile_nothing_and_match_enumeration_oracle(monkeypatch):
+    # entails of a literal or an `and` of literals (a negated conjunction),
+    # and consistency with literal extras or with a conjunction and its
+    # negation, are decided from the store's tables
+    rng = random.Random(2718)
+    seen_entailed = seen_sat = seen_unsat = 0
+    for _ in range(20):
+        atoms = [f"a{i}" for i in range(rng.randint(6, 8))]
+        store = _random_store(rng, atoms)
+        kb = kb0(stores={(): store})
+        fs = store.formulas()
+        store.compiled
+        with monkeypatch.context() as m:
+            m.setattr(satcore, "compile_program", None)
+            for _ in range(10):
+                lits = tuple(reference.random_literal(rng, atoms + ["x0"]) for _ in range(rng.randint(1, 3)))
+                q = lits[0] if len(lits) == 1 else And(lits)
+                expected = reference.entails(fs, q)
+                sat = reference.satisfiable(fs + lits)
+                for _ in range(2):  # the repeat is answered by the store's verdict memo
+                    assert kb.entails((), q) == expected
+                    assert kb.consistent_with((), lits) == sat
+                    assert kb.consistent_with((), (q, Not(q))) is False
+                seen_entailed += expected
+                seen_sat += sat
+                seen_unsat += not sat
+    assert seen_entailed and seen_sat and seen_unsat
+
+
+def test_a_kept_entailment_verdict_builds_no_negation(monkeypatch):
+    kb = kb0().assert_fact((), parse_formula("(and p (not r))"))
+    queries = [parse_formula(text) for text in ("p", "r", "(and p (not r))", "(or p r)")]
+    verdicts = [kb.entails((), q) for q in queries]
+    assert verdicts == [True, False, True, True]
+    monkeypatch.setattr(kb_module, "Not", None)  # the memo is read before (not q) is built
+    assert [kb.entails((), q) for q in queries] == verdicts
 
 
 def test_entails_raises_on_an_over_cap_store_group():

@@ -10,7 +10,7 @@ import pytest
 import reference
 from dicekit import satcore
 from dicekit.errors import SatTooLarge, ValidationError
-from dicekit.formulas import Atom, Att, Iff, Not, Or, Yields, parse_formula
+from dicekit.formulas import And, Atom, Att, Iff, Not, Or, Yields, parse_formula
 
 
 def test_empty_store_is_satisfiable():
@@ -114,13 +114,86 @@ def test_add_literal_extends_a_base_without_compiling(monkeypatch):
 
 def test_non_ground_formulas_rejected():
     literal = parse_formula("(p ?x)")
-    # a one-literal query is checked before its group's table is read, and
-    # before an unsatisfiable base answers False
+    q = Atom("q")
+    # a literal set is checked before any table is read, before an
+    # unsatisfiable base answers False, and before a complementary pair does
     for base in (None, satcore.compile_formulas([parse_formula("(p x)")]),
-                 satcore.compile_formulas([Atom("q"), Not(Atom("q"))])):
-        for fs in ((literal,), (Not(Not(literal)),), (literal, Atom("q")), (Or((literal, Atom("q"))),)):
+                 satcore.compile_formulas([q, Not(q)])):
+        for fs in ((literal,), (Not(Not(literal)),), (literal, q), (Or((literal, q)),),
+                   (And((q, literal)),), (Not(And((q, literal))),), (q, Not(q), literal),
+                   (Not(And((q, Not(q)))), Not(And((q, literal))))):
             with pytest.raises(ValidationError):
                 satcore.satisfiable(fs, base=base)
+
+
+def _literal_shaped(rng, atoms) -> list:
+    """Extras that form a literal set: literals (double negations, repeats
+    and complementary pairs among them), `and`s of literals, nested or not,
+    and at most one negated conjunction of literals."""
+
+    def literal():
+        f = reference.random_literal(rng, atoms)
+        return Not(Not(f)) if rng.random() < 0.2 else f
+
+    def conjunction(depth=0):
+        return And(tuple(conjunction(depth + 1) if depth == 0 and rng.random() < 0.2 else literal()
+                         for _ in range(rng.randint(2, 3))))
+
+    extras = [literal() for _ in range(rng.randint(0, 3))]
+    if extras and rng.random() < 0.3:
+        extras.append(rng.choice(extras))
+    if extras and rng.random() < 0.3:
+        extras.append(Not(rng.choice(extras)))
+    extras += [conjunction() for _ in range(rng.choice((0, 0, 1, 2)))]
+    if rng.random() < 0.5:
+        negated = Not(conjunction())
+        extras.append(Not(Not(negated)) if rng.random() < 0.2 else negated)
+    rng.shuffle(extras)
+    return extras
+
+
+def _negated_conjunction(f) -> bool:
+    nots = 0
+    while isinstance(f, Not):
+        f, nots = f.body, nots + 1
+    return nots % 2 == 1 and isinstance(f, And)
+
+
+def test_literal_sets_are_decided_from_the_tables_and_match_enumeration_oracle(monkeypatch):
+    # bases of several groups, satisfiable or not; literal-shaped extras over
+    # their atoms and atoms they lack, decided with nothing compiled
+    rng = random.Random(1995)
+    seen_sat = seen_unsat = seen_unsat_base = seen_negated = 0
+    for _ in range(40):
+        atoms = [f"a{i}" for i in range(rng.randint(6, 9))]
+        groups = _split(rng, atoms, rng.randint(2, 3))
+        fs = [f for g in groups for f in _group_formulas(rng, g, rng.randint(0, 2))]
+        base = satcore.compile_formulas(fs)
+        seen_unsat_base += not base.sat
+        with monkeypatch.context() as m:
+            m.setattr(satcore, "compile_program", None)
+            for _ in range(12):
+                extras = _literal_shaped(rng, atoms + ["x0", "x1"])
+                expected = reference.satisfiable(fs + extras)
+                assert satcore.satisfiable(extras, base=base) == expected
+                assert satcore.satisfiable(extras) == reference.satisfiable(extras)
+                seen_sat += expected
+                seen_unsat += not expected
+                seen_negated += any(_negated_conjunction(f) for f in extras)
+    assert seen_sat and seen_unsat and seen_unsat_base and seen_negated
+
+
+def test_formulas_beyond_a_literal_set_are_compiled():
+    # two negated conjunctions, a negated conjunction inside a conjunction,
+    # or an `or` beside a negated conjunction are no literal set: they are
+    # compiled, and agree with the oracle
+    rule = parse_formula("(-> p q)")
+    base = satcore.compile_formulas([rule])
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    for extras in ([q, Not(And((p, q))), Not(And((Not(p), q)))],
+                   [p, Not(And((q, Not(And((r, q))))))],
+                   [Not(Not(Not(And((p, q))))), p, Not(Or((r, q)))]):
+        assert satcore.satisfiable(extras, base=base) == reference.satisfiable([rule] + extras)
 
 
 def test_kernels_match_enumeration_oracle():
