@@ -484,8 +484,8 @@ def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new:
                 bindings = _bind_conjunct(bindings, later, later_anchors, every)
             for b in bindings:
                 found.setdefault(render_binding(b), b)
-        if new is every:
-            break  # no atom is old
+        if new is every or i == len(anchored) - 1:
+            break  # no atom is old, or no conjunct is left to bind after this one
         prefix = _bind_conjunct(prefix, pat, anchors, every, old=new[0])
         if not prefix:
             break

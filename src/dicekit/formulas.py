@@ -27,12 +27,24 @@ variables (`Formula.variables` and `Formula.fvar_names`) and its functor
 (`Formula.functor`), which rule matching reads on every round.  Equality
 stays structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
 equality only between ground formulas.
+
+Every walk over a node (`children`, printing, groundness, `free_variables`,
+`metavariables`, `substitute`, `match`, `instantiate` and the functor)
+dispatches once on `type(node)` through a table with one entry per node
+class, instead of trying a cascade of structural `match` cases in turn.  A
+node class missing from a table raises `KeyError` rather than falling
+through to a default.  The cached values are kept by `cached_attr`, a
+non-data descriptor like `functools.cached_property` without its lock:
+CPython 3.10 and 3.11 take that lock on every first read (3.12 dropped it,
+gh-87634), and the values are pure and dicekit single-threaded, so the lock
+guards nothing.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from . import sexp
@@ -89,27 +101,44 @@ class Plan:
 # ------------------------------------------------------------------------- formulas
 
 
+class cached_attr:
+    """An attribute computed by its function on first read and then kept in
+    the instance's `__dict__`, where later reads find it without a call.
+    Storing into `__dict__` also works on a frozen dataclass."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Formula:
     def __str__(self) -> str:
         return self.key
 
-    @functools.cached_property
+    @cached_attr
     def key(self) -> str:
         """Canonical printed form, built from the children's keys."""
         return _render(self)
 
-    @functools.cached_property
+    @cached_attr
     def ground(self) -> bool:
         """No term variable is free and no metavariable occurs."""
         return _ground(self)
 
-    @functools.cached_property
+    @cached_attr
     def variables(self) -> frozenset[str]:
         """What a match must bind: the free term variables, the formula
         metavariables and the ?-slots."""
         return metavariables(self) | free_variables(self)
 
-    @functools.cached_property
+    @cached_attr
     def functor(self) -> tuple | None:
         """What `match` compares literally at the head of the formula: its
         class name and, for an atom or relation atom, the predicate and
@@ -119,7 +148,7 @@ class Formula:
         formula of any functor (or, of an unknown shape, raise)."""
         return _functor(self)
 
-    @functools.cached_property
+    @cached_attr
     def fvar_names(self) -> frozenset[str]:
         """The names of the formula metavariables."""
         return frozenset(g.name for g in subformulas(self) if isinstance(g, FVar))
@@ -391,11 +420,24 @@ def parse_formula(text: str) -> Formula:
     return from_sexp(sexp.read(text))
 
 
+# ------------------------------------------------------------------------ dispatch
+
+# Node classes grouped by the fields a walk descends through: each table below
+# maps every node class to its case, the classes of a group sharing one.
+_UNARY = (Not, Eventually, Can, Imp)  # body
+_BINARY = (Implies, Iff, Default, Yields)  # left, right
+_NARY = (And, Or)  # parts
+_PLANS = (Doing, Done)  # plan
+
+
+def _cases(unary, binary, nary, plans, singles: dict) -> dict:
+    """A dispatch table: the case of each group, then those of the other
+    classes (atoms, metavariables, generics, attitudes and tokens)."""
+    return {**dict.fromkeys(_UNARY, unary), **dict.fromkeys(_BINARY, binary),
+            **dict.fromkeys(_NARY, nary), **dict.fromkeys(_PLANS, plans), **singles}
+
+
 # -------------------------------------------------------------------------- printer
-
-
-def _term_str(t: Term) -> str:
-    return t.name
 
 
 def print_formula(f: Formula) -> str:
@@ -407,67 +449,39 @@ def print_formula(f: Formula) -> str:
 
 def _render(f: Formula) -> str:
     """One node's printed form, from its children's keys."""
-    match f:
-        case Atom(pred, args):
-            if not args:
-                return pred
-            return "(" + " ".join([pred] + [_term_str(a) for a in args]) + ")"
-        case FVar(name, shape):
-            return f"?{name}:{shape}" if shape else f"?{name}"
-        case Not(body):
-            return f"(not {body.key})"
-        case And(parts):
-            return "(and " + " ".join(p.key for p in parts) + ")"
-        case Or(parts):
-            return "(or " + " ".join(p.key for p in parts) + ")"
-        case Implies(l, r):
-            return f"(-> {l.key} {r.key})"
-        case Iff(l, r):
-            return f"(<-> {l.key} {r.key})"
-        case Default(l, r):
-            return f"(> {l.key} {r.key})"
-        case Generic(var, ant, cons):
-            return f"(forall {var} (> {ant.key} {cons.key}))"
-        case Att(kind, agent, body):
-            return f"({kind} {agent} {body.key})"
-        case Doing(plan):
-            return f"(R {plan})"
-        case Done(plan):
-            return f"(D {plan})"
-        case Eventually(body):
-            return f"(eventually {body.key})"
-        case Can(body):
-            return f"(can {body.key})"
-        case Imp(body):
-            return f"(imp {body.key})"
-        case SiteToken(t, a, b):
-            return f"(site {t} {a} {b})"
-        case InfoToken(a, b):
-            return f"(info {a} {b})"
-        case RelAtom(rel, args):
-            return "(rel " + " ".join((rel,) + args) + ")"
-        case Yields(l, r):
-            return f"(yields {l.key} {r.key})"
-    raise TypeError(f"not a formula: {f!r}")
+    return _RENDER[type(f)](f)
+
+
+_HEADS = {Not: "not", Eventually: "eventually", Can: "can", Imp: "imp", And: "and", Or: "or",
+          Implies: "->", Iff: "<->", Default: ">", Yields: "yields", Doing: "R", Done: "D"}
+_RENDER = _cases(
+    lambda f: f"({_HEADS[type(f)]} {f.body.key})",
+    lambda f: f"({_HEADS[type(f)]} {f.left.key} {f.right.key})",
+    lambda f: f"({_HEADS[type(f)]} " + " ".join([p.key for p in f.parts]) + ")",
+    lambda f: f"({_HEADS[type(f)]} {f.plan})", {
+        Atom: lambda f: "(" + " ".join([f.pred, *[t.name for t in f.args]]) + ")" if f.args else f.pred,
+        FVar: lambda f: f"?{f.name}:{f.shape}" if f.shape else f"?{f.name}",
+        Generic: lambda f: f"(forall {f.var} (> {f.antecedent.key} {f.consequent.key}))",
+        Att: lambda f: f"({f.kind} {f.agent} {f.body.key})",
+        SiteToken: lambda f: f"(site {f.tau} {f.attach_to} {f.new})",
+        InfoToken: lambda f: f"(info {f.attach_to} {f.new})",
+        RelAtom: lambda f: f"(rel {f.rel} {f.args[0]} {f.args[1]})"})
 
 
 # ------------------------------------------------------------------- structure walks
 
+_SLOTS = {SiteToken: attrgetter("tau", "attach_to", "new"), InfoToken: attrgetter("attach_to", "new"),
+          RelAtom: attrgetter("args")}
+
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Not(b) | Eventually(b) | Can(b) | Imp(b):
-            return (b,)
-        case And(parts) | Or(parts):
-            return parts
-        case Implies(l, r) | Iff(l, r) | Default(l, r) | Yields(l, r):
-            return (l, r)
-        case Generic(_, ant, cons):
-            return (ant, cons)
-        case Att(_, _, body):
-            return (body,)
-        case _:
-            return ()
+    return _CHILDREN[type(f)](f)
+
+
+_leaf = lambda f: ()
+_CHILDREN = _cases(lambda f: (f.body,), attrgetter("left", "right"), attrgetter("parts"), _leaf, {
+    Atom: _leaf, FVar: _leaf, Generic: attrgetter("antecedent", "consequent"), Att: lambda f: (f.body,),
+    SiteToken: _leaf, InfoToken: _leaf, RelAtom: _leaf})
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -476,34 +490,41 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(c)
 
 
+_NONE: frozenset[str] = frozenset()
+
+
 def free_variables(f: Formula) -> frozenset[str]:
     """Free term variables (generic-bound occurrences excluded)."""
-    match f:
-        case Atom(_, args):
-            return frozenset(t.name for t in args if isinstance(t, Var))
-        case Generic(var, ant, cons):
-            return (free_variables(ant) | free_variables(cons)) - {var}
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(f):
-                out |= free_variables(c)
-            return out
+    return _FREE[type(f)](f)
+
+
+def _free_in_children(f: Formula) -> frozenset[str]:
+    return _NONE.union(*[_FREE[type(c)](c) for c in children(f)])
+
+
+_no_names = lambda f: _NONE
+_FREE = _cases(_free_in_children, _free_in_children, _free_in_children, _no_names, {
+    Atom: lambda f: frozenset([t.name for t in f.args if type(t) is Var]), FVar: _no_names,
+    Generic: lambda f: _free_in_children(f) - {f.var}, Att: _free_in_children,
+    SiteToken: _no_names, InfoToken: _no_names, RelAtom: _no_names})
 
 
 def metavariables(f: Formula) -> frozenset[str]:
     """Names of formula metavariables and ?-slots in token/relation positions."""
-    out = set()
-    for g in subformulas(f):
-        match g:
-            case FVar(name, _):
-                out.add(name)
-            case SiteToken(t, a, b):
-                out.update(x[1:] for x in (t, a, b) if _is_metavar(x))
-            case InfoToken(a, b):
-                out.update(x[1:] for x in (a, b) if _is_metavar(x))
-            case RelAtom(_, args):
-                out.update(x[1:] for x in args if _is_metavar(x))
-    return frozenset(out)
+    return _META[type(f)](f)
+
+
+def _meta_in_children(f: Formula) -> frozenset[str]:
+    return _NONE.union(*[_META[type(c)](c) for c in children(f)])
+
+
+def _meta_in_slots(f: Formula) -> frozenset[str]:
+    return frozenset([x[1:] for x in _SLOTS[type(f)](f) if _is_metavar(x)])
+
+
+_META = _cases(_meta_in_children, _meta_in_children, _meta_in_children, _no_names, {
+    Atom: _no_names, FVar: lambda f: frozenset([f.name]), Generic: _meta_in_children, Att: _meta_in_children,
+    SiteToken: _meta_in_slots, InfoToken: _meta_in_slots, RelAtom: _meta_in_slots})
 
 
 def is_ground(f: Formula) -> bool:
@@ -514,21 +535,23 @@ def _ground(f: Formula) -> bool:
     """One node's groundness, from its own slots and terms and its children's
     cached groundness.  A generic's variable is free in its children, so a
     generic is checked in full."""
-    match f:
-        case Atom(_, args):
-            return not any(isinstance(t, Var) for t in args)
-        case FVar():
-            return False
-        case SiteToken(t, a, b):
-            return not any(_is_metavar(x) for x in (t, a, b))
-        case InfoToken(a, b):
-            return not any(_is_metavar(x) for x in (a, b))
-        case RelAtom(_, args):
-            return not any(_is_metavar(x) for x in args)
-        case Generic():
-            return not free_variables(f) and not metavariables(f)
-        case _:
-            return all(c.ground for c in children(f))
+    return _GROUND[type(f)](f)
+
+
+def _slots_filled(f: Formula) -> bool:
+    return not any(map(_is_metavar, _SLOTS[type(f)](f)))
+
+
+_GROUND = _cases(
+    lambda f: f.body.ground,
+    lambda f: f.left.ground and f.right.ground,
+    lambda f: all([p.ground for p in f.parts]),
+    lambda f: True, {
+        Atom: lambda f: Var not in map(type, f.args),
+        FVar: lambda f: False,
+        Generic: lambda f: not free_variables(f) and not metavariables(f),
+        Att: lambda f: f.body.ground,
+        SiteToken: _slots_filled, InfoToken: _slots_filled, RelAtom: _slots_filled})
 
 
 def conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -548,9 +571,12 @@ def conj(parts) -> Formula:
     return parts[0] if len(parts) == 1 else And(parts)
 
 
+_CONNECTIVES = frozenset((Not, And, Or, Implies, Iff))
+
+
 def sat_atomic(f: Formula) -> bool:
     """True when the ground-satisfiability layer treats f as one opaque variable."""
-    return not isinstance(f, (Not, And, Or, Implies, Iff))
+    return type(f) not in _CONNECTIVES
 
 
 def collect_constants(f: Formula) -> frozenset[str]:
@@ -566,44 +592,27 @@ def collect_constants(f: Formula) -> frozenset[str]:
 
 def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Replace free term variables by constants; generic binders shadow."""
-    match f:
-        case Atom(pred, args):
-            return Atom(
-                pred,
-                tuple(
-                    Const(mapping[t.name]) if isinstance(t, Var) and t.name in mapping else t
-                    for t in args
-                ),
-            )
-        case Generic(var, ant, cons):
-            inner = {k: v for k, v in mapping.items() if k != var}
-            if not inner:
-                return f
-            return Generic(var, substitute(ant, inner), substitute(cons, inner))
-        case Not(b):
-            return Not(substitute(b, mapping))
-        case And(parts):
-            return And(tuple(substitute(p, mapping) for p in parts))
-        case Or(parts):
-            return Or(tuple(substitute(p, mapping) for p in parts))
-        case Implies(l, r):
-            return Implies(substitute(l, mapping), substitute(r, mapping))
-        case Iff(l, r):
-            return Iff(substitute(l, mapping), substitute(r, mapping))
-        case Default(l, r):
-            return Default(substitute(l, mapping), substitute(r, mapping))
-        case Att(kind, agent, body):
-            return Att(kind, agent, substitute(body, mapping))
-        case Eventually(b):
-            return Eventually(substitute(b, mapping))
-        case Can(b):
-            return Can(substitute(b, mapping))
-        case Imp(b):
-            return Imp(substitute(b, mapping))
-        case Yields(l, r):
-            return Yields(substitute(l, mapping), substitute(r, mapping))
-        case _:
-            return f
+    return _SUBSTITUTE[type(f)](f, mapping)
+
+
+def _substitute_generic(f: Generic, mapping: Mapping[str, str]) -> Formula:
+    inner = {k: v for k, v in mapping.items() if k != f.var}
+    if not inner:
+        return f
+    return Generic(f.var, substitute(f.antecedent, inner), substitute(f.consequent, inner))
+
+
+_unchanged = lambda f, _: f
+_SUBSTITUTE = _cases(
+    lambda f, m: type(f)(substitute(f.body, m)),
+    lambda f, m: type(f)(substitute(f.left, m), substitute(f.right, m)),
+    lambda f, m: type(f)(tuple([substitute(p, m) for p in f.parts])),
+    _unchanged, {
+        Atom: lambda f, m: Atom(f.pred, tuple(
+            [Const(m[t.name]) if type(t) is Var and t.name in m else t for t in f.args])),
+        Generic: _substitute_generic,
+        Att: lambda f, m: Att(f.kind, f.agent, substitute(f.body, m)),
+        FVar: _unchanged, SiteToken: _unchanged, InfoToken: _unchanged, RelAtom: _unchanged})
 
 
 # ------------------------------------------------------------------ pattern matching
@@ -611,174 +620,152 @@ def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
 Binding = dict[str, "Formula | str | Const"]
 
 
-def _match_slot(pat: str, got: str, b: Binding) -> Binding | None:
-    if _is_metavar(pat):
-        name = pat[1:]
-        if name in b:
-            return b if b[name] == got else None
-        b = dict(b)
-        b[name] = got
-        return b
-    return b if pat == got else None
-
-
-def _match_term(pat: Term, got: Term, b: Binding) -> Binding | None:
-    if isinstance(pat, Var):
-        if pat.name in b:
-            return b if b[pat.name] == got else None
-        b = dict(b)
-        b[pat.name] = got
-        return b
-    return b if pat == got else None
-
-
-def _shape_ok(shape: str | None, f: Formula) -> bool:
-    if shape is None:
-        return True
-    if shape == "doing":
-        return isinstance(f, Doing)
-    raise ValidationError(f"unknown metavariable shape {shape!r}")
-
-
 def match(pattern: Formula, fact: Formula, binding: Binding | None = None) -> Binding | None:
-    """Structurally match a pattern against a ground formula; None on failure."""
-    b: Binding | None = dict(binding) if binding else {}
-    if isinstance(pattern, FVar):
-        if not _shape_ok(pattern.shape, fact):
-            return None
-        if pattern.name in b:
-            return b if b[pattern.name] == fact else None
-        b[pattern.name] = fact
-        return b
-    if type(pattern) is not type(fact):
-        return None
-    match pattern:
-        case Atom(pred, args):
-            assert isinstance(fact, Atom)
-            if pred != fact.pred or len(args) != len(fact.args):
-                return None
-            for p, g in zip(args, fact.args):
-                b = _match_term(p, g, b)
-                if b is None:
-                    return None
-            return b
-        case SiteToken(t, a, n):
-            assert isinstance(fact, SiteToken)
-            for p, g in ((t, fact.tau), (a, fact.attach_to), (n, fact.new)):
-                b = _match_slot(p, g, b)
-                if b is None:
-                    return None
-            return b
-        case InfoToken(a, n):
-            assert isinstance(fact, InfoToken)
-            for p, g in ((a, fact.attach_to), (n, fact.new)):
-                b = _match_slot(p, g, b)
-                if b is None:
-                    return None
-            return b
-        case RelAtom(rel, args):
-            assert isinstance(fact, RelAtom)
-            if rel != fact.rel or len(args) != len(fact.args):
-                return None
-            for p, g in zip(args, fact.args):
-                b = _match_slot(p, g, b)
-                if b is None:
-                    return None
-            return b
-        case Att(kind, agent, body):
-            assert isinstance(fact, Att)
-            if kind != fact.kind or agent != fact.agent:
-                return None
-            return match(body, fact.body, b)
-        case Doing(plan) | Done(plan):
-            return b if plan == fact.plan else None  # type: ignore[union-attr]
-        case Generic(var, _, _):
-            return b if pattern == fact else None
-        case _:
-            pc, fc = children(pattern), children(fact)
-            if len(pc) != len(fc):
-                return None
-            for p, g in zip(pc, fc):
-                b = match(p, g, b)
-                if b is None:
-                    return None
-            return b
+    """Structurally match a pattern against a ground formula; None on failure.
+
+    A generic pattern matches a generic of the same variable, which matches
+    itself and nothing else, while its free variables bind as anywhere."""
+    b: Binding = dict(binding) if binding else {}
+    return b if _match(pattern, fact, b) else None
+
+
+def _match(p: Formula, f: Formula, b: Binding) -> bool:
+    """Whether p matches f, extending b in place (a failed match leaves b
+    partly extended, for the caller to drop)."""
+    if type(p) is not type(f):
+        return type(p) is FVar and _match_fvar(p, f, b)
+    return _MATCH[type(p)](p, f, b)
+
+
+def _match_fvar(p: FVar, f: Formula, b: Binding) -> bool:
+    if p.shape is not None and p.shape != "doing":
+        raise ValidationError(f"unknown metavariable shape {p.shape!r}")
+    if p.shape == "doing" and type(f) is not Doing:
+        return False
+    if p.name in b:
+        return b[p.name] == f
+    b[p.name] = f
+    return True
+
+
+def _match_term(p: Term, got: Term, b: Binding) -> bool:
+    if type(p) is Const:
+        return p == got
+    if p.name in b:
+        return b[p.name] == got
+    if type(got) is Var:
+        return False  # a generic's own variable binds nothing outside it
+    b[p.name] = got
+    return True
+
+
+def _match_slot(p: str, got: str, b: Binding) -> bool:
+    if not _is_metavar(p):
+        return p == got
+    name = p[1:]
+    if name in b:
+        return b[name] == got
+    b[name] = got
+    return True
+
+
+def _match_slots(p: Formula, f: Formula, b: Binding) -> bool:
+    slots = _SLOTS[type(p)]
+    return all(map(_match_slot, slots(p), slots(f), repeat(b)))
+
+
+def _match_generic(p: Generic, f: Generic, b: Binding) -> bool:
+    # the generic's own variable, free on both sides, matches only itself: a
+    # generic over another variable matches nothing (no alpha-renaming)
+    outer = b.get(p.var)
+    b[p.var] = Var(p.var)
+    ok = _match(p.antecedent, f.antecedent, b) and _match(p.consequent, f.consequent, b)
+    if outer is None:
+        del b[p.var]
+    else:
+        b[p.var] = outer
+    return ok
+
+
+_MATCH = _cases(
+    lambda p, f, b: _match(p.body, f.body, b),
+    lambda p, f, b: _match(p.left, f.left, b) and _match(p.right, f.right, b),
+    lambda p, f, b: len(p.parts) == len(f.parts) and all(map(_match, p.parts, f.parts, repeat(b))),
+    lambda p, f, b: p.plan == f.plan, {
+        Atom: lambda p, f, b: (p.pred == f.pred and len(p.args) == len(f.args)
+                               and all(map(_match_term, p.args, f.args, repeat(b)))),
+        FVar: _match_fvar,
+        Generic: _match_generic,
+        Att: lambda p, f, b: p.kind == f.kind and p.agent == f.agent and _match(p.body, f.body, b),
+        SiteToken: _match_slots, InfoToken: _match_slots,
+        RelAtom: lambda p, f, b: p.rel == f.rel and _match_slots(p, f, b)})
 
 
 def _functor(f: Formula) -> tuple | None:
     # the class by name: a tuple of strings and ints is one the cycle
     # collector stops tracking, and every formula node keeps one
-    match f:
-        case FVar(_, shape):
-            return ("Doing",) if shape == "doing" else None
-        case Atom(pred, args):
-            return ("Atom", pred, len(args))
-        case RelAtom(rel, args):
-            return ("RelAtom", rel, len(args))
-        case Att(kind, agent, _):
-            return ("Att", kind, agent)
-        case _:
-            return (type(f).__name__,)
+    return _FUNCTOR[type(f)](f)
+
+
+_by_class = lambda f: (type(f).__name__,)
+_FUNCTOR = _cases(_by_class, _by_class, _by_class, _by_class, {
+    Atom: lambda f: ("Atom", f.pred, len(f.args)),
+    FVar: lambda f: ("Doing",) if f.shape == "doing" else None,
+    Att: lambda f: ("Att", f.kind, f.agent),
+    RelAtom: lambda f: ("RelAtom", f.rel, len(f.args)),
+    Generic: _by_class, SiteToken: _by_class, InfoToken: _by_class})
+
+
+def _bound(name: str, b: Binding):
+    if name not in b:
+        raise ValidationError(f"unbound metavariable ?{name}")
+    return b[name]
 
 
 def _slot_value(pat: str, b: Binding) -> str:
-    if _is_metavar(pat):
-        name = pat[1:]
-        if name not in b:
-            raise ValidationError(f"unbound metavariable ?{name}")
-        v = b[name]
-        return v.name if isinstance(v, Const) else str(v)
-    return pat
+    if not _is_metavar(pat):
+        return pat
+    v = _bound(pat[1:], b)
+    return v.name if isinstance(v, Const) else str(v)
 
 
 def instantiate(pattern: Formula, b: Binding) -> Formula:
-    """Ground a rule pattern with a binding produced by match()."""
-    match pattern:
-        case FVar(name, _):
-            if name not in b:
-                raise ValidationError(f"unbound metavariable ?{name}")
-            v = b[name]
-            if not isinstance(v, Formula):
-                raise ValidationError(f"metavariable ?{name} is not bound to a formula")
-            return v
-        case Atom(pred, args):
-            out = []
-            for t in args:
-                if isinstance(t, Var):
-                    if t.name not in b:
-                        raise ValidationError(f"unbound metavariable ?{t.name}")
-                    v = b[t.name]
-                    out.append(v if isinstance(v, Const) else Const(str(v)))
-                else:
-                    out.append(t)
-            return Atom(pred, tuple(out))
-        case SiteToken(t, a, n):
-            return SiteToken(_slot_value(t, b), _slot_value(a, b), _slot_value(n, b))
-        case InfoToken(a, n):
-            return InfoToken(_slot_value(a, b), _slot_value(n, b))
-        case RelAtom(rel, args):
-            return RelAtom(rel, tuple(_slot_value(x, b) for x in args))
-        case Att(kind, agent, body):
-            return Att(kind, agent, instantiate(body, b))
-        case Not(x):
-            return Not(instantiate(x, b))
-        case And(parts):
-            return And(tuple(instantiate(p, b) for p in parts))
-        case Or(parts):
-            return Or(tuple(instantiate(p, b) for p in parts))
-        case Implies(l, r):
-            return Implies(instantiate(l, b), instantiate(r, b))
-        case Iff(l, r):
-            return Iff(instantiate(l, b), instantiate(r, b))
-        case Default(l, r):
-            return Default(instantiate(l, b), instantiate(r, b))
-        case Eventually(x):
-            return Eventually(instantiate(x, b))
-        case Can(x):
-            return Can(instantiate(x, b))
-        case Imp(x):
-            return Imp(instantiate(x, b))
-        case Yields(l, r):
-            return Yields(instantiate(l, b), instantiate(r, b))
-        case _:
-            return pattern
+    """Ground a rule pattern with a binding produced by match().  A generic
+    keeps its own variable."""
+    return _INSTANTIATE[type(pattern)](pattern, b)
+
+
+def _instantiate_fvar(p: FVar, b: Binding) -> Formula:
+    v = _bound(p.name, b)
+    if not isinstance(v, Formula):
+        raise ValidationError(f"metavariable ?{p.name} is not bound to a formula")
+    return v
+
+
+def _instantiate_term(t: Term, b: Binding) -> Term:
+    if type(t) is Const:
+        return t
+    v = _bound(t.name, b)
+    return v if type(v) in (Const, Var) else Const(str(v))
+
+
+def _instantiate_slots(p: Formula, b: Binding) -> Formula:
+    return type(p)(*[_slot_value(x, b) for x in _SLOTS[type(p)](p)])
+
+
+def _instantiate_generic(p: Generic, b: Binding) -> Formula:
+    inner = {**b, p.var: Var(p.var)}
+    return Generic(p.var, instantiate(p.antecedent, inner), instantiate(p.consequent, inner))
+
+
+_INSTANTIATE = _cases(
+    lambda p, b: type(p)(instantiate(p.body, b)),
+    lambda p, b: type(p)(instantiate(p.left, b), instantiate(p.right, b)),
+    lambda p, b: type(p)(tuple([instantiate(x, b) for x in p.parts])),
+    _unchanged, {
+        Atom: lambda p, b: Atom(p.pred, tuple([_instantiate_term(t, b) for t in p.args])),
+        FVar: _instantiate_fvar,
+        Generic: _instantiate_generic,
+        Att: lambda p, b: Att(p.kind, p.agent, instantiate(p.body, b)),
+        SiteToken: _instantiate_slots, InfoToken: _instantiate_slots,
+        RelAtom: lambda p, b: RelAtom(p.rel, tuple([_slot_value(x, b) for x in p.args]))})

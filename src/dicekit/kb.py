@@ -17,7 +17,6 @@ takes A to believe.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -29,6 +28,7 @@ from .formulas import (
     Iff,
     Implies,
     Not,
+    cached_attr,
     children,
     collect_constants,
     conjuncts,
@@ -161,28 +161,28 @@ class Store:
             child.__dict__["carry"] = built["carry"]
         return child
 
-    @functools.cached_property
+    @cached_attr
     def fact_set(self) -> frozenset[Formula]:
         return frozenset(self.facts)
 
-    @functools.cached_property
+    @cached_attr
     def compiled(self) -> satcore.Compiled:
         return satcore.compile_formulas(self.formulas())
 
-    @functools.cached_property
+    @cached_attr
     def hard_compiled(self) -> satcore.Compiled:
         """The compiled form of the hard rules alone, the base against which
         `engine.specificity` compares antecedents."""
         return satcore.compile_formulas(self.hard_rules)
 
-    @functools.cached_property
+    @cached_attr
     def atoms(self) -> dict[str, Formula]:
         """The opaque atoms of the store's facts and hard rules by canonical
         key.  Built apart from `compiled`, so asking for them never raises
         `SatTooLarge`."""
         return _atoms_of(self.formulas())
 
-    @functools.cached_property
+    @cached_attr
     def by_functor(self) -> dict[tuple, tuple[Formula, ...]]:
         """The store's atoms by `Formula.functor`: the atoms a pattern can match."""
         return _by_functor(self.atoms.values())
@@ -196,7 +196,7 @@ class Store:
         atoms = _atoms_of(self.facts[n_facts:] + self.hard_rules[n_hard:])
         return atoms, _by_functor(atoms.values())
 
-    @functools.cached_property
+    @cached_attr
     def carry(self) -> dict:
         """What the engine's last closure of this store, or of its nearest
         closed ancestor, left for the next closure (see `engine._fixpoint`);
@@ -208,7 +208,7 @@ class Store:
         closures of the store and its descendants."""
         self.__dict__["carry"] = carry
 
-    @functools.cached_property
+    @cached_attr
     def _verdicts(self) -> dict:
         return {}
 
@@ -258,7 +258,7 @@ class KnowledgeBase:
 
     # -- access ------------------------------------------------------------
 
-    @functools.cached_property
+    @cached_attr
     def _closures(self) -> dict:
         """The engine's closure memo (see `engine.defeasible_closure`)."""
         return {}

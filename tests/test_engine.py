@@ -620,6 +620,16 @@ def test_closure_binds_variables_shared_by_slots_and_terms():
         assert res.kb.has_fact((), parse_formula(want)), ants
 
 
+def test_a_generic_conjunct_binds_its_free_variables():
+    rule = make_rule("R", ["(forall x (> (p x) (q x ?y)))", "(r ?y)"], "(s ?y)")
+    kb = kb_with(["(r c)", "(r d)", "(forall x (> (p x) (q x c)))", "(forall z (> (p z) (q z d)))"])
+    res = defeasible_closure(kb, (rule,))
+    assert res.kb.has_fact((), parse_formula("(s c)"))
+    # a generic over another variable is not renamed to match
+    assert not res.kb.has_fact((), parse_formula("(s d)"))
+    assert [i.key for i in rule_instances(rule, kb, ())] == ["{y=c}"]
+
+
 def test_intention_update_builtin_advances_plans():
     from dicekit.axioms import standard_axioms
 

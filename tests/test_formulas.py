@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import collections
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicekit import formulas as formulas_module
@@ -23,6 +24,7 @@ from dicekit.formulas import (
     Done,
     Eventually,
     FVar,
+    Formula,
     Generic,
     Iff,
     Imp,
@@ -390,6 +392,8 @@ def test_instantiate_requires_bindings():
         ("(rel Result ?x ?y)", "(rel Result alpha beta)"),
         ("(and (site ?t ?x ?y) (info ?x ?y))", "(and (site tau1 a b) (info a b))"),
         ("(yields ?u (eventually ?phi))", "(yields (p a) (eventually (q b)))"),
+        ("(forall x (> (p x) (q x ?y)))", "(forall x (> (p x) (q x c)))"),
+        ("(and (r ?x) (forall x (> (p x) (q x ?x))))", "(and (r a) (forall x (> (p x) (q x x))))"),
     ],
 )
 def test_match_instantiate_round_trip(pattern, fact):
@@ -397,3 +401,94 @@ def test_match_instantiate_round_trip(pattern, fact):
     b = match(p, f)
     assert b is not None
     assert instantiate(p, b) == f
+
+
+@settings(max_examples=300)
+@given(patterns, st.data())
+def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
+    # a slot binds a name and a term a constant, so a variable must be one
+    # or the other for the binding to match back as it was
+    slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
+    assume(not slots & terms)
+    doing = {g.name for g in subformulas(p) if isinstance(g, FVar) and g.shape == "doing"}
+    b: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
+    b.update((name, data.draw(NAMES)) for name in sorted(slots))
+    for name in sorted(p.fvar_names):
+        b[name] = data.draw(st.builds(Doing, plans) if name in doing else formulas)
+    fact = instantiate(p, b)
+    assert is_ground(fact)
+    m = match(p, fact)
+    assert m == b
+    assert instantiate(p, m) == fact
+
+
+def test_a_generic_pattern_binds_its_free_variables_and_keeps_its_own():
+    pattern = parse_formula("(forall x (> (p x) (q x ?y)))")
+    fact = parse_formula("(forall x (> (p x) (q x c)))")
+    assert match(pattern, fact) == {"y": Const("c")}
+    # a binding of x from outside the generic is neither used nor lost
+    assert match(pattern, fact, {"x": Const("a")}) == {"x": Const("a"), "y": Const("c")}
+    assert instantiate(pattern, {"y": Const("c")}) == fact
+    assert instantiate(pattern, {"x": Const("a"), "y": Const("c")}) == fact
+    # the generic's own variable matches only itself: no alpha-renaming, and
+    # a free variable never binds it
+    assert match(pattern, parse_formula("(forall z (> (p z) (q z c)))")) is None
+    assert match(pattern, parse_formula("(forall x (> (p x) (q x x)))")) is None
+    assert match(pattern, parse_formula("(forall x (> (p x) (q c x)))")) is None
+    assert match(parse_formula("(forall x (> (p x) (q x c)))"), fact) == {}
+    with pytest.raises(ValidationError):
+        instantiate(pattern, {})
+
+
+# ---------------------------------------------------------------------- dispatch
+
+#: one instance of each node class
+SAMPLES = (
+    Atom("p", (Const("a"),)), FVar("phi"), Not(Atom("p")), And((Atom("p"), Atom("q"))),
+    Or((Atom("p"), Atom("q"))), Implies(Atom("p"), Atom("q")), Iff(Atom("p"), Atom("q")),
+    Default(Atom("p"), Atom("q")), parse_formula("(forall x (> (p x) (q x)))"), Att("B", "A", Atom("p")),
+    Doing(Plan((Action("go"),))), Done(Plan((Action("go"),))), Eventually(Atom("p")), Can(Atom("p")),
+    Imp(Atom("p")), SiteToken("t", "a", "b"), InfoToken("a", "b"), RelAtom("Result", ("a", "b")),
+    Yields(Atom("p"), Atom("q")),
+)
+
+#: every walk over a node, each of which dispatches on the node's class
+WALKS = {
+    "children": formulas_module.children,
+    "key": lambda f: f.key,
+    "ground": lambda f: f.ground,
+    "free_variables": free_variables,
+    "metavariables": metavariables,
+    "substitute": lambda f: substitute(f, {"x": "a"}),
+    "match": lambda f: match(f, f),
+    "instantiate": lambda f: instantiate(f, {"phi": Atom("p")}),
+    "functor": lambda f: f.functor,
+}
+
+
+def _node_classes():
+    return {c for c in Formula.__subclasses__() if c.__module__ == formulas_module.__name__}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_every_walk_handles_every_node_class(walk):
+    assert {type(s) for s in SAMPLES} == _node_classes()
+    for s in SAMPLES:
+        WALKS[walk](s)
+
+
+def test_every_node_class_matches_and_instantiates_to_itself():
+    for s in SAMPLES:
+        assert match(s, s) == ({"phi": s} if isinstance(s, FVar) else {})
+        assert instantiate(s, {"phi": s}) == s
+
+
+@dataclass(frozen=True)
+class _Unknown(Formula):
+    body: Formula
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_a_node_class_no_walk_knows_fails_loudly(walk):
+    with pytest.raises(KeyError):
+        WALKS[walk](_Unknown(Atom("p")))
