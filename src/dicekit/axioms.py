@@ -24,6 +24,8 @@ from .engine import (
     DefaultRule,
     EvalContext,
     Trace,
+    _anchors,
+    _bind_conjunct,
     _closed_pair,
     holds,
     make_rule,
@@ -48,9 +50,9 @@ from .formulas import (
     Yields,
     conj,
     conjuncts,
+    instantiate,
     print_formula,
     subformulas,
-    substitute,
 )
 from .kb import ContextPath, KnowledgeBase
 from .sdrs import UpdateSite
@@ -382,7 +384,12 @@ def apply_support_relation(
     """Attach a supported update: find a generic the supporter's content yields
     and a hypothesis delta under which the supported content completes a ground
     instance of it, with delta consistent with the interpreter's and the
-    author's stores, closing under the context's rules and step bound."""
+    author's stores, closing under the context's rules and step bound.  The
+    witness binds from the augmented store's atoms, as the closure binds a
+    rule (see `engine.rule_instances`), and is tried in sorted order, so the
+    generic's variable must occur in an anchored (atomic, negated or
+    eventual) conjunct; a viable generic whose variable does not raises
+    `ValidationError`."""
     trace = trace if trace is not None else Trace()
     if supporter == site.attach_to:
         rule_name, rel = "ResultRule", RelAtom("Result", (supporter, supported))
@@ -415,12 +422,18 @@ def apply_support_relation(
         else:
             kbd = kb
         base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx)
+        store = aug_d.store_at(())
         for gen in viable:
-            for d in sorted(kbd.constants):
-                psi = conj(
-                    conjuncts(substitute(gen.antecedent, {gen.var: d}))
-                    + conjuncts(substitute(gen.consequent, {gen.var: d}))
-                )
+            parts = conjuncts(gen.antecedent) + conjuncts(gen.consequent)
+            anchored = [(p, a) for p in parts if (a := _anchors(p)) is not None]
+            if not any(gen.var in p.variables for p, _ in anchored):
+                raise ValidationError(f"generic {print_formula(gen)}: {gen.var} occurs in no atomic,"
+                                      " negated or eventual conjunct, so nothing binds its witness")
+            bindings = [{}]
+            for p, anchors in anchored:
+                bindings = _bind_conjunct(bindings, p, anchors, (store.atoms, store.by_functor))
+            for d in sorted({str(b[gen.var]) for b in bindings}):
+                psi = conj([instantiate(p, {gen.var: Const(d)}) for p in parts])
                 if holds(aug_d, (), psi) and not holds(base_d, (), psi):
                     justification = (rel,) + (() if delta is None else (delta,))
                     return SupportApplication(

@@ -366,18 +366,18 @@ def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
 
 
 def _extend_bindings(pat: Formula, bindings, facts_sorted, fvar_pool=None):
-    """Abduction's binding extension by one conjunct: match the facts, and
-    failing them bind formula metavariables from the candidate pool (when
-    given), since a hypothesis need not hold.  A variable that neither binds
-    (a term variable no fact matches, say) drops the binding: no constant is
-    guessed."""
+    """Abduction's binding extension by one conjunct: match the facts (by
+    `_match_rendered`, as the closure does), and failing them bind formula
+    metavariables from the candidate pool (when given), since a hypothesis
+    need not hold.  A variable that neither binds (a term variable no fact
+    matches, say) drops the binding: no constant is guessed."""
     out: dict[str, Binding] = {}
     for b in bindings:
         unbound = pat.variables - b.keys()
         if not unbound:
             out.setdefault(render_binding(b), b)
             continue
-        matched = [m for f in facts_sorted if (m := match(pat, f, b)) is not None]
+        matched = [m for f in facts_sorted if (m := _match_rendered(pat, f, b)) is not None]
         if not matched and fvar_pool and unbound <= pat.fvar_names and all(n in fvar_pool for n in unbound):
             names = sorted(unbound)
             for combo in itertools.product(*(tuple(fvar_pool[n]) for n in names)):

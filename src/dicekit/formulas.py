@@ -579,14 +579,6 @@ def sat_atomic(f: Formula) -> bool:
     return type(f) not in _CONNECTIVES
 
 
-def collect_constants(f: Formula) -> frozenset[str]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.update(t.name for t in g.args if isinstance(t, Const))
-    return frozenset(out)
-
-
 # ----------------------------------------------------------------- substitution
 
 

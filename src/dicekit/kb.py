@@ -30,7 +30,6 @@ from .formulas import (
     Not,
     cached_attr,
     children,
-    collect_constants,
     conjuncts,
     is_ground,
     print_formula,
@@ -241,8 +240,8 @@ class Store:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Stores by context path, the constants they mention, the nesting bound
-    and the viewpoints that root consistency also checks.
+    """Stores by context path, the nesting bound and the viewpoints that root
+    consistency also checks.
 
     A knowledge base is never changed, only replaced (every assert returns a
     new one), so it carries a closure memo that lives and dies with it:
@@ -251,7 +250,6 @@ class KnowledgeBase:
     from the record.  Queries are decided once per store (see `Store`)."""
 
     stores: dict[ContextPath, Store] = field(default_factory=dict)
-    constants: frozenset[str] = frozenset()
     max_depth: int = 3
     #: nested paths whose stores must also be satisfiable for root consistency
     root_consistency_paths: tuple[ContextPath, ...] = ()
@@ -283,9 +281,6 @@ class KnowledgeBase:
         stores[tuple(path)] = store
         return replace(self, stores=stores)
 
-    def with_constants(self, names: Iterable[str]) -> "KnowledgeBase":
-        return replace(self, constants=self.constants | frozenset(names))
-
     def assert_fact(self, path: ContextPath, f: Formula, *, mirror: bool = True) -> "KnowledgeBase":
         """Add a ground literal (or conjunction of literals) at a path.
 
@@ -309,7 +304,6 @@ class KnowledgeBase:
         if f in store.fact_set:
             return self  # idempotent; also terminates mirror ping-pong
         kb = self._with_store(path, store.with_literal(f))
-        kb = kb.with_constants(collect_constants(f))
         if not mirror:
             return kb
         # downward: (B a body) at p puts body at p + (a,)
@@ -343,8 +337,7 @@ class KnowledgeBase:
         store = self.store_at(path)
         if f in store.hard_rules:
             return self
-        kb = self._with_store(path, store.with_hard_rule(f))
-        return kb.with_constants(collect_constants(f))
+        return self._with_store(path, store.with_hard_rule(f))
 
     def with_default(self, path: ContextPath, rule) -> "KnowledgeBase":
         path = tuple(path)
@@ -384,7 +377,6 @@ class KnowledgeBase:
         stores = {p[n:]: s for p, s in self.stores.items() if p[:n] == path}
         return KnowledgeBase(
             stores=stores,
-            constants=self.constants,
             max_depth=max(0, self.max_depth - n),
             root_consistency_paths=(),
         )

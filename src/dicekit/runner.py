@@ -116,8 +116,6 @@ def build(scenario: Scenario, *, max_depth: int = 3) -> tuple[KnowledgeBase, Axi
         max_depth=max_depth,
         root_consistency_paths=((scenario.author,),),
     )
-    kb = kb.with_constants(scenario.constants)
-    kb = kb.with_constants(u.id for u in scenario.utterances)
     for decl in scenario.contexts:
         for f in decl.facts:
             kb = kb.assert_fact(decl.path, f)

@@ -4,7 +4,7 @@ The format is a flat stream of s-expression tokens; `;` comments run to end
 of line.  Directives:
 
     agents A I                        author first, interpreter second
-    constants bush hb1711             extra constant-pool entries
+    constants bush hb1711             parsed and ignored (no constant pool)
     option charity                    enable the Charity rule
     option delta-constraint <formula> hypotheses must stay consistent with it
     context [] { ... }                store declarations; paths are [], [A],

@@ -254,6 +254,33 @@ def test_apply_support_relation_attaches_evidence_against_textual_order():
     assert app.rel == RelAtom("Evidence", ("b", "a"))
 
 
+def test_apply_support_relation_binds_the_witness_from_the_store_atoms():
+    # the supported content contradicts a fact, so the augmented store is
+    # unsatisfiable and entails every instance; the witness still binds from
+    # its atoms (bill h) and (veto h), not from a name that only other atoms
+    # mention (a and b of the isupport atom, aaa of (zz aaa))
+    kb = kb_with(
+        ["(bill h)", "(not (veto h))", "(zz aaa)"],
+        hard=["(<-> supports (forall x (> (bill x) (veto x))))"],
+    ).assert_fact((), isupport_atom("a", "b"))
+    contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
+    app = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext())
+    assert app is not None
+    assert app.witness == "h"
+    assert print_formula(app.instance) == "(and (bill h) (veto h))"
+
+
+def test_apply_support_relation_rejects_a_generic_whose_variable_nothing_binds():
+    # x occurs only under an or, which can hold with no atom of the store
+    kb = kb_with(
+        ["(bill h)"],
+        hard=["(<-> supports (forall x (> (or (bill x) (law x)) (or (veto x) (sign x)))))"],
+    ).assert_fact((), isupport_atom("a", "b"))
+    contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
+    with pytest.raises(ValidationError, match="nothing binds its witness"):
+        apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext())
+
+
 def test_apply_support_relation_needs_the_isupport_conclusion():
     kb = kb_with(["(bill h)"], hard=["(<-> supports (forall x (> (bill x) (veto x))))"])
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
@@ -262,7 +289,7 @@ def test_apply_support_relation_needs_the_isupport_conclusion():
 
 def test_apply_support_relation_completes_instances_with_hypotheses():
     kb = kb_with(hard=["(<-> supports (forall x (> (bill x) (veto x))))"])
-    kb = kb.assert_fact((), isupport_atom("a", "b")).with_constants(("h",))
+    kb = kb.assert_fact((), isupport_atom("a", "b"))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     bare = apply_support_relation(kb, AX, SITE, contents, "a", "b", (), EvalContext())
     assert bare is None  # no fact supplies (bill h)
@@ -276,7 +303,7 @@ def test_apply_support_relation_completes_instances_with_hypotheses():
 def test_apply_support_relation_rejects_inconsistent_hypotheses():
     kb = kb_with(hard=["(<-> supports (forall x (> (bill x) (veto x))))"],
                  root_consistency_paths=(("A",),))
-    kb = kb.assert_fact((), isupport_atom("a", "b")).with_constants(("h",))
+    kb = kb.assert_fact((), isupport_atom("a", "b"))
     kb = kb.assert_fact(("A",), parse_formula("(not (bill h))"))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     trace = Trace()
@@ -289,7 +316,7 @@ def test_apply_support_relation_rejects_inconsistent_hypotheses():
 
 def test_apply_support_relation_respects_delta_constraints():
     kb = kb_with(hard=["(<-> supports (forall x (> (bill x) (veto x))))"])
-    kb = kb.assert_fact((), isupport_atom("a", "b")).with_constants(("h",))
+    kb = kb.assert_fact((), isupport_atom("a", "b"))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
     app = apply_support_relation(
         kb, AX, SITE, contents, "a", "b",

@@ -321,7 +321,7 @@ def _random_open_rule_system(rng):
     variables as slots and p, q, h and k as terms, and half the rules share a
     variable between the two kinds.  The store states random groundings of
     the rules' own conjuncts, some of them negated, so that conjuncts often
-    hold."""
+    hold.  The constants the groundings draw on are returned with them."""
     consts = ("a", "b", "c")[: rng.randint(2, 3)]
     terms = ["(p ?x)", "(q ?x)", "(p ?y)", "(h ?x)", "(h ?y)", "(k ?x ?y)", "(k ?y ?x)", "(not (h ?x))"]
     slots = ["(rel R ?x ?y)", "(rel R ?y ?x)", "(site ?x ?y ?x)", "(site ?y ?x ?y)", "(not (site ?x ?y ?x))"]
@@ -351,7 +351,7 @@ def _random_open_rule_system(rng):
             hard.append(f"(-> {premise} {lit})")
         else:
             facts.append(lit)
-    return kb_with(facts, hard).with_constants(consts), tuple(rules)
+    return kb_with(facts, hard), tuple(rules), consts
 
 
 def _ground_on_constants(rules, constants):
@@ -376,11 +376,11 @@ def _ground_on_constants(rules, constants):
 def test_closure_of_open_rules_matches_reference_over_full_grounding():
     rng = random.Random(1986)
     for _ in range(100):
-        kb, rules = _random_open_rule_system(rng)
+        kb, rules, consts = _random_open_rule_system(rng)
         store = kb.store_at(())
         got = defeasible_closure(kb, rules).kb.facts_at(())
         want = reference.ref_closure(
-            store.facts, store.hard_rules, _ground_on_constants(rules, kb.constants)
+            store.facts, store.hard_rules, _ground_on_constants(rules, consts)
         )
         assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
 
@@ -401,7 +401,7 @@ def test_closure_of_rules_with_compound_conjuncts_matches_reference():
     # whenever the rule's other conjuncts do ({ant} is one of them)
     rng = random.Random(1988)
     for _ in range(200):
-        kb, rules = _random_open_rule_system(rng)
+        kb, rules, consts = _random_open_rule_system(rng)
         widened = []
         for rule in rules:
             names = sorted(set().union(*(a.variables for a in rule.antecedent)))
@@ -413,7 +413,7 @@ def test_closure_of_rules_with_compound_conjuncts_matches_reference():
         store = kb.store_at(())
         got = defeasible_closure(kb, widened).kb.facts_at(())
         want = reference.ref_closure(
-            store.facts, store.hard_rules, _ground_on_constants(widened, kb.constants)
+            store.facts, store.hard_rules, _ground_on_constants(widened, consts)
         )
         assert {print_formula(f) for f in got} == {print_formula(f) for f in want}
 
@@ -424,7 +424,6 @@ def _rebuilt(kb: KnowledgeBase) -> KnowledgeBase:
     stores, and so their carries)."""
     return KnowledgeBase(
         stores={p: Store(s.facts, s.hard_rules, s.defaults) for p, s in kb.stores.items()},
-        constants=kb.constants,
         max_depth=kb.max_depth,
         root_consistency_paths=kb.root_consistency_paths,
     )
@@ -447,8 +446,7 @@ def test_closing_along_a_lineage_matches_closing_afresh():
     rng = random.Random(1982)
     retracted = hardened = 0
     for _ in range(60):
-        kb, rules = _random_open_rule_system(rng)
-        consts = sorted(kb.constants)
+        kb, rules, consts = _random_open_rule_system(rng)
         patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
 
         def grounding() -> str:
@@ -509,23 +507,22 @@ def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():
     assert [print_formula(f) for f in res.kb.facts_at(())] == ["seed", "(p a)", "(q a)", "(q b)"]
 
 
-def test_pool_cap_raises_instead_of_dropping_candidates():
+def test_abduction_guesses_no_term_variable():
     # abduction binds ?w from the observed (q c0); no fact fits the
     # abducible conjunct, and its three other variables are term variables
     # that nothing binds, so no hypothesis is made, whatever the number of
-    # constants: none is guessed
+    # names the store mentions: none is guessed
     rule = make_rule("R", ["seed", "(r ?w ?x ?y ?z)"], "(q ?w)", abducible=frozenset({1}))
     for n in (2, 22):
-        kb = kb_with(["seed", "(q c0)"]).with_constants(f"c{i}" for i in range(n))
+        kb = kb_with(["seed", "(q c0)"] + [f"(dom c{i})" for i in range(n)])
         assert abduce(kb, rule, ()) == ()
 
 
 def test_closure_binds_values_that_are_no_declared_constant():
-    # no constants are declared; the site token is bound from the hard
-    # rule's atom, as it is from a stated fact
+    # the site token is bound from the hard rule's atom, as it is from a
+    # stated fact
     rule = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
     for kb in (kb_with(["seed"], hard=["(-> seed (site t u0 u1))"]), kb_with(["(site t u0 u1)"])):
-        assert not kb.constants
         assert defeasible_closure(kb, (rule,)).kb.has_fact((), parse_formula("(open u0)"))
 
 
@@ -542,36 +539,34 @@ def test_rule_instances_enumerate_stored_facts():
 
 def test_rule_instances_bind_unmatched_conjuncts_from_the_store_atoms():
     rule = make_rule("R", ["(p ?x)"], "(q ?x)")
-    kb = kb_with(["(p a)"]).with_constants(("a", "b", "c"))
+    kb = kb_with(["(p a)"])
     assert [i.key for i in rule_instances(rule, kb, ())] == ["{x=a}"]
-    # no fact fits: bare constants give no instance, an atom of a hard rule does
-    bare = kb_with(["seed"]).with_constants(("a", "b"))
+    # no fact fits: names that other atoms mention give no instance, an
+    # atom of a hard rule does
+    bare = kb_with(["seed", "(r a)", "(r b)"])
     assert rule_instances(rule, bare, ()) == []
-    hard = kb_with(["seed"], hard=["(-> seed (p b))"]).with_constants(("a",))
+    hard = kb_with(["seed"], hard=["(-> seed (p b))"])
     assert [i.key for i in rule_instances(rule, hard, ())] == ["{x=b}"]
-    # bound values need not be declared constants
+    # slots bind from the atoms as terms do
     site = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
     tokens = kb_with(["(not (site t u0 u1))"])
     assert [i.key for i in rule_instances(site, tokens, ())] == ["{t=t, x=u0, y=u1}"]
-    named = tokens.with_constants(("t", "u0", "u1"))
-    assert [i.key for i in rule_instances(site, named, ())] == ["{t=t, x=u0, y=u1}"]
 
 
 def test_rule_instances_bind_negated_and_eventual_conjuncts_from_the_store_atoms():
     for ante in ("(not (p ?x))", "(eventually (p ?x))"):
         rule = make_rule("R", [ante], "(q ?x)")
-        kb = kb_with([ante.replace("?x", "a")]).with_constants(("a", "b", "c"))
+        kb = kb_with([ante.replace("?x", "a")])
         assert [i.key for i in rule_instances(rule, kb, ())] == ["{x=a}"], ante
-        bare = kb_with(["seed"]).with_constants(("a", "b"))
+        bare = kb_with(["seed", "(r a)", "(r b)"])
         assert rule_instances(rule, bare, ()) == [], ante
-    consts = ("a", "b", "c")
     negated = make_rule("N", ["(not (p ?x))"], "(q ?x)")
-    hard = kb_with(["seed"], hard=["(-> seed (not (p b)))"]).with_constants(consts)
+    hard = kb_with(["seed"], hard=["(-> seed (not (p b)))"])
     assert [i.key for i in rule_instances(negated, hard, ())] == ["{x=b}"]
     # an eventuality holds as an atom or through its body
     eventual = make_rule("E", ["(eventually (p ?x))"], "(q ?x)")
     hard = kb_with(["seed"], hard=["(-> seed (p b))", "(-> seed (eventually (p c)))"])
-    keys = [i.key for i in rule_instances(eventual, hard.with_constants(consts), ())]
+    keys = [i.key for i in rule_instances(eventual, hard, ())]
     assert keys == ["{x=b}", "{x=c}"]
 
 
@@ -582,13 +577,14 @@ def test_compound_conjuncts_bind_nothing_in_either_order():
     taut = "(or (r ?x) (not (r ?x)))"
     with pytest.raises(ValidationError):
         make_rule("R", [taut], "(q ?x)")
-    kb = kb_with(["(p a)"]).with_constants(("a", "b", "c"))
+    kb = kb_with(["(p a)"])
     for ants in (["(p ?x)", taut], [taut, "(p ?x)"]):
         pair = make_rule("P", ants, "(q ?x)")
         assert [i.key for i in rule_instances(pair, kb, ())] == ["{x=a}"], ants
 
 
 def test_closure_reach_does_not_depend_on_the_number_of_constants():
+    # the store mentions n names beside the ones the rule needs
     for ante, stated in (
         ("(p ?x ?y ?z)", "(p c0 c1 c2)"),
         ("(not (p ?x ?y ?z))", "(not (p c0 c1 c2))"),
@@ -596,8 +592,7 @@ def test_closure_reach_does_not_depend_on_the_number_of_constants():
     ):
         rule = make_rule("R", [ante], "(q ?x ?y ?z)")
         for n in (3, 22, 40):
-            kb = kb_with(["seed"], hard=[f"(-> seed {stated})"])
-            kb = kb.with_constants(f"c{i}" for i in range(n))
+            kb = kb_with(["seed"] + [f"(dom c{i})" for i in range(n)], hard=[f"(-> seed {stated})"])
             res = defeasible_closure(kb, (rule,))
             assert res.kb.has_fact((), parse_formula("(q c0 c1 c2)")), (ante, n)
 
@@ -605,9 +600,7 @@ def test_closure_reach_does_not_depend_on_the_number_of_constants():
 def test_closure_binds_variables_shared_by_slots_and_terms():
     # site and rel bind slots to names, p binds terms to constants; a
     # variable bound by one kind must still match the other
-    consts = ("t", "a", "b", "c")
     kb = kb_with(["seed", "(rel R b c)"], hard=["(-> seed (site t a b))", "(-> seed (p b))"])
-    kb = kb.with_constants(consts)
     for ants, cons, want in (
         (["(site ?t ?x ?y)", "(rel R ?y ?z)"], "(q ?z)", "(q c)"),
         (["(rel R ?y ?z)", "(site ?t ?x ?y)"], "(q ?z)", "(q c)"),
@@ -863,6 +856,15 @@ def test_abduce_traces_its_steps():
     trace = Trace()
     abduce(kb_with(["w", "c"]), rule, (), trace=trace)
     assert [s.mode for s in trace.steps()] == ["Abduction"]
+
+
+def test_abduce_binds_a_variable_shared_by_a_slot_and_a_term():
+    # the relation atom binds ?y as a slot (a bare name) and (q ?y ?z) as a
+    # term (a constant); the two must still match, as the plain atom's do
+    for cons, stated in (("(rel Result ?x ?y)", "(rel Result a b)"), ("(r ?x ?y)", "(r a b)")):
+        rule = make_rule("R", ["(p ?y)", "(q ?y ?z)"], cons, abducible=frozenset({0}))
+        results = abduce(kb_with([stated, "(q b c)"]), rule, ())
+        assert [[print_formula(h) for h in r.hypothesis] for r in results] == [["(p b)"]], cons
 
 
 # ------------------------------------------------------------------ rule hygiene

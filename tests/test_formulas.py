@@ -37,7 +37,6 @@ from dicekit.formulas import (
     SiteToken,
     Var,
     Yields,
-    collect_constants,
     conj,
     conjuncts,
     free_variables,
@@ -310,11 +309,6 @@ def test_metavariables_cover_tokens_and_relations():
     assert metavariables(parse_formula("(rel Result ?x ?y)")) == frozenset({"x", "y"})
     assert metavariables(parse_formula("(W A ?phi)")) == frozenset({"phi"})
     assert metavariables(parse_formula("(p a)")) == frozenset()
-
-
-def test_collect_constants_sees_atom_arguments_only():
-    f = parse_formula("(and (p bill) (rel Result alpha beta))")
-    assert collect_constants(f) == frozenset({"bill"})
 
 
 def test_subformulas_walks_every_node():

@@ -101,11 +101,6 @@ def test_entails_uses_hard_rules():
     assert not kb.entails((), Atom("r"))
 
 
-def test_constants_are_collected_from_assertions():
-    kb = kb0().assert_fact((), parse_formula("(bill hb1711)"))
-    assert "hb1711" in kb.constants
-
-
 def test_consistent_with_is_local_to_one_store():
     kb = kb0(root_consistency_paths=(("A",),))
     kb = kb.assert_fact(("A",), Not(Atom("p")))

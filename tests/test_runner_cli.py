@@ -261,6 +261,49 @@ def test_cli_rule_that_is_not_range_restricted_exits_3(tmp_path, capsys):
     assert "(or (r ?x ?y ?z) (s ?x ?y ?z))" in err
 
 
+def test_cli_generic_whose_variable_nothing_binds_exits_3(tmp_path, capsys):
+    # the support driver binds the generic's witness from the store's atoms,
+    # and here x occurs only under an or
+    text = open(scenario_path("bush_context1")).read()
+    generic = "(forall x (> (and (bill x) (bad x)) (veto bush x)))"
+    assert generic in text
+    scn = tmp_path / "or_generic.scn"
+    scn.write_text(text.replace(generic, "(forall x (> (or (bill x) (bad x)) (or (veto bush x) (sign x))))"))
+    code = main(["run", str(scn)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "nothing binds its witness" in err
+
+
+def test_declared_constants_change_neither_output_nor_work(monkeypatch):
+    # breadth is measured by work done: 3,000 extra names on the constants
+    # line give the same report, and the support driver makes the same
+    # entailment checks
+    import dicekit.axioms as axioms
+
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return held(*args, **kw)
+
+    held = axioms.holds
+    monkeypatch.setattr(axioms, "holds", counted)
+    text = open(scenario_path("bush_context1")).read()
+    line = "constants bush bigbiz hb1711"
+    assert line in text
+    wide = text.replace(line, line + "".join(f" k{i}" for i in range(3000)))
+    counts, reports = [], []
+    for source in (text, wide):
+        calls.clear()
+        payload = report_dict(run_scenario(loads(source, name="bush_context1")))
+        payload.pop("elapsed")
+        counts.append(len(calls))
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert counts[0] == counts[1] > 0
+
+
 def test_cli_keeps_rules_that_share_a_name_apart(tmp_path, capsys):
     scn = tmp_path / "same_name.scn"
     scn.write_text(
