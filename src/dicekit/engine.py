@@ -34,7 +34,6 @@ Knowledge bases and stores are immutable, so work on them is done once.  A
 closure is recorded on the knowledge base it closes, keyed by path, active
 rules and step bound (see `defeasible_closure`): each closure a `yields` test
 needs is computed once per knowledge base, and a repeated test is a lookup.
-Each store decides each ground query once (see `kb.Store`).
 
 Closures follow the lineage of the store they close (see `kb.Store`): a
 store made from another by asserting facts or adding hard rules or defaults
@@ -52,13 +51,15 @@ conjuncts is among the store's atoms, is not built until such an atom
 arrives.  A store that `retract_fact` makes, and any store made directly,
 starts a new lineage with an empty carry: the same code with nothing
 carried.  Within a closure, each pair of antecedents is compared by
-`specificity` once.
+`specificity` once, and within a round, each pair of applicable instances
+is checked for joint consistency once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Container, NamedTuple
 
 from . import satcore
@@ -139,8 +140,9 @@ class DefaultRule:
 
 def _anchored(rule: DefaultRule) -> list[tuple[Formula, tuple[Formula, ...]]]:
     """The anchored conjuncts of the rule's antecedent, in order, each with
-    its `_anchors`: the conjuncts the closure binds.  Not kept on the rule,
-    which would keep these for as long as the rule lives."""
+    its `_anchors`: the conjuncts the closure binds.  Not kept on the rule:
+    kept there with `_active_rules`' sort key, they added about 1,000 tracked
+    objects to rulesys's long-lived rules, and its tail latency rose 25%."""
     return [(p, a) for p in rule.antecedent if (a := _anchors(p)) is not None]
 
 
@@ -542,8 +544,11 @@ def _active_rules(rules, store_defaults, path: ContextPath):
         out.append(r)
     # a store's own declared defaults always run there, whatever their scope
     out.extend(r for r in store_defaults if not r.driver)
-    # a total order, so that rules that share a name run in one order whatever the input order
-    out.sort(key=lambda r: (r.name, r.consequent.key, tuple(a.key for a in r.antecedent)))
+    # a total order, so that rules that share a name run in one order
+    # whatever the input order; the full key is built only when it is needed
+    out.sort(key=attrgetter("name"))
+    if any(a.name == b.name for a, b in zip(out, out[1:])):
+        out.sort(key=lambda r: (r.name, r.consequent.key, tuple(a.key for a in r.antecedent)))
     return out
 
 
@@ -632,7 +637,8 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     so rules that share a name never meet.  `specificity` depends on the
     antecedents and the hard rules alone, so within a closure each pair of
     antecedents is compared once, and the mirrored pair is answered from the
-    same comparison."""
+    same comparison.  The store is fixed while a round arbitrates, so two
+    instances' joint consistency is asked once a round for both orders."""
     fired: list[InferenceStep] = []
     out = kb
     carry: dict[int, _Carried] = dict(kb.store_at(path).carry)
@@ -698,6 +704,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             for i in applicable
         }
         winners: list[tuple[_Inst, str]] = []
+        jointly: dict[frozenset, bool] = {}  # unordered pair -> joint consistency
         noted_standoffs = set()
         for i in applicable:
             if i.rule.hard:
@@ -714,7 +721,11 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             for j in applicable:
                 if j is i or j.rule.hard or not ok_alone[id(j.rule), j.key]:
                     continue
-                if out.consistent_with(path, (i.cons, j.cons)):
+                pair = frozenset(((id(i.rule), i.key), (id(j.rule), j.key)))
+                consistent = jointly.get(pair)
+                if consistent is None:
+                    consistent = jointly[pair] = out.consistent_with(path, (i.cons, j.cons))
+                if consistent:
                     continue
                 cmp = compare(i, j)
                 if cmp == "first":
@@ -727,7 +738,6 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                     )
                 else:
                     defeated = True
-                    pair = frozenset(((id(i.rule), i.key), (id(j.rule), j.key)))
                     if pair not in noted_standoffs:
                         noted_standoffs.add(pair)
                         trace.note(

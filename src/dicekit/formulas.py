@@ -24,8 +24,9 @@ form (`Formula.key`, what `print_formula` returns) and its groundness
 (`Formula.ground`, what `is_ground` returns) are computed on first use from
 its children's cached values and kept on the node.  So are a pattern's
 variables (`Formula.variables` and `Formula.fvar_names`) and its functor
-(`Formula.functor`), which rule matching reads on every round.  Equality
-stays structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
+(`Formula.functor`), which rule matching reads on every round, and its
+literals (`Formula.literals`), which `satcore` reads.  Equality stays
+structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
 equality only between ground formulas.
 
 Every walk over a node (`children`, printing, groundness, `free_variables`,
@@ -152,6 +153,14 @@ class Formula:
     def fvar_names(self) -> frozenset[str]:
         """The names of the formula metavariables."""
         return frozenset(g.name for g in subformulas(self) if isinstance(g, FVar))
+
+    @cached_attr
+    def literals(self) -> tuple[tuple[str, int], ...] | None:
+        """(atom key, nots) pairs when the formula is a literal (an opaque
+        atom under any number of `not`s) or a conjunction of literals (`and`s
+        under an even number of `not`s), else None.  Keys, not nodes, so that
+        no node refers to itself."""
+        return _literals(self)
 
 
 @dataclass(frozen=True)
@@ -577,6 +586,19 @@ _CONNECTIVES = frozenset((Not, And, Or, Implies, Iff))
 def sat_atomic(f: Formula) -> bool:
     """True when the ground-satisfiability layer treats f as one opaque variable."""
     return type(f) not in _CONNECTIVES
+
+
+def _literals(f: Formula) -> tuple[tuple[str, int], ...] | None:
+    """One node's `Formula.literals`, from its conjuncts' cached ones."""
+    nots = 0
+    while type(f) is Not:
+        f, nots = f.body, nots + 1
+    if type(f) not in _CONNECTIVES:
+        return ((f.key, nots),)
+    if type(f) is not And or nots % 2:
+        return None
+    parts = [p.literals for p in f.parts]
+    return None if None in parts else sum(parts, ())
 
 
 # ----------------------------------------------------------------- substitution

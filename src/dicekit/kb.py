@@ -85,9 +85,9 @@ class Store:
     compiled form for satisfiability (every query against it compiles only
     itself, and a literal-shaped one compiles nothing), the compiled form of
     the hard rules alone for `engine.specificity`, the fact set for
-    membership, the opaque atoms by key and by functor for rule matching,
-    and the verdict of each ground query (see `_decide`).  Each formula is
-    keyed once (see `formulas`), so none of these re-prints a fact.
+    membership, and the opaque atoms by key and by functor for rule
+    matching.  Each formula is keyed once (see `formulas`), so none of these
+    re-prints a fact.
 
     A store made from a parent by `with_literal`, `with_hard_rule` or
     `with_default` extends what the parent has built instead of building
@@ -207,35 +207,12 @@ class Store:
         closures of the store and its descendants."""
         self.__dict__["carry"] = carry
 
-    @cached_attr
-    def _verdicts(self) -> dict:
-        return {}
-
     def entails(self, f: Formula) -> bool:
-        return not self._decide(f.key, (f,), lambda: (Not(f),))
+        return not satcore.satisfiable((Not(f),), base=self.compiled)
 
     def satisfiable_with(self, extra: tuple[Formula, ...]) -> bool:
         """Satisfiability of the store together with the extra formulas."""
-        return self._decide(tuple(f.key for f in extra), extra, lambda: extra)
-
-    def _decide(self, key, parts: tuple[Formula, ...], extra) -> bool:
-        """Satisfiability of the store with the extras that `extra()` builds
-        from the formulas `parts`, decided once per store and key.
-        `entails(f)` keys its query `(not f)` by `f.key`, a string, and
-        builds it only when no verdict is kept; `satisfiable_with` keys the
-        extras by the tuple of their keys, so the two never meet.
-
-        The compiled form is read and the parts ground-checked before the
-        memo is consulted, so an over-cap store (`SatTooLarge`) and a
-        non-ground query (`ValidationError`; `(p ?x)` and `(p x)` share a
-        key) raise on every call.  Errors are never stored."""
-        compiled = self.compiled
-        if not all(f.ground for f in parts):
-            return satcore.satisfiable(extra(), base=compiled)  # raises ValidationError
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = satcore.satisfiable(extra(), base=compiled)
-        return verdict
+        return satcore.satisfiable(extra, base=self.compiled)
 
 
 @dataclass(frozen=True)
@@ -247,7 +224,8 @@ class KnowledgeBase:
     new one), so it carries a closure memo that lives and dies with it:
     `engine.defeasible_closure` records there the result of closing it at a
     path under a rule set and step bound, and answers the same closure again
-    from the record.  Queries are decided once per store (see `Store`)."""
+    from the record.  Each query is decided against the store's compiled
+    form (see `Store`)."""
 
     stores: dict[ContextPath, Store] = field(default_factory=dict)
     max_depth: int = 3

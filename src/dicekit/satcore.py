@@ -23,18 +23,21 @@ groups: an untouched base group is satisfiable whenever the base is.  A call
 without a base runs the same routine over an empty base.
 
 Most queries are literal-shaped: a set of literals (opaque atoms under any
-number of `not`s, given as several extras or as an `and` of them), or the
-negation of one such conjunction (`entails` of an `and`).  `satisfiable`
-decides a literal set from the stored tables alone: it narrows each touched
-group's table by each literal's mask, and a literal on an atom the base
-lacks is free unless the set also holds its complement.  A negated
-conjunction is satisfiable iff one negated conjunct is, together with the
-other literals.  So such a query compiles nothing.  A store one literal
-larger than a compiled one is compiled by `add_literal`: an atom the base
-numbers narrows its group's table by the atom's mask, and a new atom becomes
-a group of its own, so no other group is touched.  A store one hard rule larger is compiled by `add_formula`,
-which merges the groups the rule touches with its new atoms and builds that
-one group's table.
+number of `not`s, given as several extras or as an `and` of them), perhaps
+with the negation of one such conjunction (`entails` of an `and`).
+`satisfiable` sorts a query in one pass that checks each formula is ground
+and reads its (atom key, nots) pairs (`Formula.literals`, cached on the
+node).  A literal set, of one member or more, is decided from the stored
+tables alone: each touched group's table is narrowed by the mask of each
+literal's atom key, and a literal on an atom the base lacks is free unless
+the set also holds its complement.  A negated conjunction is satisfiable iff
+one negated conjunct is, together with the other literals.  So only a
+compound query compiles.  A store one literal larger than a compiled one is
+compiled by `add_literal`: an atom the base numbers narrows its group's
+table by the atom's mask, and a new atom becomes a group of its own, so no
+other group is touched.  A store one hard rule larger is compiled by
+`add_formula`, which merges the groups the rule touches with its new atoms
+and builds that one group's table.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -69,46 +72,49 @@ def compile_program(f: Formula, index: dict[str, int], known: Mapping[str, int] 
     any other atom not yet in index is added to it, numbered after known's
     atoms in first-seen order."""
     prog: list[int] = []
-    offset = len(known)
-
-    def emit(g: Formula) -> None:
-        if sat_atomic(g):
-            key = g.key
-            var = known.get(key)
-            if var is None:
-                var = index.get(key)
-                if var is None:
-                    var = index[key] = offset + len(index)
-            prog.append(var)
-        elif isinstance(g, Not):
-            emit(g.body)
-            prog.append(OP_NOT)
-        elif isinstance(g, (And, Or)):
-            op = OP_AND if isinstance(g, And) else OP_OR
-            emit(g.parts[0])
-            for p in g.parts[1:]:
-                emit(p)
-                prog.append(op)
-        elif isinstance(g, Implies):
-            emit(g.left)
-            prog.append(OP_NOT)
-            emit(g.right)
-            prog.append(OP_OR)
-        elif isinstance(g, Iff):
-            emit(g.left)
-            emit(g.right)
-            prog.append(OP_AND)
-            emit(g.left)
-            prog.append(OP_NOT)
-            emit(g.right)
-            prog.append(OP_NOT)
-            prog.append(OP_AND)
-            prog.append(OP_OR)
-        else:
-            raise ValidationError(f"cannot compile {g!r}")
-
-    emit(f)
+    _emit(f, prog, index, known, len(known))
     return prog
+
+
+def _emit(g: Formula, prog: list[int], index: dict[str, int], known: Mapping[str, int], offset: int) -> None:
+    """Append g's program to prog (see `compile_program`).  Not nested in
+    `compile_program`: a nested function that calls itself holds itself
+    through its closure, a reference cycle per compile that only the cycle
+    collector frees."""
+    if sat_atomic(g):
+        key = g.key
+        var = known.get(key)
+        if var is None:
+            var = index.get(key)
+            if var is None:
+                var = index[key] = offset + len(index)
+        prog.append(var)
+    elif isinstance(g, Not):
+        _emit(g.body, prog, index, known, offset)
+        prog.append(OP_NOT)
+    elif isinstance(g, (And, Or)):
+        op = OP_AND if isinstance(g, And) else OP_OR
+        _emit(g.parts[0], prog, index, known, offset)
+        for p in g.parts[1:]:
+            _emit(p, prog, index, known, offset)
+            prog.append(op)
+    elif isinstance(g, Implies):
+        _emit(g.left, prog, index, known, offset)
+        prog.append(OP_NOT)
+        _emit(g.right, prog, index, known, offset)
+        prog.append(OP_OR)
+    elif isinstance(g, Iff):
+        _emit(g.left, prog, index, known, offset)
+        _emit(g.right, prog, index, known, offset)
+        prog.append(OP_AND)
+        _emit(g.left, prog, index, known, offset)
+        prog.append(OP_NOT)
+        _emit(g.right, prog, index, known, offset)
+        prog.append(OP_NOT)
+        prog.append(OP_AND)
+        prog.append(OP_OR)
+    else:
+        raise ValidationError(f"cannot compile {g!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +137,11 @@ class Compiled:
 _EMPTY = Compiled({}, (), (), [], [], True)
 
 
-def _extend(base: Compiled, formulas: Iterable[Formula]) -> tuple[dict[str, int], list[Group]]:
-    """Compile formulas against base.  Returns their atoms that base lacks,
-    and the groups they form together with the base groups they touch
+def _extend(base: Compiled, fs: tuple[Formula, ...]) -> tuple[dict[str, int], list[Group]]:
+    """Compile ground formulas against base.  Returns their atoms that base
+    lacks, and the groups they form together with the base groups they touch
     (union-find over base group numbers and new variables).  Raises before
     any group is decided if one exceeds MAX_VARS."""
-    fs = tuple(formulas)
-    _require_ground(fs)
     new: dict[str, int] = {}
     programs = [compile_program(f, new, base.index) for f in fs]
     n_base, n_groups, group_of = len(base.index), len(base.groups), base.group_of
@@ -222,47 +226,6 @@ def _table(variables: list[int], programs: list[list[int]]) -> int:
     return acc
 
 
-def _conjunction(f: Formula) -> list[tuple[Formula, int]] | None:
-    """The literals of f, as (atom, nots), when f is a literal or a
-    conjunction of literals (`and`s under an even number of `not`s, nested
-    in any way), else None."""
-    nots = 0
-    while isinstance(f, Not):
-        f, nots = f.body, nots + 1
-    if sat_atomic(f):
-        return [(f, nots)]
-    if not isinstance(f, And) or nots % 2:
-        return None
-    out: list[tuple[Formula, int]] = []
-    for p in f.parts:
-        lits = _conjunction(p)
-        if lits is None:
-            return None
-        out += lits
-    return out
-
-
-def _literal_sets(fs: tuple[Formula, ...]) -> list[list[tuple[Formula, int]]] | None:
-    """The formulas as alternative literal sets, when each is a conjunction
-    of literals save at most one negated conjunction, else None: one set,
-    or, for a negated conjunction, one set per negated conjunct."""
-    lits: list[tuple[Formula, int]] = []
-    negated = None
-    for f in fs:
-        c = _conjunction(f)
-        if c is not None:
-            lits += c
-            continue
-        if negated is not None or not isinstance(f, Not):
-            return None
-        negated = _conjunction(f.body)
-        if negated is None:
-            return None
-    if negated is None:
-        return [lits]
-    return [lits + [(atom, nots + 1)] for atom, nots in negated]
-
-
 def _narrowed(base: Compiled, var: int, nots: int, table: int) -> int:
     """table, a table of var's group, narrowed to the assignments under
     which var under `nots` nested `not`s is true."""
@@ -270,22 +233,26 @@ def _narrowed(base: Compiled, var: int, nots: int, table: int) -> int:
     return table & ~mask if nots % 2 else table & mask
 
 
-def _literals_fit(base: Compiled, lits: list[tuple[Formula, int]]) -> bool:
-    """Whether the literals fit some assignment the base's tables allow: each
-    touched group's table stays nonzero once narrowed by its literals, and no
-    atom the base lacks is wanted both true and false.  Assumes base.sat."""
-    tables: dict[int, int] = {}  # touched group -> its narrowed table
-    free: dict[str, int] = {}  # atom the base lacks -> the parity of its nots
-    for atom, nots in lits:
-        var = base.index.get(atom.key)
+def _literals_fit(base: Compiled, lits: Iterable[tuple[str, int]]) -> bool:
+    """Whether the literals, (atom key, nots) pairs, fit some assignment the
+    base's tables allow: each touched group's table stays nonzero once
+    narrowed by its literals, and no atom the base lacks is wanted both true
+    and false.  Assumes base.sat.  Each dict is made when first written."""
+    tables = None  # touched group -> its narrowed table
+    free = None  # atom the base lacks -> the parity of its nots
+    for key, nots in lits:
+        var = base.index.get(key)
         if var is None:
-            if free.setdefault(atom.key, nots % 2) != nots % 2:
+            free = free or {}
+            if free.setdefault(key, nots % 2) != nots % 2:
                 return False
             continue
         g = base.group_of[var]
-        table = tables[g] = _narrowed(base, var, nots, tables.get(g, base.tables[g]))
+        table = _narrowed(base, var, nots, tables.get(g, base.tables[g]) if tables else base.tables[g])
         if not table:
             return False
+        tables = tables or {}
+        tables[g] = table
     return True
 
 
@@ -308,7 +275,9 @@ def _numbering(groups: list[Group], n_vars: int) -> tuple[list[int], list[int]]:
 
 def compile_formulas(formulas: Iterable[Formula]) -> Compiled:
     """Compile a formula set once, for `satisfiable(..., base=...)`."""
-    index, groups = _extend(_EMPTY, formulas)
+    fs = tuple(formulas)
+    _require_ground(fs)
+    index, groups = _extend(_EMPTY, fs)
     tables = tuple(_table(vs, ps) for vs, ps in groups)
     return Compiled(index, tuple(groups), tables, *_numbering(groups, len(index)), all(tables))
 
@@ -318,13 +287,13 @@ def add_literal(base: Compiled, literal: Formula) -> Compiled:
     atom under some number of `not`s), built from base without compiling
     anything: an atom base numbers narrows its group's table, and a new atom
     becomes a group of one variable."""
-    [(atom, nots)] = _conjunction(literal)
-    var = base.index.get(atom.key)
+    [(key, nots)] = literal.literals
+    var = base.index.get(key)
     if var is None:
         var = len(base.index)
         # a group of one variable: assignment 1 makes it true, assignment 0 false
         return Compiled(
-            {**base.index, atom.key: var},
+            {**base.index, key: var},
             base.groups + (([var], [[var] + [OP_NOT] * nots]),),
             base.tables + (0b01 if nots % 2 else 0b10,),
             base.group_of + [len(base.groups)],
@@ -350,6 +319,7 @@ def add_formula(base: Compiled, f: Formula) -> Compiled:
     merge with f's new atoms into one group, whose table alone is built, and
     every other group is kept as it is.  Raises `SatTooLarge` when the merged
     group exceeds MAX_VARS, as compiling the whole set would."""
+    _require_ground((f,))
     new, (merged,) = _extend(base, (f,))  # one formula's atoms form one group
     touched = {base.group_of[v] for v in merged[0] if v < len(base.index)}
     groups = [grp for g, grp in enumerate(base.groups) if g not in touched] + [merged]
@@ -360,16 +330,31 @@ def add_formula(base: Compiled, f: Formula) -> Compiled:
 
 def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:
     """Satisfiability of the formulas together with a compiled base (none by
-    default).  A literal set, or a negated conjunction of literals, is decided
-    from the base's stored tables and compiles nothing (see the module
-    docstring); other formulas are compiled, and only the base groups they
-    touch are decided again."""
+    default).  One pass over the formulas checks that each is ground and
+    reads its `Formula.literals`.  A literal set, or a literal set and one
+    negated conjunction of literals, is then decided from the base's stored
+    tables and compiles nothing (see the module docstring); other formulas
+    are compiled, and only the base groups they touch are decided again."""
     base = _EMPTY if base is None else base
     fs = tuple(formulas)
-    _require_ground(fs)
-    alternatives = _literal_sets(fs)
-    if alternatives is not None:
-        return base.sat and any(_literals_fit(base, lits) for lits in alternatives)
+    lits: list[tuple[str, int]] = []
+    negated = None  # the literals of the one negated conjunction, if any
+    compound = False
+    for f in fs:
+        if not f.ground:
+            _require_ground((f,))  # raises
+        conjunction = f.literals
+        if conjunction is not None:
+            lits += conjunction
+        elif negated is None and type(f) is Not and f.body.literals is not None:
+            negated = f.body.literals
+        else:
+            compound = True
+    if not compound:
+        if negated is None:
+            return base.sat and _literals_fit(base, lits)
+        # (not (and l1 ... ln)) holds iff some (not li) does
+        return base.sat and any(_literals_fit(base, lits + [(key, nots + 1)]) for key, nots in negated)
     _, groups = _extend(base, fs)
     if not base.sat:
         return False

@@ -92,6 +92,38 @@ def test_nixon_diamond_is_sceptical():
     assert any("sceptical stand-off" in line for line in trace.lines())
 
 
+def test_a_three_way_conflict_asks_each_pair_once(monkeypatch):
+    # three defaults whose consequents pairwise conflict under hard rules:
+    # each unordered pair's joint consistency is asked once in the round,
+    # and each stand-off is noted once
+    kb = kb_with(["quaker", "republican", "hawkish"], hard=[
+        "(-> pacifist (not warrior))", "(-> pacifist (not neutral))", "(-> warrior (not neutral))"])
+    rules = (
+        make_rule("QuakersArePacifists", ["quaker"], "pacifist"),
+        make_rule("HawksAreWarriors", ["hawkish"], "warrior"),
+        make_rule("RepublicansAreNeutral", ["republican"], "neutral"),
+    )
+    asked = []
+    real = KnowledgeBase.consistent_with
+
+    def counting(self, path, extra=()):
+        extra = tuple(extra)
+        asked.append(tuple(f.key for f in extra))
+        return real(self, path, extra)
+
+    monkeypatch.setattr(KnowledgeBase, "consistent_with", counting)
+    trace = Trace()
+    res = defeasible_closure(kb, rules, trace=trace)
+    assert res.steps == ()
+    assert asked == [("warrior",), ("pacifist",), ("neutral",),
+                     ("warrior", "pacifist"), ("warrior", "neutral"), ("pacifist", "neutral")]
+    assert trace.lines() == [
+        f"closure@root: sceptical stand-off between {a} {{}} and {b} {{}}; neither fires"
+        for a, b in (("HawksAreWarriors", "QuakersArePacifists"), ("HawksAreWarriors", "RepublicansAreNeutral"),
+                     ("QuakersArePacifists", "RepublicansAreNeutral"))
+    ]
+
+
 def test_hard_rules_fire_unconditionally():
     res = defeasible_closure(kb_with(["p"]), (make_rule("H", ["p"], "q", hard=True),))
     assert res.kb.has_fact((), Atom("q"))
@@ -215,6 +247,17 @@ def test_rules_that_share_a_name_are_kept_apart():
         lines.append(trace.lines())
     blocked = "closure@root: R {} blocked, consequent conflicts with the store"
     assert lines[0] == lines[1] == [blocked, "step 1 DMP R {} => s", blocked]
+
+
+def test_rules_that_share_a_name_fire_in_one_order_whatever_the_input_order():
+    # both R fire in one round with the same binding, so only the order of
+    # the active rules (name, then consequent and antecedents) orders the steps
+    kb = kb_with(["p"])
+    to_s, to_q = make_rule("R", ["p"], "s"), make_rule("R", ["p"], "q")
+    for rules in ((to_s, to_q), (to_q, to_s)):
+        res = defeasible_closure(replace(kb), rules + (make_rule("A", ["p"], "a"),))
+        assert [s.line() for s in res.steps] == ["step 1 DMP A {} => a", "step 2 DMP R {} => q",
+                                                 "step 3 DMP R {} => s"]
 
 
 def test_closure_memo_keeps_rules_step_bounds_and_paths_apart():

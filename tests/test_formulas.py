@@ -291,6 +291,27 @@ def test_conjuncts_flatten_nested_conjunctions():
     assert conjuncts(f) == (Atom("p"), Atom("q"), Atom("r0"), Atom("s1"))
 
 
+def test_literals_decompose_literals_and_conjunctions_of_literals():
+    p, q = Atom("p"), Atom("q", (Const("a"),))
+    # an opaque atom under 0 to 3 nested `not`s, whatever its class
+    for nots in range(4):
+        for atom in (p, Att("B", "A", Or((p, q))), Eventually(p)):
+            f = atom
+            for _ in range(nots):
+                f = Not(f)
+            assert f.literals == ((atom.key, nots),)
+    # `and`s nested in any way under an even number of `not`s
+    pq = And((p, Not(q)))
+    assert pq.literals == (("p", 0), ("(q a)", 1))
+    assert Not(Not(pq)).literals == pq.literals
+    nested = And((Not(Not(pq)), Not(Not(Not(p))), And((q, Not(Not(And((p, q))))))))
+    assert nested.literals == (("p", 0), ("(q a)", 1), ("p", 3), ("(q a)", 0), ("p", 0), ("(q a)", 0))
+    # an `and` under an odd number of `not`s, or any other connective, is none
+    for f in (Not(pq), Not(Not(Not(pq))), And((p, Not(pq))), Or((p, q)), Not(Or((p, q))),
+              Implies(p, q), Iff(p, q), And((p, Implies(p, q))), Not(Not(Iff(p, q)))):
+        assert f.literals is None
+
+
 def test_conj_inverts_conjuncts():
     assert conj((Atom("p"),)) == Atom("p")
     assert conj((Atom("p"), Atom("q"))) == And((Atom("p"), Atom("q")))

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 import reference
-from dicekit import kb as kb_module, satcore
+from dicekit import satcore
+from dicekit.engine import make_rule
 from dicekit.errors import DepthExceeded, SatTooLarge, ValidationError
-from dicekit.formulas import And, Att, Atom, Const, Iff, Implies, Not, parse_formula, print_formula
+from dicekit.formulas import And, Att, Atom, Const, Iff, Implies, Not, Or, conj, parse_formula, print_formula
 from dicekit.kb import KnowledgeBase, Store
 
 
@@ -180,7 +183,7 @@ def _check_queries(rng, kb, atoms, n_queries) -> None:
         pool = rng.choice((atoms[:3], atoms[-3:], atoms, lacking, atoms[:2] + lacking))
         q = reference.random_formula(rng, pool, rng.randint(0, 2))
         r = reference.random_formula(rng, atoms + lacking, rng.randint(0, 2))
-        for _ in range(2):  # the repeat is answered by the store's verdict memo
+        for _ in range(2):  # an answer does not depend on the queries before it
             assert kb.entails((), q) == reference.entails(fs, q)
             assert kb.consistent_with((), (q,)) == reference.satisfiable(fs + (q,))
             assert kb.consistent_with((), (q, r)) == reference.satisfiable(fs + (q, r))
@@ -287,24 +290,22 @@ def test_a_store_is_compiled_once_for_many_queries(monkeypatch):
     kb = kb0().assert_fact((), parse_formula("(and p (not r) (B A s))"))
     kb = kb.add_hard_rule((), parse_formula("(-> p q)")).add_hard_rule((), parse_formula("(<-> r t)"))
     queries = [parse_formula(text) for text in ("q", "t", "(or q u)", "(and p (not t))", "v")]
-    for q in queries:
-        kb.entails((), q)
-        kb.consistent_with((), (q,))
-        kb.jointly_consistent_with((q,))
+    kb.entails((), queries[0])
     store = kb.store_at(())
-    # the root check of jointly_consistent_with reuses consistent_with's
-    # verdict, and a literal-shaped query (q, t, v, (and p (not t)) and
-    # their negations) is decided from the groups' tables without compiling
-    compound = [q for q in queries if q.key.startswith("(or")]
-    assert len(compound) == 1
-    assert len(compiled) == len(store.formulas()) + 2 * len(compound)
-    # every verdict is kept on the store: asking again compiles nothing
-    compiled.clear()
-    for q in queries:
-        kb.entails((), q)
-        kb.consistent_with((), (q,))
-        kb.jointly_consistent_with((q,))
-    assert compiled == []
+    assert len(compiled) == len(store.formulas())
+    # then, on every pass, a literal-shaped query (q, t, v, (and p (not t))
+    # and their negations) is decided from the groups' tables without
+    # compiling, and the compound one compiles itself alone on each ask
+    compound = [q for q in queries if q.literals is None]
+    assert [q.key for q in compound] == ["(or q u)"]
+    for _ in range(2):
+        compiled.clear()
+        for q in queries:
+            kb.entails((), q)
+            kb.consistent_with((), (q,))
+            kb.jointly_consistent_with((q,))
+        assert compiled == [Not(q) for q in compound] + 2 * compound
+        assert kb.store_at(()) is store
 
 
 def test_literal_shaped_queries_compile_nothing_and_match_enumeration_oracle(monkeypatch):
@@ -326,7 +327,7 @@ def test_literal_shaped_queries_compile_nothing_and_match_enumeration_oracle(mon
                 q = lits[0] if len(lits) == 1 else And(lits)
                 expected = reference.entails(fs, q)
                 sat = reference.satisfiable(fs + lits)
-                for _ in range(2):  # the repeat is answered by the store's verdict memo
+                for _ in range(2):  # an answer does not depend on the queries before it
                     assert kb.entails((), q) == expected
                     assert kb.consistent_with((), lits) == sat
                     assert kb.consistent_with((), (q, Not(q))) is False
@@ -336,13 +337,69 @@ def test_literal_shaped_queries_compile_nothing_and_match_enumeration_oracle(mon
     assert seen_entailed and seen_sat and seen_unsat
 
 
-def test_a_kept_entailment_verdict_builds_no_negation(monkeypatch):
-    kb = kb0().assert_fact((), parse_formula("(and p (not r))"))
-    queries = [parse_formula(text) for text in ("p", "r", "(and p (not r))", "(or p r)")]
-    verdicts = [kb.entails((), q) for q in queries]
-    assert verdicts == [True, False, True, True]
-    monkeypatch.setattr(kb_module, "Not", None)  # the memo is read before (not q) is built
-    assert [kb.entails((), q) for q in queries] == verdicts
+def test_literal_shaped_queries_along_a_lineage_match_enumeration_oracle(monkeypatch):
+    # stores grown one literal, hard rule or default at a time from a base
+    # that may be unsatisfiable; each literal-shaped query, over atoms the
+    # store lacks too, with complementary extras or a negated conjunction,
+    # is asked twice, compiles nothing, and agrees with the oracle both times
+    rng = random.Random(1994)
+    seen = dict.fromkeys(("sat", "unsat", "unsat_base", "lacking", "complementary", "negated"), 0)
+    for _ in range(16):
+        atoms = [f"a{i}" for i in range(rng.randint(5, 7))]
+        pool = atoms + ["x0", "x1"]
+        kb = kb0(stores={(): _random_store(rng, atoms)})
+        kb.store_at(()).compiled
+        for step in range(rng.randint(2, 5)):
+            pick = rng.random()
+            if pick < 0.5:
+                kb = kb.assert_fact((), reference.random_literal(rng, atoms + ["x0"]))
+            elif pick < 0.8:
+                left = reference.random_formula(rng, pool, rng.randint(0, 1))
+                right = reference.random_formula(rng, pool, rng.randint(0, 1))
+                kb = kb.add_hard_rule((), Implies(left, right))
+            else:
+                kb = kb.with_default((), make_rule(f"d{step}", [Atom("a0")], Atom("a1")))
+            store = kb.store_at(())
+            assert "compiled" in store.__dict__  # extended from the parent's
+            fs = store.formulas()
+            seen["unsat_base"] += not store.compiled.sat
+            with monkeypatch.context() as m:
+                m.setattr(satcore, "compile_program", None)
+                for _ in range(6):
+                    lits = [reference.random_literal(rng, pool) for _ in range(rng.randint(1, 3))]
+                    if rng.random() < 0.25:
+                        lits.append(Not(lits[0]))
+                        seen["complementary"] += 1
+                    q = lits[0] if len(lits) == 1 else And(tuple(lits))
+                    extras = tuple(lits)
+                    if len(lits) > 1 and rng.random() < 0.5:
+                        extras = (lits[0], Not(conj(lits[1:])))
+                        seen["negated"] += len(lits) > 2
+                    expected = reference.entails(fs, q), reference.satisfiable(fs + extras)
+                    for _ in range(2):
+                        assert (kb.entails((), q), kb.consistent_with((), extras)) == expected
+                    seen["sat"] += expected[1]
+                    seen["unsat"] += not expected[1]
+                    seen["lacking"] += any(key in ("x0", "x1") for f in lits for key, _ in f.literals)
+    assert all(seen.values()), seen
+
+
+def test_a_queried_formula_is_freed_with_its_last_reference():
+    # what a query caches on its nodes holds keys and flags, never a node,
+    # so no reference cycle keeps a query alive: with the garbage collector
+    # off, reference counting alone frees it
+    kb = kb0().assert_fact((), parse_formula("(and p (not r))")).add_hard_rule((), parse_formula("(-> p q)"))
+    gc.disable()
+    try:
+        for text, entailed in (("q", True), ("(not (not r))", False), ("(and p (not s))", False), ("(or q s)", True)):
+            q = parse_formula(text)
+            assert kb.entails((), q) == entailed
+            assert "ground" in q.__dict__
+            freed = weakref.ref(q)
+            del q
+            assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_entails_raises_on_an_over_cap_store_group():
@@ -353,7 +410,7 @@ def test_entails_raises_on_an_over_cap_store_group():
     kb = kb.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q")))
 
     def raises_on_every_query(k: KnowledgeBase) -> None:
-        for _ in range(2):  # an error is never kept as a verdict
+        for _ in range(2):  # an error is raised again on every query
             with pytest.raises(SatTooLarge):
                 k.entails((), Atom("q"))
             with pytest.raises(SatTooLarge):
@@ -383,7 +440,7 @@ def test_entails_rejects_a_non_ground_query():
     # the second store extends the first's compiled form, and is unsatisfiable:
     # there every literal query would otherwise answer False
     for sat, kb in ((True, kb), (False, kb.assert_fact((), Not(Atom("p"))))):
-        # the ground (p x) prints like the query, and its verdict is kept first
+        # the ground (p x) prints like the query, and is asked first
         assert kb.entails((), parse_formula("(p x)")) == (not sat)
         assert kb.consistent_with((), (parse_formula("(p x)"),)) == sat
         for _ in range(2):

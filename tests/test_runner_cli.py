@@ -1,5 +1,6 @@
 """End-to-end runs over the corpus, report rendering, and the CLI."""
 
+import gc
 import json
 import re
 
@@ -37,6 +38,22 @@ def test_corpus_meets_expectations(corpus_reports, name):
     report = corpus_reports[name]
     assert report.ok, "\n".join(e.line() for e in report.expectations)
     assert report.exit_code() == 0
+
+
+def test_interpreting_the_corpus_makes_no_cyclic_garbage():
+    # everything a run makes is freed by reference counting, so the cycle
+    # collector's pauses do not grow with the number of runs
+    scenarios = [load(scenario_path(name)) for name in CORPUS]
+    for scn in scenarios:
+        run_scenario(scn)  # a first run may import and fill module-level caches
+    gc.disable()
+    try:
+        gc.collect()
+        for scn in scenarios:
+            assert run_scenario(scn).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_textual_order_result_justified_by_hypothesis(corpus_reports):

@@ -3,6 +3,7 @@ enumeration."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -45,6 +46,18 @@ def test_compile_program_numbers_atoms_first_seen():
         2, 0, satcore.OP_NOT, satcore.OP_OR,
     ]
     assert index == {"q": 0, "p": 1, "r0": 2}
+
+
+def test_compiling_leaves_no_reference_cycle():
+    fs = tuple(parse_formula(t) for t in ("(-> p (and q (not r)))", "(<-> q (or r s))"))
+    gc.disable()
+    try:
+        gc.collect()
+        base = satcore.compile_formulas(fs)
+        assert satcore.satisfiable((parse_formula("(or p s)"),), base=base)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_variable_cap_enforced():
