@@ -21,7 +21,8 @@ anchored one (Datalog's safety condition, checked by `DefaultRule`), and
 `holds` checks them once the anchored conjuncts have bound them.  Abduction,
 whose hypotheses need not hold, binds from the facts and, for a formula
 metavariable that no fact binds, from the candidate pool; a variable that
-nothing binds yields no hypothesis, whatever the number of constants.
+nothing binds yields no hypothesis, whatever the number of constants.  A
+pattern meets only the atoms or facts of its functor (see `_candidates`).
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
@@ -86,7 +87,7 @@ from .formulas import (
     sat_atomic,
     substitute,
 )
-from .kb import Atoms, ContextPath, KnowledgeBase
+from .kb import Atoms, ContextPath, KnowledgeBase, indexed
 
 
 # ----------------------------------------------------------------------- rules
@@ -367,19 +368,19 @@ def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
     return {**m, **b}
 
 
-def _extend_bindings(pat: Formula, bindings, facts_sorted, fvar_pool=None):
-    """Abduction's binding extension by one conjunct: match the facts (by
-    `_match_rendered`, as the closure does), and failing them bind formula
-    metavariables from the candidate pool (when given), since a hypothesis
-    need not hold.  A variable that neither binds (a term variable no fact
-    matches, say) drops the binding: no constant is guessed."""
+def _extend_bindings(pat: Formula, bindings, facts: Atoms, fvar_pool=None):
+    """Abduction's binding extension by one conjunct: match the facts of its
+    functor (by `_match_rendered`, as the closure does), and failing them
+    bind formula metavariables from the candidate pool (when given), since a
+    hypothesis need not hold.  A variable that neither binds (a term
+    variable no fact matches, say) drops the binding: no constant is guessed."""
     out: dict[str, Binding] = {}
     for b in bindings:
         unbound = pat.variables - b.keys()
         if not unbound:
             out.setdefault(render_binding(b), b)
             continue
-        matched = [m for f in facts_sorted if (m := _match_rendered(pat, f, b)) is not None]
+        matched = [m for f in _candidates(pat, facts) if (m := _match_rendered(pat, f, b)) is not None]
         if not matched and fvar_pool and unbound <= pat.fvar_names and all(n in fvar_pool for n in unbound):
             names = sorted(unbound)
             for combo in itertools.product(*(tuple(fvar_pool[n]) for n in names)):
@@ -400,10 +401,10 @@ def _ground_key(anchor: Formula, b: Binding) -> str | None:
         return None
 
 
-def _candidates(anchor: Formula, atoms: Atoms):
-    """The atoms an anchor can match: those of its functor, or all of them."""
+def _candidates(pat: Formula, atoms: Atoms):
+    """The formulas a pattern can match: those of its functor, or all."""
     keys, index = atoms
-    head = anchor.functor
+    head = pat.functor
     return keys.values() if head is None else index.get(head, ())
 
 
@@ -507,16 +508,18 @@ def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new:
 
 def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
     """Progress-update schema: from an intended plan and a done prefix, intend
-    the remaining suffix and drop the intention for the consumed prefix."""
+    the remaining suffix and drop the intention for the consumed prefix.
+    Both are read from the store's atoms of their functor that it states."""
     agent = None
     for pat in rule.antecedent:
         if isinstance(pat, Att) and pat.kind == "I":
             agent = pat.agent
     if agent is None:
         return []
-    facts = kb.store_at(path).facts
-    intended = [f.body.plan for f in facts if isinstance(f, Att) and f.kind == "I" and f.agent == agent and isinstance(f.body, Doing)]
-    done = [f.plan for f in facts if isinstance(f, Done)]
+    store = kb.store_at(path)
+    index, held = store.by_functor, store.fact_set
+    intended = [f.body.plan for f in index.get(("Att", "I", agent), ()) if isinstance(f.body, Doing) and f in held]
+    done = [f.plan for f in index.get(("Done",), ()) if f in held]
     insts = []
     for p in intended:
         for q in done:
@@ -807,23 +810,23 @@ def abduce(
     Variables bind from the facts and the observed formulas and, for formula
     metavariables alone, from `pool`.  A variable that nothing binds yields
     no hypothesis, whatever the number of constants: no constant is guessed.
+    A pattern meets the facts of its functor alone, in printed order; not
+    the atoms, where one found only in a hard rule could add a hypothesis.
     """
     path = tuple(path)
     ctx = ctx or EvalContext()
     observed = tuple(observed)
     trace = trace if trace is not None else Trace()
     store = kb.store_at(path)
-    facts_sorted = sorted(store.facts + observed, key=print_formula)
+    facts = indexed(dict(sorted({f.key: f for f in store.facts + observed}.items())))
 
-    bindings: list[Binding] = []
-    seen = set()
-    for f in facts_sorted:
-        m = match(rule.consequent, f, {})
-        if m is not None and render_binding(m) not in seen:
-            seen.add(render_binding(m))
-            bindings.append(m)
+    found: dict[str, Binding] = {}
+    for f in _candidates(rule.consequent, facts):
+        if (m := match(rule.consequent, f)) is not None:
+            found.setdefault(render_binding(m), m)
+    bindings = list(found.values())
     for pat in rule.antecedent:
-        bindings = _extend_bindings(pat, bindings, facts_sorted, fvar_pool=pool)
+        bindings = _extend_bindings(pat, bindings, facts, fvar_pool=pool)
         if not bindings:
             return ()
 

@@ -75,6 +75,11 @@ def _by_functor(atoms: Iterable[Formula]) -> dict[tuple, tuple[Formula, ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
+def indexed(keyed: Mapping[str, Formula]) -> Atoms:
+    """Formulas by key, and the same formulas by functor."""
+    return keyed, _by_functor(keyed.values())
+
+
 @dataclass(frozen=True)
 class Store:
     """One context's contents.  Tuples, not sets: iteration order is load order,
@@ -192,8 +197,7 @@ class Store:
         ancestor along its lineage had that many of each, and perhaps some
         it had before."""
         n_facts, n_hard = counts
-        atoms = _atoms_of(self.facts[n_facts:] + self.hard_rules[n_hard:])
-        return atoms, _by_functor(atoms.values())
+        return indexed(_atoms_of(self.facts[n_facts:] + self.hard_rules[n_hard:]))
 
     @cached_attr
     def carry(self) -> dict:

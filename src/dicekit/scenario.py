@@ -4,7 +4,6 @@ The format is a flat stream of s-expression tokens; `;` comments run to end
 of line.  Directives:
 
     agents A I                        author first, interpreter second
-    constants bush hb1711             parsed and ignored (no constant pool)
     option charity                    enable the Charity rule
     option delta-constraint <formula> hypotheses must stay consistent with it
     context [] { ... }                store declarations; paths are [], [A],
@@ -39,7 +38,6 @@ from .sdrs import MOODS
 
 _KEYWORDS = {
     "agents",
-    "constants",
     "option",
     "context",
     "rule",
@@ -86,7 +84,6 @@ class Scenario:
     name: str
     author: str = "A"
     interpreter: str = "I"
-    constants: tuple[str, ...] = ()
     charity: bool = False
     delta_constraints: tuple[Formula, ...] = ()
     contexts: tuple[ContextDecl, ...] = ()
@@ -228,7 +225,6 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
     forms = sexp.read_all(text)
     stream = _Stream(forms)
     agents: tuple[str, str] | None = None
-    constants: list[str] = []
     charity = False
     delta_constraints: list[Formula] = []
     decls: dict[ContextPath, ContextDecl] = {}
@@ -241,9 +237,6 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         head = stream.symbol("directive")
         if head == "agents":
             agents = (stream.symbol("author"), stream.symbol("interpreter"))
-        elif head == "constants":
-            while isinstance(stream.peek(), str) and stream.peek() not in _KEYWORDS:
-                constants.append(stream.next())
         elif head == "option":
             opt = stream.symbol("option name")
             if opt == "charity":
@@ -296,7 +289,6 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         name=name,
         author=agents[0],
         interpreter=agents[1],
-        constants=tuple(constants),
         charity=charity,
         delta_constraints=tuple(delta_constraints),
         contexts=tuple(decls.values()),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import collections
 import gc
 import itertools
 import random
@@ -53,6 +55,31 @@ def kb_with(facts=(), hard=()):
     for f in hard:
         kb = kb.add_hard_rule((), parse_formula(f))
     return kb
+
+
+#: 2,000 facts, of functors that no rule of the padding tests below matches
+PAD = tuple(parse_formula(f) for i in range(1000) for f in (f"(pad c{i})", f"(B I (pad c{i}))"))
+
+
+def _padded(kb: KnowledgeBase) -> KnowledgeBase:
+    """The knowledge base with PAD stated at the root before its own facts."""
+    root = kb.store_at(())
+    return replace(kb, stores={**kb.stores, (): replace(root, facts=PAD + root.facts)})
+
+
+def _count_engine_calls(monkeypatch, *names) -> collections.Counter:
+    """Count, by name, the calls that engine code makes to the named
+    functions (a builtin too: the count shadows it in the module)."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(engine, name, None) or getattr(builtins, name)
+
+        def counted(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(engine, name, counted, raising=False)
+    return calls
 
 
 BIRD = make_rule("Bird", ["bird"], "fly")
@@ -682,6 +709,25 @@ def test_intention_update_builtin_advances_plans():
     assert done.steps == ()
 
 
+def test_intention_update_reads_no_fact_of_another_functor(monkeypatch):
+    # the builtin is rebuilt every round; with 2,000 unrelated facts beside
+    # the plan, the attitude closure fires the same steps with the same
+    # matching work, and reads none of them (the builtin tests each fact it
+    # reads with isinstance)
+    from dicekit.axioms import standard_axioms
+
+    rules = standard_axioms().phase("attitude")
+    kb = kb_with(["(I A (R (plan a b c)))", "(D (plan a))"])
+    calls = _count_engine_calls(monkeypatch, "match", "isinstance")
+    outcomes = []
+    for store in (kb, _padded(kb)):
+        calls.clear()
+        res = defeasible_closure(store, rules)
+        outcomes.append(([s.line() for s in res.steps], dict(calls)))
+    assert outcomes[0] == outcomes[1]
+    assert any(line.split()[3] == "IntentionUpdate" for line in outcomes[0][0])
+
+
 # ------------------------------------------------------------------- specificity
 
 
@@ -899,6 +945,26 @@ def test_abduce_traces_its_steps():
     trace = Trace()
     abduce(kb_with(["w", "c"]), rule, (), trace=trace)
     assert [s.mode for s in trace.steps()] == ["Abduction"]
+
+
+def test_abduce_matches_no_fact_of_another_functor(monkeypatch):
+    # with 2,000 unrelated facts beside the evidence, the practical
+    # syllogism abduces the same hypotheses with the same matching work
+    from dicekit.axioms import standard_axioms
+
+    rule = standard_axioms()["PracticalSyllogism"]
+    kb = kb_with(["(I A (R (plan go)))", "(B A (not happy))"])
+    pool = {"phi": (Atom("happy"), Atom("sad")), "psi": (parse_formula("(R (plan go))"),)}
+    calls = _count_engine_calls(monkeypatch, "match")
+    outcomes = []
+    for store in (kb, _padded(kb)):
+        calls.clear()
+        results = abduce(store, rule, (), pool=pool)
+        outcomes.append(([(r.binding, [print_formula(h) for h in r.hypothesis]) for r in results], dict(calls)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [
+        ("{phi=happy, psi=(R (plan go))}", ["(W A happy)", "(B A (yields (R (plan go)) (eventually happy)))"])
+    ]
 
 
 def test_abduce_binds_a_variable_shared_by_a_slot_and_a_term():

@@ -22,7 +22,6 @@ def test_corpus_scenario_loads(name):
 
 def test_textual_order_scenario_structure():
     s = load(scenario_path("bush_context1"))
-    assert s.constants == ("bush", "bigbiz", "hb1711")
     assert not s.charity
     assert [(u.id, u.mood) for u in s.utterances] == [
         ("alpha", "assertion"),
@@ -55,7 +54,6 @@ def test_causal_variant_declares_charity_and_nested_context():
 FULL = """
 ; exercises every directive
 agents fred ginger
-constants c1 c2
 option charity
 option delta-constraint (not boom)
 context [] {
@@ -82,7 +80,6 @@ def test_loads_full_scenario():
     s = loads(FULL, name="full")
     assert s.name == "full"
     assert (s.author, s.interpreter) == ("fred", "ginger")
-    assert s.constants == ("c1", "c2")
     assert s.charity
     assert [str(f) for f in s.delta_constraints] == ["(not boom)"]
 
@@ -136,12 +133,6 @@ def test_anonymous_defaults_get_distinct_names():
         "context-default-0-0",
         "context-default-0-1",
     ]
-
-
-def test_constants_stop_at_next_directive():
-    s = loads("agents A I constants c1 c2 utterance a assertion p expect coherent")
-    assert s.constants == ("c1", "c2")
-    assert [u.id for u in s.utterances] == ["a"]
 
 
 def test_abducible_indices_accept_bare_and_spread_forms():
