@@ -40,20 +40,22 @@ Closures follow the lineage of the store they close (see `kb.Store`): a
 store made from another by asserting facts or adding hard rules or defaults
 only grows, and so does the store inside one closure.  Each closure leaves a
 carry on the store it ends at, and on the store it started from as that
-store stood after the first round: for each rule, by identity, its instances
-with the fact and hard-rule counts they were bound at, and the instances
-whose consequent has held, which are settled for good (see `_fixpoint`).  A
-later closure of a descendant starts from that carry, round by round alike:
-a rule that no atom gained since touches keeps its instances, a touched rule
-binds the new atoms alone, one anchored conjunct at a time (a semi-naive
-delta, see `rule_instances`), and only the unsettled instances are checked.
-An instance that cannot apply, because no grounded anchor of one of its
-conjuncts is among the store's atoms, is not built until such an atom
-arrives.  A store that `retract_fact` makes, and any store made directly,
-starts a new lineage with an empty carry: the same code with nothing
-carried.  Within a closure, each pair of antecedents is compared by
-`specificity` once, and within a round, each pair of applicable instances
-is checked for joint consistency once.
+store stood after the first round (see `_fixpoint`): for each rule, by
+identity, its instances and those whose consequent has held, which are
+settled for good, and an index of the rules' anchors, which is extended as
+rules join the lineage and never rebuilt.  A later closure of a descendant
+starts from that carry, round by round alike.  The index maps the atoms
+gained since the last round, by key or by functor, to the rules they may
+touch; only those rules bind again, from the new atoms first (a semi-naive
+delta, see `rule_instances`), every other rule keeps its instances, and only
+the unsettled instances are checked.  So a round's matching costs what its
+new atoms touch, not what the rule set holds.  An instance that cannot
+apply, because no grounded anchor of one of its conjuncts is among the
+store's atoms, is not built until such an atom arrives.  A store that
+`retract_fact` makes, and any store made directly, starts a new lineage
+with no carry: the same code with nothing carried.  Within a closure, each
+pair of antecedents is compared by `specificity` once, and within a round,
+each pair of applicable instances is checked for joint consistency once.
 """
 
 from __future__ import annotations
@@ -139,12 +141,13 @@ class DefaultRule:
                 )
 
 
-def _anchored(rule: DefaultRule) -> list[tuple[Formula, tuple[Formula, ...]]]:
+def _anchored(rule: DefaultRule) -> tuple[tuple[Formula, tuple[Formula, ...]], ...]:
     """The anchored conjuncts of the rule's antecedent, in order, each with
-    its `_anchors`: the conjuncts the closure binds.  Not kept on the rule:
-    kept there with `_active_rules`' sort key, they added about 1,000 tracked
-    objects to rulesys's long-lived rules, and its tail latency rose 25%."""
-    return [(p, a) for p in rule.antecedent if (a := _anchors(p)) is not None]
+    its `_anchors`: the conjuncts the closure binds.  Kept in the rule's
+    carry record (see `_Carried`), not on the rule: kept there with
+    `_active_rules`' sort key, they added about 1,000 tracked objects to
+    rulesys's long-lived rules, and its tail latency rose 25%."""
+    return tuple((p, a) for p in rule.antecedent if (a := _anchors(p)) is not None)
 
 
 def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
@@ -432,26 +435,9 @@ def _bind_conjunct(bindings, pat: Formula, anchors, atoms: Atoms, old: Container
     return list(out.values())
 
 
-def _touches_conjunct(anchors, new: Atoms) -> bool:
-    """Whether one of the new atoms is an instance of one of the anchors."""
-    for anchor in anchors:
-        if not anchor.variables:
-            if anchor.key in new[0]:
-                return True
-        elif any(match(anchor, a) is not None for a in _candidates(anchor, new)):
-            return True
-    return False
-
-
-def _touches(rule: DefaultRule, new: Atoms) -> bool:
-    """Whether one of the new atoms is an instance of an anchor of one of
-    the rule's conjuncts.  New atoms that touch none leave the rule's
-    instances as they were: only anchored conjuncts bind, a binding only
-    narrows a match, and a grounded anchor is an instance of its pattern."""
-    return any(_touches_conjunct(anchors, new) for _, anchors in _anchored(rule))
-
-
-def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new: Atoms | None = None) -> list[_Inst]:
+def rule_instances(
+    rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new: Atoms | None = None, *, anchored=None
+) -> list[_Inst]:
     """Ground instances of a rule against the store at a path, canonical order.
 
     Only anchored conjuncts bind, each from the store's atoms: at a
@@ -459,39 +445,41 @@ def rule_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new:
     one of its grounded `_anchors` is among them, and at an unsatisfiable one
     every consequent holds already, so no instance applies.  An instance
     that cannot apply is not built: a conjunct that earlier conjuncts ground
-    is kept only when a grounded anchor is among the atoms.
+    is kept only when a grounded anchor is among the atoms.  `anchored` is
+    the rule's `_anchored` conjuncts, when the caller keeps them.
 
-    `new` is some of the store's atoms, which must include every atom added
-    since instances were last bound (by default, all of them).  Only the
-    instances that bind one of them are built, each once (semi-naive, after
-    Bancilhon & Ramakrishnan 1986): for each conjunct a new atom touches,
-    the conjunct binds from the new atoms, the conjuncts before it from the
-    others and the conjuncts after it from all.  Instances that bind none
-    were built before; so were the instances of a rule with no anchored
+    `new` is some of the store's atoms, which must include every atom gained
+    since the instances were last bound (by default, all of them).  Only the
+    instances that bind one of them are built (semi-naive, after Bancilhon &
+    Ramakrishnan 1986), delta first: each conjunct in turn binds from the
+    new atoms alone, and then, under each binding it makes, the conjuncts
+    before it bind from the old atoms and the conjuncts after it from all.
+    So a new instance is built from the first of its conjuncts that no old
+    atom grounds, and only from that one, and the join starts from the few
+    new atoms, not from the store.  An instance that binds no new atom was
+    built before, and so was the instance of a rule with no anchored
     conjunct, which has the one empty binding whatever the store."""
     store = kb.store_at(path)
     every: Atoms = (store.atoms, store.by_functor)
-    anchored = _anchored(rule)
+    anchored = _anchored(rule) if anchored is None else anchored
     found: dict[str, Binding] = {}
     if new is None:
-        new = every
-        if not anchored:
-            found[render_binding({})] = {}
-    prefix: list[Binding] = [{}]  # bindings of the conjuncts before i, from the old atoms
-    for i, (pat, anchors) in enumerate(anchored):
-        if _touches_conjunct(anchors, new):
-            bindings = _bind_conjunct(prefix, pat, anchors, new)
-            for later, later_anchors in anchored[i + 1:]:
+        bindings: list[Binding] = [{}]
+        for pat, anchors in anchored:
+            bindings = _bind_conjunct(bindings, pat, anchors, every)
+            if not bindings:
+                break
+        found = {render_binding(b): b for b in bindings}
+    else:
+        for i, (pat, anchors) in enumerate(anchored):
+            bindings = _bind_conjunct([{}], pat, anchors, new)
+            for j, (other, other_anchors) in enumerate(anchored):
                 if not bindings:
                     break
-                bindings = _bind_conjunct(bindings, later, later_anchors, every)
+                if j != i:
+                    bindings = _bind_conjunct(bindings, other, other_anchors, every, old=new[0] if j < i else ())
             for b in bindings:
                 found.setdefault(render_binding(b), b)
-        if new is every or i == len(anchored) - 1:
-            break  # no atom is old, or no conjunct is left to bind after this one
-        prefix = _bind_conjunct(prefix, pat, anchors, every, old=new[0])
-        if not prefix:
-            break
     insts = []
     for key, b in found.items():
         try:
@@ -603,14 +591,79 @@ _MIRRORED = {"first": "second", "second": "first", "incomparable": "incomparable
 
 class _Carried(NamedTuple):
     """One rule's matching state along a lineage of stores: the rule itself
-    (so that its identity, the carry's key, is never reused), the store's
-    (facts, hard rules) counts its instances were bound at, its instances
-    not yet settled, in canonical order, and the keys of the settled ones."""
+    (so that its identity, the carry's key, is never reused), its
+    `_anchored` conjuncts, the count of the store's atoms its instances were
+    bound at when an atom gained since may touch them (None when they are
+    bound at the carry's count), its instances not yet settled, in canonical
+    order, and the keys of the settled ones."""
 
     rule: DefaultRule
-    count: tuple[int, int]
+    anchored: tuple[tuple[Formula, tuple[Formula, ...]], ...]
+    since: int | None
     live: tuple[_Inst, ...]
     settled: frozenset[str]
+
+
+class _Carry(dict):
+    """What the closures along a lineage of stores leave for the next (see
+    `_fixpoint`): a `_Carried` record by rule identity, the count of the
+    store's atoms the records are bound at, and the anchor index of the
+    carried rules.  The index maps the key of each ground anchor, and the
+    functor of each anchor with variables, to the rules with such an anchor,
+    and lists the rules with an anchor of no functor (a metavariable of an
+    unknown shape).  A copy shares the index until it extends it, so no
+    carry changes another."""
+
+    __slots__ = ("count", "_index", "_own")
+
+    def __init__(self, other: _Carry | None = None):
+        super().__init__(other or ())
+        self.count = 0 if other is None else other.count
+        self._index = ({}, {}, ()) if other is None else other._index
+        self._own = False
+
+    def add(self, entry: _Carried) -> None:
+        """Record a rule that enters the lineage, and index its anchors."""
+        ident = id(entry.rule)
+        self[ident] = entry
+        by_key, by_functor, loose = self._index
+        if not self._own:
+            by_key, by_functor, self._own = dict(by_key), dict(by_functor), True
+        for _, anchors in entry.anchored:
+            for anchor in anchors:
+                if not anchor.variables:
+                    by_key[anchor.key] = by_key.get(anchor.key, ()) + (ident,)
+                elif anchor.functor is not None:
+                    by_functor[anchor.functor] = by_functor.get(anchor.functor, ()) + (ident,)
+                else:
+                    loose += (ident,)
+        self._index = by_key, by_functor, loose
+
+    def advance(self, store) -> dict[int, Atoms]:
+        """Bring the carry to the store's atoms, a descendant's of those it
+        was bound at, and return the atoms gained, under the count they were
+        gained since.  A rule that one of them may touch, by the index (an
+        anchor of the atom's key, of its functor, or of no functor), has its
+        record marked with the count its instances were bound at, for the
+        closure to bind it again when it is active.  No other record
+        changes: only anchored conjuncts bind, a binding only narrows a
+        match, and a grounded anchor is an instance of its pattern."""
+        n = len(store.atoms)
+        added: dict[int, Atoms] = {}
+        if n != self.count and self:
+            keys, index = added[self.count] = store.atoms_since(self.count)
+            by_key, by_functor, loose = self._index
+            touched = set(loose)
+            for key in keys:
+                touched.update(by_key.get(key, ()))
+            for functor in index:
+                touched.update(by_functor.get(functor, ()))
+            for ident in touched:
+                entry = self[ident]
+                if entry.since is None:
+                    self[ident] = entry._replace(since=self.count)
+        self.count = n
+        return added
 
 
 def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_steps: int) -> ClosureResult:
@@ -620,15 +673,20 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     It leaves its carry after the first round on that store, and its final
     carry on the store it ends at, for the closures of either store's
     descendants (a `yields` test closes a store and that store plus a
-    formula, say).  The carry holds, for each rule by identity, a
-    `_Carried` record; it holds rules, instances and counts, never a store
-    or a knowledge base, so no store keeps its ancestors alive.  Along a
-    lineage (see `kb.Store`) a store only gains facts and hard rules, and so
-    does the store inside a closure, which makes both of these sound:
-    - A rule's instances stay instances.  When the store has gained atoms
-      since they were bound, a rule the new atoms touch (see `_touches`)
-      binds those alone (see `rule_instances`), and the rest are carried as
-      they are; builtins are rebuilt every round.
+    formula, say).  The carry (`_Carry`) holds, for each rule by identity,
+    a `_Carried` record, and an index of the rules' anchors, built as each
+    rule enters the lineage and extended, never rebuilt, as rules are
+    appended; it holds rules, instances, keys and counts, never a store or
+    a knowledge base, so no store keeps its ancestors alive.  Along a
+    lineage (see `kb.Store`) a store only gains facts and hard rules, so
+    its atoms only grow, and so do the store's inside a closure, which makes
+    both of these sound:
+    - A rule's instances stay instances.  A round looks up the atoms gained
+      since the last in the index, and only the rules whose anchors they
+      hit bind again, from those atoms (see `rule_instances`); every other
+      rule's unsettled instances are carried as they are.  A rule the
+      atoms hit while it was not active binds when it is next active, from
+      every atom gained since.  Builtins are rebuilt every round.
     - An instance whose consequent held is settled: it holds in every
       larger store, so no later round or closure checks it again.
     An instance that cannot apply is never built, so a rule whose
@@ -644,7 +702,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     instances' joint consistency is asked once a round for both orders."""
     fired: list[InferenceStep] = []
     out = kb
-    carry: dict[int, _Carried] = dict(kb.store_at(path).carry)
+    carry = _Carry(kb.store_at(path).carry)
     compared: dict[tuple, str] = {}
 
     def compare(i: _Inst, j: _Inst) -> str:
@@ -657,8 +715,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
 
     for _ in range(max_steps):
         store = out.store_at(path)
-        count = (len(store.facts), len(store.hard_rules))
-        added: dict[tuple[int, int], Atoms] = {}  # since -> the atoms gained since then
+        added = carry.advance(store)  # since -> the atoms gained since then
         insts: list[_Inst] = []
         for rule in active:
             if rule.builtin:
@@ -666,19 +723,21 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 continue
             entry = carry.get(id(rule))
             if entry is None:
-                entry = _Carried(rule, count, tuple(rule_instances(rule, out, path)), frozenset())
-            elif entry.count != count:
-                new = added.get(entry.count)
+                anchored = _anchored(rule)
+                live = tuple(rule_instances(rule, out, path, anchored=anchored))
+                entry = _Carried(rule, anchored, None, live, frozenset())
+                carry.add(entry)
+            elif entry.since is not None:
+                new = added.get(entry.since)
                 if new is None:
-                    new = added[entry.count] = store.atoms_since(entry.count)
+                    new = added[entry.since] = store.atoms_since(entry.since)
                 live = entry.live
-                if _touches(rule, new):
-                    known = entry.settled.union(i.key for i in live)
-                    more = tuple(i for i in rule_instances(rule, out, path, new) if i.key not in known)
-                    if more:
-                        live = tuple(sorted(live + more, key=lambda i: i.key))
-                entry = _Carried(rule, count, live, entry.settled)
-            carry[id(rule)] = entry
+                known = entry.settled.union(i.key for i in live)
+                found = rule_instances(rule, out, path, new, anchored=entry.anchored)
+                more = tuple(i for i in found if i.key not in known)
+                if more:
+                    live = tuple(sorted(live + more, key=lambda i: i.key))
+                entry = carry[id(rule)] = entry._replace(since=None, live=live)
             insts.extend(entry.live)
         # applicability against the current store
         applicable = []
@@ -697,9 +756,10 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             e = carry.get(ident)
             if e is None:
                 continue  # a builtin's instances are built again every round
-            carry[ident] = _Carried(e.rule, e.count, tuple(i for i in e.live if i.key not in keys), e.settled | keys)
+            carry[ident] = e._replace(live=tuple(i for i in e.live if i.key not in keys), settled=e.settled | keys)
         if out is kb:  # the first round's carry is the input store's, for its other descendants
-            kb.store_at(path).keep_carry(dict(carry))
+            kb.store_at(path).keep_carry(carry)
+            carry = _Carry(carry)
         if not applicable:
             break
         ok_alone = {

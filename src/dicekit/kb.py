@@ -17,6 +17,7 @@ takes A to believe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -104,9 +105,10 @@ class Store:
     parent's `carry`, what the engine's last closure along this line of
     stores left for the next (see `engine._fixpoint`).  Those three only
     append, so a descendant's facts and hard rules begin with its
-    ancestor's.  `KnowledgeBase.retract_fact`, which removes a fact, makes
-    its store afresh: it starts a new lineage, with nothing built and an
-    empty carry, as does every store made directly."""
+    ancestor's, and so do its atoms, in first-seen order, once the ancestor
+    has built them (see `atoms_since`).  `KnowledgeBase.retract_fact`,
+    which removes a fact, makes its store afresh: it starts a new lineage,
+    with nothing built and no carry, as does every store made directly."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
@@ -191,28 +193,27 @@ class Store:
         """The store's atoms by `Formula.functor`: the atoms a pattern can match."""
         return _by_functor(self.atoms.values())
 
-    def atoms_since(self, counts: tuple[int, int]) -> Atoms:
-        """The atoms of the facts and hard rules after the first `counts`
-        (facts, hard rules): every atom the store has gained since an
-        ancestor along its lineage had that many of each, and perhaps some
-        it had before."""
-        n_facts, n_hard = counts
-        return indexed(_atoms_of(self.facts[n_facts:] + self.hard_rules[n_hard:]))
+    def atoms_since(self, n: int) -> Atoms:
+        """The store's atoms after its first n, in first-seen order.  Along a
+        lineage the atoms only append, so once an ancestor has built its
+        atoms, these are the atoms the store has gained since that ancestor
+        had n, and no others."""
+        return indexed(dict(itertools.islice(self.atoms.items(), n, None)))
 
     @cached_attr
-    def carry(self) -> dict:
+    def carry(self):
         """What the engine's last closure of this store, or of its nearest
         closed ancestor, left for the next closure (see `engine._fixpoint`);
-        opaque here, and never changed in place."""
-        return {}
+        opaque here, and never changed in place.  None when nothing did."""
+        return None
 
-    def keep_carry(self, carry: dict) -> None:
+    def keep_carry(self, carry) -> None:
         """Record what a closure that ended at this store leaves for the
         closures of the store and its descendants."""
         self.__dict__["carry"] = carry
 
     def entails(self, f: Formula) -> bool:
-        return not satcore.satisfiable((Not(f),), base=self.compiled)
+        return not satcore.satisfiable((), base=self.compiled, negated=f)
 
     def satisfiable_with(self, extra: tuple[Formula, ...]) -> bool:
         """Satisfiability of the store together with the extra formulas."""

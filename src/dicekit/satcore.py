@@ -24,7 +24,9 @@ without a base runs the same routine over an empty base.
 
 Most queries are literal-shaped: a set of literals (opaque atoms under any
 number of `not`s, given as several extras or as an `and` of them), perhaps
-with the negation of one such conjunction (`entails` of an `and`).
+with the negation of one such conjunction (`entails` of a literal or an
+`and`, which passes the conjunction as `negated` rather than build its
+negation).
 `satisfiable` sorts a query in one pass that checks each formula is ground
 and reads its (atom key, nots) pairs (`Formula.literals`, cached on the
 node).  A literal set, of one member or more, is decided from the stored
@@ -36,8 +38,9 @@ compound query compiles.  A store one literal larger than a compiled one is
 compiled by `add_literal`: an atom the base numbers narrows its group's
 table by the atom's mask, and a new atom becomes a group of its own, so no
 other group is touched.  A store one hard rule larger is compiled by
-`add_formula`, which merges the groups the rule touches with its new atoms
-and builds that one group's table.
+`add_formula`, which merges the groups the rule touches with its new atoms,
+builds that one group's table and numbers again only the variables of the
+groups it merged or moved.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -317,28 +320,52 @@ def add_formula(base: Compiled, f: Formula) -> Compiled:
     """The compiled form of base's formulas plus one ground formula (a hard
     rule, say), built from base: the base groups that share an atom with f
     merge with f's new atoms into one group, whose table alone is built, and
-    every other group is kept as it is.  Raises `SatTooLarge` when the merged
-    group exceeds MAX_VARS, as compiling the whole set would."""
+    every other group is kept as it is.  The merged group takes the place of
+    the first group it absorbs (or a new place), and the last group fills
+    each other place it frees, so only the variables of the merged group and
+    of the moved ones are numbered again.  Raises `SatTooLarge` when the
+    merged group exceeds MAX_VARS, as compiling the whole set would."""
     _require_ground((f,))
     new, (merged,) = _extend(base, (f,))  # one formula's atoms form one group
-    touched = {base.group_of[v] for v in merged[0] if v < len(base.index)}
-    groups = [grp for g, grp in enumerate(base.groups) if g not in touched] + [merged]
-    tables = tuple(t for g, t in enumerate(base.tables) if g not in touched) + (_table(*merged),)
-    index = {**base.index, **new}
-    return Compiled(index, tuple(groups), tables, *_numbering(groups, len(index)), base.sat and tables[-1] != 0)
+    touched = sorted({base.group_of[v] for v in merged[0] if v < len(base.index)})
+    groups, tables = list(base.groups), list(base.tables)
+    group_of, position = base.group_of + [0] * len(new), base.position + [0] * len(new)
+
+    def place(g: int, group: Group, table: int) -> None:
+        groups[g], tables[g] = group, table
+        for k, v in enumerate(group[0]):
+            group_of[v], position[v] = g, k
+
+    for g in reversed(touched[1:]):
+        last, last_table = groups.pop(), tables.pop()
+        if g < len(groups):
+            place(g, last, last_table)
+    table = _table(*merged)
+    if not touched:  # every atom of f is new: the merged group takes a new place
+        groups.append(merged)
+        tables.append(table)
+    place(touched[0] if touched else len(groups) - 1, merged, table)
+    return Compiled({**base.index, **new}, tuple(groups), tuple(tables), group_of, position, base.sat and table != 0)
 
 
-def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bool:
-    """Satisfiability of the formulas together with a compiled base (none by
-    default).  One pass over the formulas checks that each is ground and
-    reads its `Formula.literals`.  A literal set, or a literal set and one
-    negated conjunction of literals, is then decided from the base's stored
-    tables and compiles nothing (see the module docstring); other formulas
-    are compiled, and only the base groups they touch are decided again."""
+def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None, negated: Formula | None = None) -> bool:
+    """Satisfiability of the formulas, and of the negation of `negated` when
+    given, together with a compiled base (none by default).  One pass over
+    the formulas checks that each is ground and reads its
+    `Formula.literals`.  A literal set, or a literal set and one negated
+    conjunction of literals (`negated`, when it is one, needs no `not` node),
+    is then decided from the base's stored tables and compiles nothing (see
+    the module docstring); other formulas are compiled, and only the base
+    groups they touch are decided again."""
     base = _EMPTY if base is None else base
     fs = tuple(formulas)
     lits: list[tuple[str, int]] = []
-    negated = None  # the literals of the one negated conjunction, if any
+    negation = None  # the literals of the one negated conjunction, if any
+    if negated is not None:
+        if negated.ground and negated.literals is not None:
+            negation = negated.literals
+        else:
+            fs, negated = fs + (Not(negated),), None
     compound = False
     for f in fs:
         if not f.ground:
@@ -346,15 +373,17 @@ def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bo
         conjunction = f.literals
         if conjunction is not None:
             lits += conjunction
-        elif negated is None and type(f) is Not and f.body.literals is not None:
-            negated = f.body.literals
+        elif negation is None and type(f) is Not and f.body.literals is not None:
+            negation = f.body.literals
         else:
             compound = True
     if not compound:
-        if negated is None:
+        if negation is None:
             return base.sat and _literals_fit(base, lits)
         # (not (and l1 ... ln)) holds iff some (not li) does
-        return base.sat and any(_literals_fit(base, lits + [(key, nots + 1)]) for key, nots in negated)
+        return base.sat and any(_literals_fit(base, lits + [(key, nots + 1)]) for key, nots in negation)
+    if negated is not None:
+        fs += (Not(negated),)
     _, groups = _extend(base, fs)
     if not base.sat:
         return False
@@ -363,4 +392,4 @@ def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None) -> bo
 
 def entailed_by(store: Iterable[Formula], query: Formula) -> bool:
     """Classical entailment: store plus the query's negation is unsatisfiable."""
-    return not satisfiable(tuple(store) + (Not(query),))
+    return not satisfiable(store, negated=query)

@@ -549,6 +549,66 @@ def test_closing_along_a_lineage_matches_closing_afresh():
     assert retracted >= 20 and hardened >= 60
 
 
+def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(monkeypatch):
+    # the rule set grows between closures, as the runner appends each new
+    # pair's belief-property rules: open rules of another random system and
+    # ground instances of them, which may share a name with a rule already
+    # there.  Each closure along the lineage indexes the anchors of the rules
+    # that join its carry, once each, and extends the index its ancestors
+    # left; it writes the same stores and trace as the closure of an equal
+    # knowledge base built afresh, and leaves each rule it ran the instances
+    # that a fresh binding finds.  A sibling closed under rules that the
+    # lineage never takes up leaves the lineage's index as it was
+    calls = _count_engine_calls(monkeypatch, "_anchored")
+    rng = random.Random(1986)
+    appended = strays = 0
+    for _ in range(40):
+        kb, rules, consts = _random_open_rule_system(rng)
+        patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
+
+        def grounding() -> str:
+            return rng.choice(patterns).replace("?x", rng.choice(consts)).replace("?y", rng.choice(consts))
+
+        for _ in range(rng.randint(3, 6)):
+            lit = grounding()
+            if rng.random() < 0.3:
+                _closed_state(kb.assert_fact((), parse_formula(grounding())), rules + _random_open_rule_system(rng)[1])
+                strays += 1
+            if rng.random() < 0.5:
+                kb = kb.assert_fact((), parse_formula(lit))
+            else:
+                kb = kb.add_hard_rule((), parse_formula(f"(-> seed {lit})"))
+            extra = _random_open_rule_system(rng)[1]
+            for rule in rng.sample(extra, rng.randint(0, len(extra))):
+                if rng.random() < 0.5:
+                    x, y = rng.choice(consts), rng.choice(consts)
+
+                    def ground(p):
+                        return parse_formula(engine._pattern_str(p).replace("?x", x).replace("?y", y))
+
+                    rule = replace(rule, antecedent=tuple(map(ground, rule.antecedent)),
+                                   consequent=ground(rule.consequent))
+                rules += (rule,)
+                appended += 1
+            # all the rules so far, or the later ones, as the runner closes
+            # its relation rules and then the belief-property ones alone
+            active = rules if rng.random() < 0.7 else rules[len(rules) // 2:]
+            carried = kb.store_at(()).carry or {}
+            joining = sum(id(r) not in carried for r in active)
+            before = calls["_anchored"]
+            closed, stores, lines = _closed_state(kb, active)
+            assert calls["_anchored"] - before == joining
+            assert (stores, lines) == _closed_state(_rebuilt(kb), active)[1:]
+            carry = closed.store_at(()).carry
+            for rule in active:
+                left = carry[id(rule)]
+                assert {i.key for i in left.live} | left.settled == {
+                    i.key for i in rule_instances(rule, _rebuilt(closed), ())}
+            # go on from the closed knowledge base, or now and then from the unclosed one
+            kb = closed if rng.random() < 0.8 else kb
+    assert appended >= 200 and strays >= 40
+
+
 def test_a_settled_instance_fires_again_once_its_consequent_is_retracted():
     kb = kb_with(["p"])
     rule = make_rule("R", ["p"], "q")

@@ -433,6 +433,28 @@ def test_entails_raises_on_an_over_cap_store_group():
     raises_on_every_query(grown.assert_fact((), Atom("q")).assert_fact((), Not(Atom("q"))))
 
 
+def test_a_literal_shaped_entailment_builds_no_negation(monkeypatch):
+    # a literal or a conjunction of literals is decided from the store's
+    # tables with each literal's parity flipped, so no (not f) node is built;
+    # a compound query still compiles its negation
+    kb = kb0().assert_fact((), parse_formula("(and p (not r))")).add_hard_rule((), parse_formula("(-> p q)"))
+    kb.store_at(()).compiled
+    queries = [parse_formula(q) for q in ("q", "(not r)", "(and p q (not r))", "s", "(not q)", "(and q r)")]
+    compound = parse_formula("(or q s)")
+    built = []
+    real = Not.__init__
+
+    def counting(self, body):
+        built.append(body)
+        real(self, body)
+
+    monkeypatch.setattr(Not, "__init__", counting)
+    assert [kb.entails((), q) for q in queries] == [True, True, True, False, False, False]
+    assert built == []
+    assert kb.entails((), compound)
+    assert built == [compound]
+
+
 def test_entails_rejects_a_non_ground_query():
     query = parse_formula("(p ?x)")
     kb = kb0().assert_fact((), Atom("p"))

@@ -3,6 +3,7 @@ any corpus scenario interpret with the relations their construction implies."""
 
 import pytest
 
+from dicekit import engine
 from dicekit.formulas import parse_formula
 from dicekit.runner import run_scenario
 from dicekit.scenario import loads
@@ -27,3 +28,29 @@ def test_long_enablement_chain_is_coherent(n):
     assert got == {("Result", f"u{k}", f"u{k + 1}") for k in range(n - 1)}
     for intention in ("(I A (R (plan s0)))", "(I A (R (plan s0 s1)))"):
         assert report.kb.entails((), parse_formula(intention))
+
+
+def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
+    # each pair adds three belief-property rules, and the relation phase
+    # closes again after every utterance; a round binds only the rules that
+    # its new atoms touch, from those atoms first, so the `match` calls the
+    # engine makes per closure do not grow with the chain
+    counts = {"match": 0, "closures": 0}
+    real_match, real_fixpoint = engine.match, engine._fixpoint
+
+    def match(*args, **kw):
+        counts["match"] += 1
+        return real_match(*args, **kw)
+
+    def fixpoint(*args, **kw):
+        counts["closures"] += 1
+        return real_fixpoint(*args, **kw)
+
+    monkeypatch.setattr(engine, "match", match)
+    monkeypatch.setattr(engine, "_fixpoint", fixpoint)
+    per_closure = {}
+    for n in (20, 80):
+        counts.update(match=0, closures=0)
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+        per_closure[n] = counts["match"] / counts["closures"]
+    assert max(per_closure.values()) <= 1.2 * min(per_closure.values()), per_closure

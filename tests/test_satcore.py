@@ -293,6 +293,26 @@ def test_add_formula_merges_the_groups_it_touches():
     assert seen_unsat
 
 
+def test_add_formula_numbers_again_only_the_groups_it_merges_or_moves():
+    # eight groups of one atom each; a rule over c1, c3, c5 and a new atom
+    # merges their groups into c1's place, the last two groups fill the places
+    # it frees, and the variables of the other groups keep their numbers.
+    # The base is left as it was
+    base = satcore.compile_formulas([Atom(f"c{i}") for i in range(8)])
+    before = (dict(base.index), base.groups, base.tables, list(base.group_of), list(base.position))
+    grown = satcore.add_formula(base, parse_formula("(-> c1 (or c3 (and c5 x)))"))
+    assert (base.index, base.groups, base.tables, base.group_of, base.position) == before
+    key_of = {v: k for k, v in grown.index.items()}
+    assert [sorted(key_of[v] for v in vs) for vs, _ in grown.groups] == [
+        ["c0"], ["c1", "c3", "c5", "x"], ["c2"], ["c6"], ["c4"], ["c7"]]
+    for v in (0, 2, 4):
+        assert (grown.group_of[v], grown.position[v]) == (base.group_of[v], base.position[v])
+    for v in key_of:
+        assert grown.groups[grown.group_of[v]][0][grown.position[v]] == v
+    assert grown.sat and satcore.satisfiable([Atom("x")], base=grown)
+    assert not satcore.satisfiable([Not(Atom("x")), Not(Atom("c3"))], base=grown)
+
+
 def test_one_unsatisfiable_group_decides_the_instance():
     rng = random.Random(77)
     checked = 0
