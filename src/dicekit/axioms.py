@@ -24,9 +24,9 @@ from .engine import (
     DefaultRule,
     EvalContext,
     Trace,
-    _anchors,
-    _bind_conjunct,
-    _closed_pair,
+    anchored_conjuncts,
+    bind,
+    closed_pair,
     holds,
     make_rule,
 )
@@ -385,8 +385,8 @@ def apply_support_relation(
     and a hypothesis delta under which the supported content completes a ground
     instance of it, with delta consistent with the interpreter's and the
     author's stores, closing under the context's rules and step bound.  The
-    witness binds from the augmented store's atoms, as the closure binds a
-    rule (see `engine.rule_instances`), and is tried in sorted order, so the
+    witness binds from the augmented store's atoms through `engine.bind`,
+    the binder of the closure's rules, and is tried in sorted order, so the
     generic's variable must occur in an anchored (atomic, negated or
     eventual) conjunct; a viable generic whose variable does not raises
     `ValidationError`."""
@@ -404,7 +404,7 @@ def apply_support_relation(
 
     # one closure pair answers the yields-question for every candidate at
     # once; only the final holds-check varies
-    base_kb, sup_kb = _closed_pair(kb, (), sup_content, ctx)
+    base_kb, sup_kb = closed_pair(kb, (), sup_content, ctx)
     viable = [g for g in collect_generics(kb) if holds(sup_kb, (), g) and not holds(base_kb, (), g)]
     if not viable:
         trace.note(f"{rule_name}: the content of {supporter} yields no generic; rule idle")
@@ -421,18 +421,16 @@ def apply_support_relation(
             kbd = kb.assert_fact((), delta)
         else:
             kbd = kb
-        base_d, aug_d = _closed_pair(kbd, (), spd_content, ctx)
+        base_d, aug_d = closed_pair(kbd, (), spd_content, ctx)
         store = aug_d.store_at(())
         for gen in viable:
             parts = conjuncts(gen.antecedent) + conjuncts(gen.consequent)
-            anchored = [(p, a) for p in parts if (a := _anchors(p)) is not None]
+            anchored = anchored_conjuncts(parts)
             if not any(gen.var in p.variables for p, _ in anchored):
                 raise ValidationError(f"generic {print_formula(gen)}: {gen.var} occurs in no atomic,"
                                       " negated or eventual conjunct, so nothing binds its witness")
-            bindings = [{}]
-            for p, anchors in anchored:
-                bindings = _bind_conjunct(bindings, p, anchors, (store.atoms, store.by_functor))
-            for d in sorted({str(b[gen.var]) for b in bindings}):
+            witnesses = {str(b[gen.var]) for b in bind(anchored, (store.atoms, store.by_functor)).values()}
+            for d in sorted(witnesses):
                 psi = conj([instantiate(p, {gen.var: Const(d)}) for p in parts])
                 if holds(aug_d, (), psi) and not holds(base_d, (), psi):
                     justification = (rel,) + (() if delta is None else (delta,))

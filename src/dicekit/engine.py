@@ -10,19 +10,20 @@ neither antecedent is strictly stronger both stay silent -- sceptical
 resolution.  The result is order-independent: candidate instances are
 collected per round and fired in a canonical order.
 
-Candidate instances are grounded against the store's atoms.  A conjunct that
-is opaque to the SAT layer, or the negation or eventuality of such a formula,
-is anchored (see `_anchors`): a satisfiable store entails it only if an
-instance of it is among the store's atoms, so binding it from the atoms is
-exact, and finds the groundings that hold through a hard rule alone.  Other
-conjuncts (an `or`, say) can hold with no atom at all, so they bind nothing:
-a rule is range-restricted, every variable of such a conjunct occurring in an
-anchored one (Datalog's safety condition, checked by `DefaultRule`), and
-`holds` checks them once the anchored conjuncts have bound them.  Abduction,
-whose hypotheses need not hold, binds from the facts and, for a formula
-metavariable that no fact binds, from the candidate pool; a variable that
-nothing binds yields no hypothesis, whatever the number of constants.  A
-pattern meets only the atoms or facts of its functor (see `_candidates`).
+Patterns bind against a store in one place, `bind`, for the closure's rules
+and the Result/Evidence driver's witness alike.  A conjunct that is opaque to
+the SAT layer, or the negation or eventuality of such a formula, is anchored
+(see `_anchors`): a satisfiable store entails it only if an instance of it is
+among the store's atoms, so binding it from the atoms is exact, and finds the
+groundings that hold through a hard rule alone.  Other conjuncts (an `or`,
+say) can hold with no atom at all, so they bind nothing: a rule is
+range-restricted, every variable of such a conjunct occurring in an anchored
+one (Datalog's safety condition, checked by `DefaultRule`), and `holds` checks
+them once the anchored conjuncts have bound them.  Abduction, whose hypotheses
+need not hold, binds from the facts and, for a formula metavariable that no
+fact binds, from the candidate pool; a variable that nothing binds yields no
+hypothesis, whatever the number of constants.  A pattern meets only the atoms
+or facts of its functor (see `_candidates`).
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
@@ -47,7 +48,7 @@ rules join the lineage and never rebuilt.  A later closure of a descendant
 starts from that carry, round by round alike.  The index maps the atoms
 gained since the last round, by key or by functor, to the rules they may
 touch; only those rules bind again, from the new atoms first (a semi-naive
-delta, see `rule_instances`), every other rule keeps its instances, and only
+delta, see `bind`), every other rule keeps its instances, and only
 the unsettled instances are checked.  So a round's matching costs what its
 new atoms touch, not what the rule set holds.  An instance that cannot
 apply, because no grounded anchor of one of its conjuncts is among the
@@ -107,7 +108,7 @@ class DefaultRule:
     matcher.
 
     Rules are range-restricted: each variable of a conjunct without
-    `_anchors` occurs in an anchored one, the only ones the closure binds.
+    `_anchors` occurs in an anchored one, the only ones `bind` binds.
     """
 
     name: str
@@ -129,9 +130,8 @@ class DefaultRule:
         for i in self.abducible:
             if not 0 <= i < len(self.antecedent):
                 raise ValidationError(f"abducible index {i} out of range in rule {self.name}")
-        loose = [p for p in self.antecedent if _anchors(p) is None]
-        bound = frozenset().union(*(p.variables for p in self.antecedent if p not in loose))
-        for p in loose:
+        bound = frozenset().union(*(p.variables for p, _ in anchored_conjuncts(self.antecedent)))
+        for p in self.antecedent:
             unbound = p.variables - bound
             if unbound:
                 raise ValidationError(
@@ -141,13 +141,21 @@ class DefaultRule:
                 )
 
 
-def _anchored(rule: DefaultRule) -> tuple[tuple[Formula, tuple[Formula, ...]], ...]:
-    """The anchored conjuncts of the rule's antecedent, in order, each with
-    its `_anchors`: the conjuncts the closure binds.  Kept in the rule's
+Anchored = tuple[tuple[Formula, tuple[Formula, ...]], ...]
+
+
+def anchored_conjuncts(patterns) -> Anchored:
+    """The anchored ones among the conjuncts, in order, each with its
+    `_anchors`: the conjuncts that `bind` binds."""
+    return tuple((p, a) for p in patterns if (a := _anchors(p)) is not None)
+
+
+def _anchored(rule: DefaultRule) -> Anchored:
+    """The anchored conjuncts of the rule's antecedent.  Kept in the rule's
     carry record (see `_Carried`), not on the rule: kept there with
     `_active_rules`' sort key, they added about 1,000 tracked objects to
     rulesys's long-lived rules, and its tail latency rose 25%."""
-    return tuple((p, a) for p in rule.antecedent if (a := _anchors(p)) is not None)
+    return anchored_conjuncts(rule.antecedent)
 
 
 def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
@@ -158,7 +166,7 @@ def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
     A satisfiable store entails an opaque formula, or its negation, only if
     the formula is one of its atoms; an eventuality holds also through its
     body.  A formula metavariable of no shape can stand for a compound
-    formula, so it is no anchor."""
+    formula, so it is no anchor, and every anchor has a functor."""
     if isinstance(pat, Eventually):
         inner = _anchors(pat.body)
         return None if inner is None else (pat,) + inner
@@ -259,17 +267,17 @@ def holds(kb: KnowledgeBase, path: ContextPath, f: Formula, ctx: EvalContext | N
         case And(parts):
             return all(holds(kb, path, p, ctx) for p in parts)
         case Yields(left, right) if ctx is not None:
-            return nonmon_yields(kb, ctx.rules, path, left, right, ctx=ctx)
+            return nonmon_yields(kb, ctx.rules, path, left, right, max_steps=ctx.max_steps)
         case Att("B", agent, Yields(left, right)) if ctx is not None:
             inner = tuple(path) + (agent,)
             if len(inner) <= kb.max_depth:
-                return nonmon_yields(kb, ctx.rules, inner, left, right, ctx=ctx)
+                return nonmon_yields(kb, ctx.rules, inner, left, right, max_steps=ctx.max_steps)
             return False
         case _:
             return False
 
 
-def _closed_pair(
+def closed_pair(
     kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext
 ) -> tuple[KnowledgeBase, KnowledgeBase]:
     """The closures at path of the store alone and of the store plus `added`,
@@ -288,23 +296,24 @@ def nonmon_yields(
     phi: Formula,
     psi: Formula,
     *,
-    ctx: EvalContext | None = None,
+    max_steps: int = 1000,
 ) -> bool:
     """phi defeasibly yields psi against the store at path: the closure of the
-    store plus phi entails psi, while the closure of the store alone does not.
-    A given context supplies the rules and the step bound; both closures are
-    recorded on the knowledge bases they close, so a repeated query closes
-    nothing anew, and a closure that raises raises again."""
-    ctx = ctx or EvalContext(rules=tuple(rules))
-    base, augmented = _closed_pair(kb, path, phi, ctx)
+    store plus phi entails psi, while the closure of the store alone does not,
+    under the rules and the step bound.  Both closures are recorded on the
+    knowledge bases they close, so a repeated query closes nothing anew, and
+    a closure that raises raises again."""
+    ctx = EvalContext(tuple(rules), max_steps)
+    base, augmented = closed_pair(kb, path, phi, ctx)
     return holds(augmented, path, psi, ctx) and not holds(base, path, psi, ctx)
 
 
 # ------------------------------------------------------------------ specificity
 
 
-def specificity(first, second, kb: KnowledgeBase, path: ContextPath = ()) -> str:
-    """Compare two ground antecedents under the path's hard rules alone.
+def specificity(a: tuple[Formula, ...], b: tuple[Formula, ...], kb: KnowledgeBase, path: ContextPath = ()) -> str:
+    """Compare two ground antecedents, tuples of conjuncts, under the path's
+    hard rules alone.
 
     Returns "first" when the first antecedent strictly entails the second,
     "second" for the converse, else "incomparable" (including mutual
@@ -315,8 +324,6 @@ def specificity(first, second, kb: KnowledgeBase, path: ContextPath = ()) -> str
     (`Store.hard_compiled`, extended along the store's lineage).  So only
     the antecedents are ever decided, and literal ones compile nothing.
     """
-    a = first.antecedent if isinstance(first, DefaultRule) else tuple(first)
-    b = second.antecedent if isinstance(second, DefaultRule) else tuple(second)
     hard = kb.store_at(path).hard_compiled
 
     def entails(src, dst) -> bool:
@@ -352,38 +359,22 @@ class ClosureResult:
 def _pool_confines(b: Binding, pool) -> bool:
     """A candidate pool both supplies unbound metavariables and confines bound
     ones: a binding whose pooled variable landed outside the pool is rejected."""
-    for name, allowed in pool.items():
-        if name not in b:
-            continue
-        want = str(b[name])
-        if not any(str(a) == want for a in allowed):
-            return False
-    return True
-
-
-def _match_rendered(pat: Formula, f: Formula, b: Binding) -> Binding | None:
-    """`match` extended by a binding whose values are compared by name: a
-    slot binds a bare name and a term a `Const`, so one variable shared by a
-    slot and a term would never match `b` structurally."""
-    m = match(pat, f)
-    if m is None or any(str(b[k]) != str(v) for k, v in m.items() if k in b):
-        return None
-    return {**m, **b}
+    return all(b[name] in allowed for name, allowed in pool.items() if name in b)
 
 
 def _extend_bindings(pat: Formula, bindings, facts: Atoms, fvar_pool=None):
     """Abduction's binding extension by one conjunct: match the facts of its
-    functor (by `_match_rendered`, as the closure does), and failing them
-    bind formula metavariables from the candidate pool (when given), since a
-    hypothesis need not hold.  A variable that neither binds (a term
-    variable no fact matches, say) drops the binding: no constant is guessed."""
+    functor under each binding, and failing them bind formula metavariables
+    from the candidate pool (when given), since a hypothesis need not hold.
+    A variable that neither binds (a term variable no fact matches, say)
+    drops the binding: no constant is guessed."""
     out: dict[str, Binding] = {}
     for b in bindings:
         unbound = pat.variables - b.keys()
         if not unbound:
             out.setdefault(render_binding(b), b)
             continue
-        matched = [m for f in _candidates(pat, facts) if (m := _match_rendered(pat, f, b)) is not None]
+        matched = [m for f in _candidates(pat, facts) if (m := match(pat, f, b)) is not None]
         if not matched and fvar_pool and unbound <= pat.fvar_names and all(n in fvar_pool for n in unbound):
             names = sorted(unbound)
             for combo in itertools.product(*(tuple(fvar_pool[n]) for n in names)):
@@ -429,10 +420,43 @@ def _bind_conjunct(bindings, pat: Formula, anchors, atoms: Atoms, old: Container
             for atom in _candidates(anchor, atoms):
                 if atom.key in old:
                     continue
-                m = _match_rendered(anchor, atom, b)
+                m = match(anchor, atom, b)
                 if m is not None:
                     out.setdefault(render_binding(m), m)
     return list(out.values())
+
+
+def bind(anchored: Anchored, atoms: Atoms, new: Atoms | None = None) -> dict[str, Binding]:
+    """The bindings, by rendered key, under which each anchored conjunct (see
+    `anchored_conjuncts`) has one of its grounded `_anchors` among the
+    atoms: at a satisfiable store, an instance of the conjuncts holds only
+    under one of them.
+
+    `new` is some of the atoms, which must include every atom gained since
+    the bindings were last made (by default, all of them).  Only the
+    bindings that ground an anchor among them are made (semi-naive, after
+    Bancilhon & Ramakrishnan 1986), delta first: each conjunct in turn binds
+    from the new atoms alone, and then, under each binding it makes, the
+    conjuncts before it bind from the old atoms and those after it from
+    all.  So a new binding is made from the first of its conjuncts that no
+    old atom grounds, and only from that one.  When every atom is new, no
+    atom is old, so only the first conjunct's pass runs: the plain join.
+    No conjunct at all has the one empty binding, whatever the atoms."""
+    new = atoms if new is None else new
+    fresh = len(new[0]) == len(atoms[0])  # no atom is old
+    found: dict[str, Binding] = {} if anchored else {"{}": {}}
+    for i, (pat, anchors) in enumerate(anchored):
+        if i and fresh:
+            break
+        out = _bind_conjunct([{}], pat, anchors, new)
+        for j, (other, other_anchors) in enumerate(anchored):
+            if not out:
+                break
+            if j != i:
+                out = _bind_conjunct(out, other, other_anchors, atoms, new[0] if j < i else ())
+        for b in out:
+            found.setdefault(render_binding(b), b)
+    return found
 
 
 def rule_instances(
@@ -440,48 +464,15 @@ def rule_instances(
 ) -> list[_Inst]:
     """Ground instances of a rule against the store at a path, canonical order.
 
-    Only anchored conjuncts bind, each from the store's atoms: at a
-    satisfiable store an instance holds only if, for each anchored conjunct,
-    one of its grounded `_anchors` is among them, and at an unsatisfiable one
-    every consequent holds already, so no instance applies.  An instance
-    that cannot apply is not built: a conjunct that earlier conjuncts ground
-    is kept only when a grounded anchor is among the atoms.  `anchored` is
-    the rule's `_anchored` conjuncts, when the caller keeps them.
-
-    `new` is some of the store's atoms, which must include every atom gained
-    since the instances were last bound (by default, all of them).  Only the
-    instances that bind one of them are built (semi-naive, after Bancilhon &
-    Ramakrishnan 1986), delta first: each conjunct in turn binds from the
-    new atoms alone, and then, under each binding it makes, the conjuncts
-    before it bind from the old atoms and the conjuncts after it from all.
-    So a new instance is built from the first of its conjuncts that no old
-    atom grounds, and only from that one, and the join starts from the few
-    new atoms, not from the store.  An instance that binds no new atom was
-    built before, and so was the instance of a rule with no anchored
-    conjunct, which has the one empty binding whatever the store."""
+    Its anchored conjuncts bind by `bind`, from the store's atoms or,
+    given `new`, from the new ones among them: at a satisfiable store no
+    other instance holds, and at an unsatisfiable one every consequent
+    holds already, so no instance applies.  `anchored` is the rule's
+    `_anchored` conjuncts, when the caller keeps them."""
     store = kb.store_at(path)
-    every: Atoms = (store.atoms, store.by_functor)
     anchored = _anchored(rule) if anchored is None else anchored
-    found: dict[str, Binding] = {}
-    if new is None:
-        bindings: list[Binding] = [{}]
-        for pat, anchors in anchored:
-            bindings = _bind_conjunct(bindings, pat, anchors, every)
-            if not bindings:
-                break
-        found = {render_binding(b): b for b in bindings}
-    else:
-        for i, (pat, anchors) in enumerate(anchored):
-            bindings = _bind_conjunct([{}], pat, anchors, new)
-            for j, (other, other_anchors) in enumerate(anchored):
-                if not bindings:
-                    break
-                if j != i:
-                    bindings = _bind_conjunct(bindings, other, other_anchors, every, old=new[0] if j < i else ())
-            for b in bindings:
-                found.setdefault(render_binding(b), b)
     insts = []
-    for key, b in found.items():
+    for key, b in sorted(bind(anchored, (store.atoms, store.by_functor), new).items()):
         try:
             ants = tuple(p if not p.variables else instantiate(p, b) for p in rule.antecedent)
             cons = rule.consequent if not rule.consequent.variables else instantiate(rule.consequent, b)
@@ -490,7 +481,6 @@ def rule_instances(
         if not all(is_ground(a) for a in ants) or not is_ground(cons):
             continue
         insts.append(_Inst(rule, b, ants, cons, key))
-    insts.sort(key=lambda i: i.key)
     return insts
 
 
@@ -598,7 +588,7 @@ class _Carried(NamedTuple):
     order, and the keys of the settled ones."""
 
     rule: DefaultRule
-    anchored: tuple[tuple[Formula, tuple[Formula, ...]], ...]
+    anchored: Anchored
     since: int | None
     live: tuple[_Inst, ...]
     settled: frozenset[str]
@@ -609,41 +599,38 @@ class _Carry(dict):
     `_fixpoint`): a `_Carried` record by rule identity, the count of the
     store's atoms the records are bound at, and the anchor index of the
     carried rules.  The index maps the key of each ground anchor, and the
-    functor of each anchor with variables, to the rules with such an anchor,
-    and lists the rules with an anchor of no functor (a metavariable of an
-    unknown shape).  A copy shares the index until it extends it, so no
-    carry changes another."""
+    functor of each anchor with variables (every anchor has one), to the
+    rules with such an anchor.  A copy shares the index until it extends
+    it, so no carry changes another."""
 
     __slots__ = ("count", "_index", "_own")
 
     def __init__(self, other: _Carry | None = None):
         super().__init__(other or ())
         self.count = 0 if other is None else other.count
-        self._index = ({}, {}, ()) if other is None else other._index
+        self._index = ({}, {}) if other is None else other._index
         self._own = False
 
     def add(self, entry: _Carried) -> None:
         """Record a rule that enters the lineage, and index its anchors."""
         ident = id(entry.rule)
         self[ident] = entry
-        by_key, by_functor, loose = self._index
+        by_key, by_functor = self._index
         if not self._own:
             by_key, by_functor, self._own = dict(by_key), dict(by_functor), True
         for _, anchors in entry.anchored:
             for anchor in anchors:
                 if not anchor.variables:
                     by_key[anchor.key] = by_key.get(anchor.key, ()) + (ident,)
-                elif anchor.functor is not None:
-                    by_functor[anchor.functor] = by_functor.get(anchor.functor, ()) + (ident,)
                 else:
-                    loose += (ident,)
-        self._index = by_key, by_functor, loose
+                    by_functor[anchor.functor] = by_functor.get(anchor.functor, ()) + (ident,)
+        self._index = by_key, by_functor
 
     def advance(self, store) -> dict[int, Atoms]:
         """Bring the carry to the store's atoms, a descendant's of those it
         was bound at, and return the atoms gained, under the count they were
         gained since.  A rule that one of them may touch, by the index (an
-        anchor of the atom's key, of its functor, or of no functor), has its
+        anchor of the atom's key or of its functor), has its
         record marked with the count its instances were bound at, for the
         closure to bind it again when it is active.  No other record
         changes: only anchored conjuncts bind, a binding only narrows a
@@ -652,8 +639,8 @@ class _Carry(dict):
         added: dict[int, Atoms] = {}
         if n != self.count and self:
             keys, index = added[self.count] = store.atoms_since(self.count)
-            by_key, by_functor, loose = self._index
-            touched = set(loose)
+            by_key, by_functor = self._index
+            touched = set()
             for key in keys:
                 touched.update(by_key.get(key, ()))
             for functor in index:

@@ -17,7 +17,8 @@ Surface syntax (s-expressions, one form per formula):
 
 Plan steps are action symbols or (name arg ...) lists.  Symbols beginning with
 ``?`` are metavariables and only legal in rule patterns, never in ground
-formulas; ``?f:doing`` restricts the metavariable to R-shaped bodies.
+formulas; ``?f:doing`` restricts the metavariable to R-shaped bodies, and
+no other shape exists.
 
 Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
@@ -145,8 +146,8 @@ class Formula:
         class name and, for an atom or relation atom, the predicate and
         arity, for an attitude its kind and agent.  A pattern matches only
         formulas of its own functor.  A `doing` metavariable has the functor
-        of `Doing`, and any other metavariable has None: it may match a
-        formula of any functor (or, of an unknown shape, raise)."""
+        of `Doing`, and one of no shape has None: it may match a formula of
+        any functor."""
         return _functor(self)
 
     @cached_attr
@@ -171,10 +172,15 @@ class Atom(Formula):
 
 @dataclass(frozen=True)
 class FVar(Formula):
-    """Formula metavariable for rule patterns; shape='doing' restricts matches."""
+    """Formula metavariable for rule patterns; shape='doing' restricts matches
+    to R-shaped bodies, and no other shape exists."""
 
     name: str
     shape: str | None = field(default=None, compare=True)
+
+    def __post_init__(self):
+        if self.shape not in (None, "doing"):
+            raise ValidationError(f"unknown metavariable shape {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -635,10 +641,15 @@ Binding = dict[str, "Formula | str | Const"]
 
 
 def match(pattern: Formula, fact: Formula, binding: Binding | None = None) -> Binding | None:
-    """Structurally match a pattern against a ground formula; None on failure.
+    """Structurally match a pattern against a ground formula, extending a
+    binding; None on failure.
 
-    A generic pattern matches a generic of the same variable, which matches
-    itself and nothing else, while its free variables bind as anywhere."""
+    A variable already bound compares by printed name, whichever position
+    bound it: a slot binds a bare name, a term a `Const` and a metavariable
+    a formula, so `(cause ?x ?y)` under the binding of `(site ?t ?x ?y)`
+    matches `(cause a b)`.  A generic pattern matches a generic of the same
+    variable, which matches itself and nothing else, while its free
+    variables bind as anywhere."""
     b: Binding = dict(binding) if binding else {}
     return b if _match(pattern, fact, b) else None
 
@@ -651,36 +662,30 @@ def _match(p: Formula, f: Formula, b: Binding) -> bool:
     return _MATCH[type(p)](p, f, b)
 
 
+def _bind(name: str, got, b: Binding) -> bool:
+    """Bind a variable to what it meets or, bound already, compare the two
+    by printed name; a generic's own variable (a `Var`) is only itself."""
+    bound = b.setdefault(name, got)
+    if bound is got:
+        return True
+    if type(bound) is Var or type(got) is Var:
+        return bound == got
+    return str(bound) == str(got)
+
+
 def _match_fvar(p: FVar, f: Formula, b: Binding) -> bool:
-    if p.shape is not None and p.shape != "doing":
-        raise ValidationError(f"unknown metavariable shape {p.shape!r}")
-    if p.shape == "doing" and type(f) is not Doing:
-        return False
-    if p.name in b:
-        return b[p.name] == f
-    b[p.name] = f
-    return True
+    return (p.shape is None or type(f) is Doing) and _bind(p.name, f, b)
 
 
 def _match_term(p: Term, got: Term, b: Binding) -> bool:
     if type(p) is Const:
         return p == got
-    if p.name in b:
-        return b[p.name] == got
-    if type(got) is Var:
-        return False  # a generic's own variable binds nothing outside it
-    b[p.name] = got
-    return True
+    # a generic's own variable binds nothing outside it
+    return (type(got) is not Var or p.name in b) and _bind(p.name, got, b)
 
 
 def _match_slot(p: str, got: str, b: Binding) -> bool:
-    if not _is_metavar(p):
-        return p == got
-    name = p[1:]
-    if name in b:
-        return b[name] == got
-    b[name] = got
-    return True
+    return _bind(p[1:], got, b) if _is_metavar(p) else p == got
 
 
 def _match_slots(p: Formula, f: Formula, b: Binding) -> bool:

@@ -437,6 +437,66 @@ def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
     assert instantiate(p, m) == fact
 
 
+def test_a_bound_slot_name_matches_a_term_of_that_name():
+    # (site ?t ?x ?y) binds its slots to bare names, and (cause ?x ?y) meets
+    # them in term positions: one call compares them by name
+    b = match(parse_formula("(site ?t ?x ?y)"), parse_formula("(site t a b)"))
+    assert b == {"t": "t", "x": "a", "y": "b"}
+    cause = parse_formula("(cause ?x ?y)")
+    assert match(cause, parse_formula("(cause a b)"), b) == b
+    assert match(cause, parse_formula("(cause b a)"), b) is None
+
+
+def test_a_bound_name_never_matches_a_generics_own_variable():
+    # x is a constant in (r x) and the generic's own variable inside it
+    pattern = parse_formula("(and (r ?y) (forall x (> (p x) (q x ?y))))")
+    assert match(pattern, parse_formula("(and (r x) (forall x (> (p x) (q x x))))")) is None
+    generic = parse_formula("(forall x (> (p x) (q x ?y)))")
+    for y in _renderings(Const("x")):
+        assert match(generic, parse_formula("(forall x (> (p x) (q x x)))"), {"y": y}) is None
+        assert match(generic, parse_formula("(forall x (> (p x) (q x c)))"), {"y": y}) is None
+
+
+def _match_rendered(pat: Formula, f: Formula, b: dict) -> dict | None:
+    """The reference for `match` under a binding: match afresh, then keep
+    the match only when each variable it shares with the binding has the
+    same printed name in both."""
+    m = match(pat, f)
+    if m is None or any(str(b[k]) != str(v) for k, v in m.items() if k in b):
+        return None
+    return {**m, **b}
+
+
+def _renderings(value) -> tuple:
+    """Values of the same printed name, as a slot, a term or a metavariable
+    would bind it."""
+    if isinstance(value, Formula):
+        return value, value.key, Const(value.key)
+    return str(value), Const(str(value)), Atom(str(value))
+
+
+@settings(max_examples=300)
+@given(patterns, st.data())
+def test_match_under_a_binding_agrees_with_matching_afresh_and_comparing_names(p, data):
+    # the fact is a grounding of the pattern or any formula; the binding
+    # holds some of the grounding's values, as any position would bind them,
+    # and some other names
+    slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
+    doing = {g.name for g in subformulas(p) if isinstance(g, FVar) and g.shape == "doing"}
+    g: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
+    g.update((name, data.draw(NAMES)) for name in sorted(slots - terms))
+    for name in sorted(p.fvar_names):
+        g[name] = data.draw(st.builds(Doing, plans) if name in doing else formulas)
+    fact = instantiate(p, g) if data.draw(st.booleans()) else data.draw(formulas)
+    b: dict = {}
+    for name in sorted(g):
+        how = data.draw(st.sampled_from(("unbound", "same", "other")))
+        if how != "unbound":
+            value = g[name] if how == "same" else data.draw(st.one_of(NAMES, st.just("x")))
+            b[name] = data.draw(st.sampled_from(_renderings(value)))
+    assert match(p, fact, b) == _match_rendered(p, fact, b)
+
+
 def test_a_generic_pattern_binds_its_free_variables_and_keeps_its_own():
     pattern = parse_formula("(forall x (> (p x) (q x ?y)))")
     fact = parse_formula("(forall x (> (p x) (q x c)))")

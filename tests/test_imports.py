@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is read by that module.
+"""Every name a module of the package imports is read by that module, and
+no module imports another's private (`_`-prefixed) name.
 
 `__init__.py` re-exports what it imports, and `from __future__` imports
-change how the module compiles, so neither is checked."""
+change how the module compiles, so neither is checked for unused names."""
 
 from __future__ import annotations
 
@@ -38,3 +39,19 @@ def test_the_check_sees_an_unused_import():
 def test_every_imported_name_is_read(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_check_sees_a_private_import():
+    source = "from __future__ import annotations\nfrom .engine import _anchors, bind\nimport os\n"
+    assert private_imports(source) == ["line 2: _anchors"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_a_private_name(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert private_imports(fh.read()) == []

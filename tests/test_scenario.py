@@ -2,7 +2,7 @@
 
 import pytest
 
-from dicekit.errors import ParseError
+from dicekit.errors import DicekitError, ParseError
 from dicekit.scenario import Expectation, load, loads
 
 from conftest import CORPUS, scenario_path
@@ -182,3 +182,10 @@ def test_expectation_describe():
 def test_malformed_scenarios_raise(text, message):
     with pytest.raises(ParseError, match=message):
         loads(text)
+
+
+def test_an_unknown_metavariable_shape_is_rejected_when_the_scenario_loads():
+    # only ?f:doing exists; the rule is rejected as it loads, not when a
+    # closure first matches it, which a store with no atoms never does
+    with pytest.raises(DicekitError, match="'weird'"):
+        loads("agents A I rule R default (> (W A ?x:weird) (q))")
