@@ -28,24 +28,30 @@ or facts of its functor (see `_candidates`).
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
 and compares -- g must follow from the augmented store but not from the store
-alone.  Inside closure itself, yields-atoms in rule antecedents hold only if
-the store entails them (as a verified fact, say), never by nested closure,
-which keeps hypothetical reasoning from recursing without bound.
+alone.  The store alone is closed first, and when its closure entails g the
+augmented store is not closed at all.  Inside closure itself, yields-atoms in
+rule antecedents hold only if the store entails them (as a verified fact,
+say), never by nested closure, which keeps hypothetical reasoning from
+recursing without bound.
 
 Knowledge bases and stores are immutable, so work on them is done once.  A
 closure is recorded on the knowledge base it closes, keyed by path, active
-rules and step bound (see `defeasible_closure`): each closure a `yields` test
-needs is computed once per knowledge base, and a repeated test is a lookup.
+rules and step bound (see `defeasible_closure`), and the closure of the
+store plus f on the knowledge base without f, keyed by f too (see
+`closed_pair`), since asserting f makes a new knowledge base every time:
+each closure a `yields` test needs is computed once per knowledge base, and
+a repeated test, or another g for the same f, is a lookup.
 
 Closures follow the lineage of the store they close (see `kb.Store`): a
 store made from another by asserting facts or adding hard rules or defaults
 only grows, and so does the store inside one closure.  Each closure leaves a
 carry on the store it ends at, and on the store it started from as that
 store stood after the first round (see `_fixpoint`): for each rule, by
-identity, its instances and those whose consequent has held, which are
-settled for good, and an index of the rules' anchors, which is extended as
-rules join the lineage and never rebuilt.  A later closure of a descendant
-starts from that carry, round by round alike.  The index maps the atoms
+identity, its instances and those whose consequent has held or is blocked
+(inconsistent with the store), which are settled for good, so a block is
+noted once along a lineage, and an index of the rules' anchors, which is
+extended as rules join the lineage and never rebuilt.  A later closure of a
+descendant starts from that carry, round by round alike.  The index maps the atoms
 gained since the last round, by key or by functor, to the rules they may
 touch; only those rules bind again, from the new atoms first (a semi-naive
 delta, see `bind`), every other rule keeps its instances, and only
@@ -148,14 +154,6 @@ def anchored_conjuncts(patterns) -> Anchored:
     """The anchored ones among the conjuncts, in order, each with its
     `_anchors`: the conjuncts that `bind` binds."""
     return tuple((p, a) for p in patterns if (a := _anchors(p)) is not None)
-
-
-def _anchored(rule: DefaultRule) -> Anchored:
-    """The anchored conjuncts of the rule's antecedent.  Kept in the rule's
-    carry record (see `_Carried`), not on the rule: kept there with
-    `_active_rules`' sort key, they added about 1,000 tracked objects to
-    rulesys's long-lived rules, and its tail latency rose 25%."""
-    return anchored_conjuncts(rule.antecedent)
 
 
 def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
@@ -282,11 +280,26 @@ def closed_pair(
 ) -> tuple[KnowledgeBase, KnowledgeBase]:
     """The closures at path of the store alone and of the store plus `added`,
     under the context's rules and step bound.  One pair answers every
-    yields-question about `added` there; the closure of the store alone is
-    computed once per knowledge base (see `defeasible_closure`)."""
+    yields-question about `added` there, and each is computed once per
+    knowledge base: the first by `defeasible_closure`'s memo, the second
+    by `_closed_with`'s, also on `kb`."""
     base = defeasible_closure(kb, ctx.rules, path, max_steps=ctx.max_steps).kb
-    augmented = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
-    return base, augmented
+    return base, _closed_with(kb, path, added, ctx)
+
+
+def _closed_with(kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext) -> KnowledgeBase:
+    """The closure at path of the store plus `added`, recorded on `kb`,
+    whose every assert makes a new knowledge base with an empty memo.  The
+    record is keyed by the path, `added`'s key, the identities of the rules
+    (the record keeps them alive) and the step bound, and holds None when
+    the closure is `kb` itself, so that a knowledge base never refers to
+    itself.  A closure that raises records nothing."""
+    key = (tuple(path), added.key, tuple(map(id, ctx.rules)), ctx.max_steps)
+    record = kb._closures.get(key)
+    if record is None:
+        out = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
+        kb._closures[key] = record = (ctx.rules, None if out is kb else out)
+    return kb if record[1] is None else record[1]
 
 
 def nonmon_yields(
@@ -300,12 +313,17 @@ def nonmon_yields(
 ) -> bool:
     """phi defeasibly yields psi against the store at path: the closure of the
     store plus phi entails psi, while the closure of the store alone does not,
-    under the rules and the step bound.  Both closures are recorded on the
-    knowledge bases they close, so a repeated query closes nothing anew, and
-    a closure that raises raises again."""
+    under the rules and the step bound.
+
+    The closure of the store alone is decided first, and when it entails
+    psi the answer is no and the store plus phi is not closed at all, so
+    that closure cannot raise `StepBoundExceeded`.  Both closures are
+    recorded on `kb` (see `closed_pair`), so a repeated query, or another
+    psi for the same phi, closes nothing anew, and a closure that raises
+    raises again."""
     ctx = EvalContext(tuple(rules), max_steps)
-    base, augmented = closed_pair(kb, path, phi, ctx)
-    return holds(augmented, path, psi, ctx) and not holds(base, path, psi, ctx)
+    base = defeasible_closure(kb, ctx.rules, path, max_steps=max_steps).kb
+    return not holds(base, path, psi, ctx) and holds(_closed_with(kb, path, phi, ctx), path, psi, ctx)
 
 
 # ------------------------------------------------------------------ specificity
@@ -468,9 +486,9 @@ def rule_instances(
     given `new`, from the new ones among them: at a satisfiable store no
     other instance holds, and at an unsatisfiable one every consequent
     holds already, so no instance applies.  `anchored` is the rule's
-    `_anchored` conjuncts, when the caller keeps them."""
+    `anchored_conjuncts`, when the caller keeps them."""
     store = kb.store_at(path)
-    anchored = _anchored(rule) if anchored is None else anchored
+    anchored = anchored_conjuncts(rule.antecedent) if anchored is None else anchored
     insts = []
     for key, b in sorted(bind(anchored, (store.atoms, store.by_functor), new).items()):
         try:
@@ -582,10 +600,13 @@ _MIRRORED = {"first": "second", "second": "first", "incomparable": "incomparable
 class _Carried(NamedTuple):
     """One rule's matching state along a lineage of stores: the rule itself
     (so that its identity, the carry's key, is never reused), its
-    `_anchored` conjuncts, the count of the store's atoms its instances were
+    `anchored_conjuncts`, the count of the store's atoms its instances were
     bound at when an atom gained since may touch them (None when they are
     bound at the carry's count), its instances not yet settled, in canonical
-    order, and the keys of the settled ones."""
+    order, and the keys of the settled ones.  The anchored conjuncts are
+    kept here, not on the rule: kept there with `_active_rules`' sort key,
+    they added about 1,000 tracked objects to rulesys's long-lived rules,
+    and its tail latency rose 25%."""
 
     rule: DefaultRule
     anchored: Anchored
@@ -675,7 +696,12 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
       atoms hit while it was not active binds when it is next active, from
       every atom gained since.  Builtins are rebuilt every round.
     - An instance whose consequent held is settled: it holds in every
-      larger store, so no later round or closure checks it again.
+      larger store, so no later round or closure checks it again.  So is
+      a default's applicable instance whose consequent is inconsistent
+      with the store (blocked): it is inconsistent with every larger store.
+      It is settled before the input store keeps its first-round carry, so
+      its "blocked" note is written once along the lineage, by the first
+      closure that finds it.
     An instance that cannot apply is never built, so a rule whose
     instances wait for an atom costs nothing until the atom arrives.  A
     store that starts a lineage has an empty carry, and each of its rules
@@ -710,7 +736,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 continue
             entry = carry.get(id(rule))
             if entry is None:
-                anchored = _anchored(rule)
+                anchored = anchored_conjuncts(rule.antecedent)
                 live = tuple(rule_instances(rule, out, path, anchored=anchored))
                 entry = _Carried(rule, anchored, None, live, frozenset())
                 carry.add(entry)
@@ -728,6 +754,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             insts.extend(entry.live)
         # applicability against the current store
         applicable = []
+        ok_alone: dict[tuple[int, str], bool] = {}
         settled: dict[int, set[str]] = {}  # id(rule) -> keys settled this round
         for i in insts:
             if holds(out, path, i.cons):
@@ -739,6 +766,9 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             if any(holds(out, path, a) for a in absent):
                 continue
             applicable.append(i)
+            ok = ok_alone[id(i.rule), i.key] = i.rule.hard or out.consistent_with(path, (i.cons,))
+            if not ok:  # blocked: inconsistent with this store, so with every larger one
+                settled.setdefault(id(i.rule), set()).add(i.key)
         for ident, keys in settled.items():
             e = carry.get(ident)
             if e is None:
@@ -749,10 +779,6 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             carry = _Carry(carry)
         if not applicable:
             break
-        ok_alone = {
-            (id(i.rule), i.key): (i.rule.hard or out.consistent_with(path, (i.cons,)))
-            for i in applicable
-        }
         winners: list[tuple[_Inst, str]] = []
         jointly: dict[frozenset, bool] = {}  # unordered pair -> joint consistency
         noted_standoffs = set()

@@ -263,17 +263,32 @@ def test_a_rule_with_an_empty_antecedent_is_rejected():
 
 
 def test_rules_that_share_a_name_are_kept_apart():
-    # one R is blocked by (not q), and the other R fires, in either order
-    kb = kb_with(["p", "(not q)"])
+    # one R is blocked by (not q), and the other R fires, in either order;
+    # each order closes a store of its own, since a store's carry keeps the
+    # block settled for every later closure of it
     to_q, to_s = make_rule("R", ["p"], "q"), make_rule("R", ["p"], "s")
     lines = []
     for rules in ((to_q, to_s), (to_s, to_q)):
         trace = Trace()
-        res = defeasible_closure(replace(kb), rules, trace=trace)
+        res = defeasible_closure(kb_with(["p", "(not q)"]), rules, trace=trace)
         assert res.kb.has_fact((), Atom("s")) and not res.kb.entails((), Atom("q"))
         lines.append(trace.lines())
     blocked = "closure@root: R {} blocked, consequent conflicts with the store"
-    assert lines[0] == lines[1] == [blocked, "step 1 DMP R {} => s", blocked]
+    # the blocked R is settled, so the round after the firing checks it no more
+    assert lines[0] == lines[1] == [blocked, "step 1 DMP R {} => s"]
+
+
+def test_a_block_found_in_the_first_round_is_settled_for_the_stores_other_descendants():
+    # a yields test closes a store and then the store plus phi, which starts
+    # from the carry that the store kept after the first round
+    kb = kb_with(["p", "(not q)"])
+    rules = (make_rule("Q", ["p"], "q"), make_rule("S", ["p"], "s"))
+    first, then = Trace(), Trace()
+    defeasible_closure(kb, rules, trace=first)
+    defeasible_closure(kb.assert_fact((), Atom("t")), rules, trace=then)
+    blocked = "closure@root: Q {} blocked, consequent conflicts with the store"
+    assert first.lines() == [blocked, "step 1 DMP S {} => s"]
+    assert then.lines() == ["step 1 DMP S {} => s"]
 
 
 def test_rules_that_share_a_name_fire_in_one_order_whatever_the_input_order():
@@ -549,19 +564,45 @@ def test_closing_along_a_lineage_matches_closing_afresh():
     assert retracted >= 20 and hardened >= 60
 
 
+def _settled_blocks(kb: KnowledgeBase, rules) -> collections.Counter:
+    """The "blocked" notes of the rules' instances that the carry of kb's
+    root store has settled because they were blocked: their consequent is
+    inconsistent with the store and not entailed by it."""
+    carry = kb.store_at(()).carry or {}
+    rebuilt = _rebuilt(kb)
+    notes = collections.Counter()
+    for rule in rules:
+        entry = carry.get(id(rule))
+        if entry is None:
+            continue
+        for inst in rule_instances(rule, rebuilt, ()):
+            if (inst.key in entry.settled and not rebuilt.entails((), inst.cons)
+                    and not rebuilt.consistent_with((), (inst.cons,))):
+                notes[f"closure@root: {rule.name} {inst.key} blocked, consequent conflicts with the store"] += 1
+    return notes
+
+
 def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(monkeypatch):
     # the rule set grows between closures, as the runner appends each new
     # pair's belief-property rules: open rules of another random system and
     # ground instances of them, which may share a name with a rule already
-    # there.  Each closure along the lineage indexes the anchors of the rules
-    # that join its carry, once each, and extends the index its ancestors
-    # left; it writes the same stores and trace as the closure of an equal
-    # knowledge base built afresh, and leaves each rule it ran the instances
-    # that a fresh binding finds.  A sibling closed under rules that the
-    # lineage never takes up leaves the lineage's index as it was
-    calls = _count_engine_calls(monkeypatch, "_anchored")
+    # there.  Each closure along the lineage adds the rules that join its
+    # carry, once each, and extends the anchor index its ancestors left; it
+    # writes the same stores as the closure of an equal knowledge base built
+    # afresh, and the same trace less the "blocked" notes of the instances
+    # that its starting carry had settled as blocked, and leaves each rule it
+    # ran the instances that a fresh binding finds.  A sibling closed under
+    # rules that the lineage never takes up leaves the lineage's index as it was
+    entered = []
+    real_add = engine._Carry.add
+
+    def add(carry, entry):
+        entered.append(entry.rule)
+        real_add(carry, entry)
+
+    monkeypatch.setattr(engine._Carry, "add", add)
     rng = random.Random(1986)
-    appended = strays = 0
+    appended = strays = resumed = 0
     for _ in range(40):
         kb, rules, consts = _random_open_rule_system(rng)
         patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
@@ -594,11 +635,17 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
             # its relation rules and then the belief-property ones alone
             active = rules if rng.random() < 0.7 else rules[len(rules) // 2:]
             carried = kb.store_at(()).carry or {}
-            joining = sum(id(r) not in carried for r in active)
-            before = calls["_anchored"]
+            joining = sorted(id(r) for r in active if id(r) not in carried)
+            blocks = _settled_blocks(kb, active)
+            before = len(entered)
             closed, stores, lines = _closed_state(kb, active)
-            assert calls["_anchored"] - before == joining
-            assert (stores, lines) == _closed_state(_rebuilt(kb), active)[1:]
+            assert sorted(map(id, entered[before:])) == joining
+            fresh_stores, fresh_lines = _closed_state(_rebuilt(kb), active)[1:]
+            assert stores == fresh_stores
+            remaining = iter(fresh_lines)
+            assert all(line in remaining for line in lines)  # in order
+            assert collections.Counter(fresh_lines) - collections.Counter(lines) == blocks
+            resumed += bool(blocks)
             carry = closed.store_at(()).carry
             for rule in active:
                 left = carry[id(rule)]
@@ -606,7 +653,7 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
                     i.key for i in rule_instances(rule, _rebuilt(closed), ())}
             # go on from the closed knowledge base, or now and then from the unclosed one
             kb = closed if rng.random() < 0.8 else kb
-    assert appended >= 200 and strays >= 40
+    assert appended >= 200 and strays >= 40 and resumed >= 5
 
 
 def test_a_settled_instance_fires_again_once_its_consequent_is_retracted():
@@ -925,6 +972,37 @@ def test_yields_raises_again_when_its_closure_exceeds_the_step_bound():
     for _ in range(2):
         with pytest.raises(StepBoundExceeded):
             holds(kb, (), Yields(Atom("p"), Atom("s")), ctx)
+
+
+def test_a_yields_test_closes_the_store_plus_phi_once_and_only_when_needed(monkeypatch):
+    calls = _count_engine_calls(monkeypatch, "_fixpoint")
+    rules = (make_rule("Bird", ["bird"], "fly"), make_rule("Wings", ["bird"], "wings"))
+    kb = kb_with(["seed"])
+    assert nonmon_yields(kb, rules, (), Atom("bird"), Atom("fly"))
+    assert calls["_fixpoint"] == 2
+    # the same phi and another psi: both closures are recorded on kb
+    assert nonmon_yields(kb, rules, (), Atom("bird"), Atom("wings"))
+    assert calls["_fixpoint"] == 2
+    # the closure of the store alone entails psi, so the store plus phi is
+    # not closed, and so cannot exceed the step bound
+    chain = tuple(make_rule(f"R{i}", [a], b) for i, (a, b) in enumerate(("pq", "qr", "rs")))
+    assert not nonmon_yields(kb_with(["s"]), chain, (), Atom("p"), Atom("s"), max_steps=1)
+    assert calls["_fixpoint"] == 3
+
+
+def test_a_yields_test_whose_phi_is_already_a_fact_makes_no_cyclic_garbage():
+    # the store plus phi is the store itself, and nothing fires, so the
+    # closure of the store plus phi is the knowledge base itself: recording
+    # it on that knowledge base would make a cycle that only the collector frees
+    rules = (make_rule("R", ["r"], "q"),)
+    nonmon_yields(kb_with(["p"]), rules, (), Atom("p"), Atom("q"))  # fill module-level caches
+    gc.disable()
+    try:
+        gc.collect()
+        assert not nonmon_yields(kb_with(["p"]), rules, (), Atom("p"), Atom("q"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closure_matches_stored_yields_atoms_only():

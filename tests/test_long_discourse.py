@@ -3,10 +3,11 @@ any corpus scenario interpret with the relations their construction implies."""
 
 import pytest
 
+from conftest import CORPUS, scenario_path
 from dicekit import engine
 from dicekit.formulas import parse_formula
 from dicekit.runner import run_scenario
-from dicekit.scenario import loads
+from dicekit.scenario import load, loads
 
 
 def chain_scenario(n: int) -> str:
@@ -54,3 +55,43 @@ def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
         assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
         per_closure[n] = counts["match"] / counts["closures"]
     assert max(per_closure.values()) <= 1.2 * min(per_closure.values()), per_closure
+
+
+def _blocked_notes(report) -> list[str]:
+    return [line for line in report.trace.lines() if line.endswith("blocked, consequent conflicts with the store")]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_a_chain_notes_each_block_once(n):
+    # each pair's Narration instance is blocked by its Result; once blocked,
+    # it is settled for every later round and closure along the lineage
+    notes = _blocked_notes(run_scenario(loads(chain_scenario(n), f"chain{n}")))
+    assert notes and len(notes) == len(set(notes))
+
+
+@pytest.mark.parametrize("steps", [1000, 50])
+def test_the_corpus_notes_each_block_once(steps):
+    for name in CORPUS:
+        notes = _blocked_notes(run_scenario(load(scenario_path(name)), max_steps=steps))
+        assert len(notes) == len(set(notes)), name
+
+
+def test_a_long_chain_notes_one_block_per_pair():
+    assert len(_blocked_notes(run_scenario(loads(chain_scenario(40), "chain40")))) == 39
+
+
+def test_entailment_checks_grow_linearly_with_the_chain(monkeypatch):
+    # no round checks again an earlier pair's blocked instance, so the
+    # `holds` calls grow with the pairs, not with pairs times closures
+    calls = {}
+    real_holds = engine.holds
+
+    def holds(*args, **kw):
+        calls[n] += 1
+        return real_holds(*args, **kw)
+
+    monkeypatch.setattr(engine, "holds", holds)
+    for n in (80, 160):
+        calls[n] = 0
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+    assert calls[160] <= 2.2 * calls[80], calls
