@@ -43,8 +43,8 @@ each closure a `yields` test needs is computed once per knowledge base, and
 a repeated test, or another g for the same f, is a lookup.
 
 Closures follow the lineage of the store they close (see `kb.Store`): a
-store made from another by asserting facts or adding hard rules or defaults
-only grows, and so does the store inside one closure.  Each closure leaves a
+store made from another by asserting facts or adding hard rules only
+grows, and so does the store inside one closure.  Each closure leaves a
 carry on the store it ends at, and on the store it started from as that
 store stood after the first round (see `_fixpoint`): for each rule, by
 identity, its instances and those whose consequent has held or is blocked
@@ -108,8 +108,9 @@ class DefaultRule:
 
     abducible lists antecedent positions that abduction may hypothesize.
     absent lists negation-as-absence premises: the rule fires only when none
-    of them holds (flagged in the trace when used).  scope="root" keeps a rule
-    out of closures at nested paths.  driver=True marks rules applied by a
+    of them holds (flagged in the trace when used).  scope is the context
+    path whose closures the rule joins, the root by default, or "everywhere"
+    for closures at every path.  driver=True marks rules applied by a
     dedicated procedure rather than the closure loop; builtin names a special
     matcher.
 
@@ -123,13 +124,13 @@ class DefaultRule:
     hard: bool = False
     abducible: frozenset[int] = frozenset()
     absent: tuple[Formula, ...] = ()
-    scope: str = "root"
+    scope: ContextPath | str = ()
     driver: bool = False
     builtin: str | None = None
     note: str = ""
 
     def __post_init__(self):
-        if self.scope not in ("root", "everywhere"):
+        if self.scope != "everywhere" and not isinstance(self.scope, tuple):
             raise ValidationError(f"bad rule scope {self.scope!r}")
         if not self.antecedent:
             raise ValidationError(f"rule {self.name} has an empty antecedent")
@@ -533,16 +534,8 @@ def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: Cont
 _BUILTINS = {"intention-update": _intention_update_instances}
 
 
-def _active_rules(rules, store_defaults, path: ContextPath):
-    out = []
-    for r in rules:
-        if r.driver:
-            continue
-        if r.scope == "root" and tuple(path) != ():
-            continue
-        out.append(r)
-    # a store's own declared defaults always run there, whatever their scope
-    out.extend(r for r in store_defaults if not r.driver)
+def _active_rules(rules, path: ContextPath):
+    out = [r for r in rules if not r.driver and r.scope in ("everywhere", path)]
     # a total order, so that rules that share a name run in one order
     # whatever the input order; the full key is built only when it is needed
     out.sort(key=attrgetter("name"))
@@ -560,8 +553,8 @@ def defeasible_closure(
     max_steps: int = 1000,
 ) -> ClosureResult:
     """Fire rules to a fixpoint at one path.  See the module docstring for the
-    conflict regime.  Rules scoped "root" are skipped at nested paths; the
-    store's own declared defaults always participate.
+    conflict regime.  A rule joins the closure when its scope is the path
+    or "everywhere" (see `DefaultRule`).
 
     Each closure is computed once per knowledge base, path, active rule set
     and step bound, and recorded in the knowledge base's closure memo
@@ -575,7 +568,7 @@ def defeasible_closure(
     that raises records nothing, so it raises again on every call."""
     path = tuple(path)
     trace = trace if trace is not None else Trace()
-    active = tuple(_active_rules(rules, kb.store_at(path).defaults, path))
+    active = tuple(_active_rules(rules, path))
     key = (path, tuple(map(id, active)), max_steps)
     record = kb._closures.get(key)
     if record is None:
@@ -865,14 +858,13 @@ def abduce(
     kb: KnowledgeBase,
     rule: DefaultRule,
     path: ContextPath = (),
-    observed=(),
     *,
     pool=None,
     ctx: EvalContext | None = None,
     trace: Trace | None = None,
 ) -> tuple[AbductionResult, ...]:
     """Hypothesize missing abducible antecedent conjuncts of rule instances
-    whose consequent already holds (or is among the observed formulas).
+    whose consequent already holds.
 
     An instance qualifies when at least one antecedent conjunct already holds
     (abduction needs some supporting evidence), every missing conjunct is
@@ -880,18 +872,17 @@ def abduce(
     touch (hypotheses are mirrored into nested contexts for the check, so
     attributing not-B to an agent whose store contains B is rejected).
 
-    Variables bind from the facts and the observed formulas and, for formula
-    metavariables alone, from `pool`.  A variable that nothing binds yields
-    no hypothesis, whatever the number of constants: no constant is guessed.
+    Variables bind from the facts and, for formula metavariables alone,
+    from `pool`.  A variable that nothing binds yields no hypothesis,
+    whatever the number of constants: no constant is guessed.
     A pattern meets the facts of its functor alone, in printed order; not
     the atoms, where one found only in a hard rule could add a hypothesis.
     """
     path = tuple(path)
     ctx = ctx or EvalContext()
-    observed = tuple(observed)
     trace = trace if trace is not None else Trace()
     store = kb.store_at(path)
-    facts = indexed(dict(sorted({f.key: f for f in store.facts + observed}.items())))
+    facts = indexed(dict(sorted({f.key: f for f in store.facts}.items())))
 
     found: dict[str, Binding] = {}
     for f in _candidates(rule.consequent, facts):
@@ -915,7 +906,7 @@ def abduce(
             continue
         if not all(is_ground(a) for a in ants) or not is_ground(cons):
             continue
-        if not (holds(kb, path, cons, ctx) or cons in observed):
+        if not holds(kb, path, cons, ctx):
             continue
         missing = [i for i, a in enumerate(ants) if not holds(kb, path, a, ctx)]
         if not missing or len(missing) == len(ants):

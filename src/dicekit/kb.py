@@ -83,8 +83,9 @@ def indexed(keyed: Mapping[str, Formula]) -> Atoms:
 
 @dataclass(frozen=True)
 class Store:
-    """One context's contents.  Tuples, not sets: iteration order is load order,
-    which keeps closure traces and SAT variable numbering reproducible.
+    """One context's contents, formulas alone: its facts and its hard rules.
+    Tuples, not sets: iteration order is load order, which keeps closure
+    traces and SAT variable numbering reproducible.
 
     A store is never changed, only replaced, so what is derived from it is
     built once, on first use, and lives and dies with the store: the
@@ -95,24 +96,23 @@ class Store:
     matching.  Each formula is keyed once (see `formulas`), so none of these
     re-prints a fact.
 
-    A store made from a parent by `with_literal`, `with_hard_rule` or
-    `with_default` extends what the parent has built instead of building
-    it again: the compiled form by the new literal (`satcore.add_literal`)
-    or hard rule (`satcore.add_formula`, which merges the groups the rule
-    touches), the compiled hard rules by a new hard rule alone (a literal
-    or a default passes them on as they are), the fact set by the new fact,
-    and the atoms by the new formula's.  It also takes over the
-    parent's `carry`, what the engine's last closure along this line of
-    stores left for the next (see `engine._fixpoint`).  Those three only
-    append, so a descendant's facts and hard rules begin with its
-    ancestor's, and so do its atoms, in first-seen order, once the ancestor
-    has built them (see `atoms_since`).  `KnowledgeBase.retract_fact`,
-    which removes a fact, makes its store afresh: it starts a new lineage,
-    with nothing built and no carry, as does every store made directly."""
+    A store made from a parent by `with_literal` or `with_hard_rule`
+    extends what the parent has built instead of building it again: the
+    compiled form by the new literal (`satcore.add_literal`) or hard rule
+    (`satcore.add_formula`, which merges the groups the rule touches), the
+    compiled hard rules by a new hard rule alone (a literal passes them on
+    as they are), the fact set by the new fact, and the atoms by the new
+    formula's.  It also takes over the parent's `carry`, what the engine's
+    last closure along this line of stores left for the next (see
+    `engine._fixpoint`).  Those three only append, so a descendant's facts
+    and hard rules begin with its ancestor's, and so do its atoms, in
+    first-seen order, once the ancestor has built them (see `atoms_since`).
+    `KnowledgeBase.retract_fact`, which removes a fact, makes its store
+    afresh: it starts a new lineage, with nothing built and no carry, as
+    does every store made directly."""
 
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
-    defaults: tuple = ()  # DefaultRule objects; opaque at this layer
 
     def formulas(self) -> tuple[Formula, ...]:
         return self.facts + self.hard_rules
@@ -132,15 +132,6 @@ class Store:
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set
         return self._extended(child, f, satcore.add_formula, ("compiled", "hard_compiled"))
-
-    def with_default(self, rule) -> "Store":
-        """The store with one more declared default; its formulas, and so
-        all it has built, are unchanged."""
-        child = replace(self, defaults=self.defaults + (rule,))
-        for name in ("fact_set", "compiled", "hard_compiled", "atoms", "by_functor", "carry"):
-            if name in self.__dict__:
-                child.__dict__[name] = self.__dict__[name]
-        return child
 
     def _extended(self, child: "Store", f: Formula, extend, forms: tuple[str, ...]) -> "Store":
         """child, one formula f larger than this store, given what this store
@@ -322,13 +313,6 @@ class KnowledgeBase:
             return self
         return self._with_store(path, store.with_hard_rule(f))
 
-    def with_default(self, path: ContextPath, rule) -> "KnowledgeBase":
-        path = tuple(path)
-        if len(path) > self.max_depth:
-            raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
-        store = self.store_at(path)
-        return self._with_store(path, store.with_default(rule))
-
     # -- queries -----------------------------------------------------------
 
     def entails(self, path: ContextPath, f: Formula) -> bool:
@@ -350,19 +334,6 @@ class KnowledgeBase:
             if not self.store_at(p).satisfiable_with(extra):
                 return False
         return True
-
-    def nested_view(self, path: ContextPath) -> "KnowledgeBase":
-        """Re-root the knowledge base at a nested path."""
-        path = tuple(path)
-        if len(path) > self.max_depth:
-            raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
-        n = len(path)
-        stores = {p[n:]: s for p, s in self.stores.items() if p[:n] == path}
-        return KnowledgeBase(
-            stores=stores,
-            max_depth=max(0, self.max_depth - n),
-            root_consistency_paths=(),
-        )
 
     def walk(self) -> Iterator[tuple[ContextPath, Store]]:
         for p in sorted(self.stores):

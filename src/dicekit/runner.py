@@ -47,7 +47,7 @@ from .axioms import (
     update_content,
 )
 from .engine import DefaultRule, EvalContext, Trace, abduce, defeasible_closure
-from .errors import AmbiguousAntecedent, NoAntecedent
+from .errors import AmbiguousAntecedent, DepthExceeded, NoAntecedent
 from .formulas import (
     Atom,
     Att,
@@ -109,20 +109,21 @@ class RunReport:
 
 
 def build(scenario: Scenario, *, max_depth: int = 3) -> tuple[KnowledgeBase, AxiomSet]:
-    """Knowledge base and axiom library for a scenario: declared stores,
-    scenario rules, and the ground narration/result exclusion constraints."""
+    """Knowledge base and axiom library for a scenario: the declared stores
+    and the standard axioms.  Raises DepthExceeded for a declared context
+    deeper than max_depth, whatever it holds."""
     axioms = standard_axioms(scenario.author, scenario.interpreter)
     kb = KnowledgeBase(
         max_depth=max_depth,
         root_consistency_paths=((scenario.author,),),
     )
     for decl in scenario.contexts:
+        if len(decl.path) > max_depth:
+            raise DepthExceeded(f"path {decl.path} exceeds nesting bound {max_depth}")
         for f in decl.facts:
             kb = kb.assert_fact(decl.path, f)
         for f in decl.hard_rules:
             kb = kb.add_hard_rule(decl.path, f)
-        for r in decl.defaults:
-            kb = kb.with_default(decl.path, r)
     return kb, axioms
 
 

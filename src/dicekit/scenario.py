@@ -20,7 +20,10 @@ of line.  Directives:
     expect coherent | incoherent      final verdict
 
 A rule's formula is (> ant cons) for defaults and (-> ant cons) for hard
-rules; a conjunctive antecedent contributes one conjunct per clause.
+rules; a conjunctive antecedent contributes one conjunct per clause.  A
+`rule` runs in root closures, or with `everywhere` in closures at every path;
+a context's `default` becomes a rule that runs in the closures at that
+context's path alone (see `engine.DefaultRule.scope`).
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ class ContextDecl:
     path: ContextPath
     facts: tuple[Formula, ...] = ()
     hard_rules: tuple[Formula, ...] = ()
-    defaults: tuple[DefaultRule, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,17 +152,18 @@ def _parse_abducible(form) -> frozenset[int]:
 
 def _parse_rule(stream: _Stream, *, name: str, in_context: ContextPath | None) -> DefaultRule:
     """Shared tail of `rule` and context `default` directives: optional
-    abducible(...) and everywhere flags, then the rule formula."""
+    abducible(...) and everywhere flags, then the rule formula.  A context's
+    default is scoped to its path, whatever its flags."""
     kind = "default" if in_context is not None else stream.symbol("rule kind")
     if kind not in ("default", "hard"):
         raise ParseError(f"rule kind must be default or hard, got {kind!r}")
     abducible: frozenset[int] = frozenset()
-    scope = "root" if in_context is None else ("everywhere" if in_context else "root")
+    scope = in_context if in_context is not None else ()
     while isinstance(stream.peek(), str) and stream.peek() in ("abducible", "everywhere"):
         flag = stream.next()
         if flag == "abducible":
             abducible = _parse_abducible(stream.next())
-        else:
+        elif in_context is None:
             scope = "everywhere"
     f = stream.formula("rule body")
     if kind == "default":
@@ -188,13 +191,15 @@ def _parse_rule(stream: _Stream, *, name: str, in_context: ContextPath | None) -
         raise ParseError(f"bad rule {name}: {e}") from None
 
 
-def _parse_context(stream: _Stream, decls: dict) -> None:
+def _parse_context(stream: _Stream, decls: dict, rules: list[DefaultRule]) -> None:
+    """A context block: its facts and hard rules join the path's declaration,
+    its defaults join `rules`, scoped to the path."""
     path = _parse_path(stream.symbol("context path"))
     if stream.next() != "{":
         raise ParseError("expected '{' after context path")
     facts: list[Formula] = []
     hard: list[Formula] = []
-    defaults: list[DefaultRule] = []
+    n_defaults = 0
     while True:
         head = stream.symbol("context directive")
         if head == "}":
@@ -208,17 +213,13 @@ def _parse_context(stream: _Stream, decls: dict) -> None:
             if isinstance(stream.peek(), str) and stream.peek() not in _KEYWORDS | {"abducible", "everywhere"}:
                 name = stream.next()
             if name is None:
-                name = f"context-default-{len(decls)}-{len(defaults)}"
-            defaults.append(_parse_rule(stream, name=name, in_context=path))
+                name = f"context-default-{len(decls)}-{n_defaults}"
+            rules.append(_parse_rule(stream, name=name, in_context=path))
+            n_defaults += 1
         else:
             raise ParseError(f"unknown context directive {head!r}")
     prev = decls.get(path, ContextDecl(path))
-    decls[path] = ContextDecl(
-        path,
-        prev.facts + tuple(facts),
-        prev.hard_rules + tuple(hard),
-        prev.defaults + tuple(defaults),
-    )
+    decls[path] = ContextDecl(path, prev.facts + tuple(facts), prev.hard_rules + tuple(hard))
 
 
 def loads(text: str, name: str = "<scenario>") -> Scenario:
@@ -246,7 +247,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             else:
                 raise ParseError(f"unknown option {opt!r}")
         elif head == "context":
-            _parse_context(stream, decls)
+            _parse_context(stream, decls, rules)
         elif head == "rule":
             rname = stream.symbol("rule name")
             rules.append(_parse_rule(stream, name=rname, in_context=None))

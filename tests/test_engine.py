@@ -193,12 +193,13 @@ def test_absent_premises_are_negation_as_absence():
 
 
 def test_root_scoped_rules_skip_nested_paths():
-    kb = KnowledgeBase().assert_fact(("A",), Atom("bird"))
+    kb = KnowledgeBase().assert_fact(("A",), Atom("bird")).assert_fact((), Atom("bird"))
     res = defeasible_closure(kb, (BIRD,), ("A",))
     assert not res.kb.has_fact(("A",), Atom("fly"))
-    # a store's own declared defaults always run there
-    res2 = defeasible_closure(kb.with_default(("A",), BIRD), (), ("A",))
-    assert res2.kb.has_fact(("A",), Atom("fly"))
+    # a rule scoped to a path runs in the closures there and nowhere else
+    at_a = make_rule("Bird", ["bird"], "fly", scope=("A",))
+    assert defeasible_closure(kb, (at_a,), ("A",)).kb.has_fact(("A",), Atom("fly"))
+    assert not defeasible_closure(kb, (at_a,), ()).kb.has_fact((), Atom("fly"))
 
 
 def test_everywhere_scoped_rules_run_at_nested_paths():
@@ -508,7 +509,7 @@ def _rebuilt(kb: KnowledgeBase) -> KnowledgeBase:
     nothing built and an empty carry (`dataclasses.replace` would share the
     stores, and so their carries)."""
     return KnowledgeBase(
-        stores={p: Store(s.facts, s.hard_rules, s.defaults) for p, s in kb.stores.items()},
+        stores={p: Store(s.facts, s.hard_rules) for p, s in kb.stores.items()},
         max_depth=kb.max_depth,
         root_consistency_paths=kb.root_consistency_paths,
     )
@@ -685,7 +686,7 @@ def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():
 
 
 def test_abduction_guesses_no_term_variable():
-    # abduction binds ?w from the observed (q c0); no fact fits the
+    # abduction binds ?w from the fact (q c0); no fact fits the
     # abducible conjunct, and its three other variables are term variables
     # that nothing binds, so no hypothesis is made, whatever the number of
     # names the store mentions: none is guessed
@@ -1070,14 +1071,6 @@ def test_abduce_pool_confines_bound_metavariables():
     assert abduce(kb, rule, (), pool={"phi": (Atom("p"),)}) == ()
 
 
-def test_abduce_accepts_observed_consequents():
-    rule = make_rule("R", ["w", "b"], "c", abducible=frozenset({1}))
-    kb = kb_with(["w"])
-    results = abduce(kb, rule, (), observed=(Atom("c"),))
-    assert len(results) == 1
-    assert [print_formula(h) for h in results[0].hypothesis] == ["b"]
-
-
 def test_abduce_traces_its_steps():
     rule = make_rule("R", ["w", "b"], "c", abducible=frozenset({1}))
     trace = Trace()
@@ -1120,6 +1113,11 @@ def test_abduce_binds_a_variable_shared_by_a_slot_and_a_term():
 def test_rule_validation():
     with pytest.raises(ValidationError):
         DefaultRule("R", (Atom("p"),), Atom("q"), scope="nowhere")
+    # a scope is a context path or "everywhere"; the root is (), not "root"
+    with pytest.raises(ValidationError):
+        DefaultRule("R", (Atom("p"),), Atom("q"), scope="root")
+    with pytest.raises(ValidationError):
+        DefaultRule("R", (Atom("p"),), Atom("q"), scope=["A"])
     with pytest.raises(ValidationError):
         DefaultRule("R", (Atom("p"),), Atom("q"), abducible=frozenset({3}))
 

@@ -10,7 +10,6 @@ import pytest
 
 import reference
 from dicekit import satcore
-from dicekit.engine import make_rule
 from dicekit.errors import DepthExceeded, SatTooLarge, ValidationError
 from dicekit.formulas import And, Att, Atom, Const, Iff, Implies, Not, Or, conj, parse_formula, print_formula
 from dicekit.kb import KnowledgeBase, Store
@@ -117,15 +116,6 @@ def test_jointly_consistent_with_checks_the_root_too():
     assert not kb.jointly_consistent_with((Atom("p"),))
 
 
-def test_nested_view_reroots():
-    kb = kb0().assert_fact((), parse_formula("(B A (B I p))"))
-    view = kb.nested_view(("A",))
-    assert view.has_fact((), parse_formula("(B I p)"))
-    assert view.has_fact(("I",), Atom("p"))
-    assert view.max_depth == kb.max_depth - 1
-    assert view.root_consistency_paths == ()
-
-
 def test_store_formulas_concatenates_facts_and_rules():
     s = Store(facts=(Atom("p"),), hard_rules=(parse_formula("(-> p q)"),))
     assert s.formulas() == (Atom("p"), parse_formula("(-> p q)"))
@@ -147,14 +137,6 @@ def test_walk_and_paths_are_sorted():
     kb = kb0().assert_fact(("B",), Atom("p")).assert_fact(("A",), Atom("q"))
     assert kb.paths() == ((), ("A",), ("B",))
     assert [p for p, _ in kb.walk()] == [(), ("A",), ("B",)]
-
-
-def test_with_default_records_rules_per_store():
-    from dicekit.engine import make_rule
-
-    rule = make_rule("r", ["p"], "q")
-    kb = kb0().with_default(("A",), rule)
-    assert kb.store_at(("A",)).defaults == (rule,)
 
 
 # ------------------------------------------------- queries on a compiled store
@@ -338,7 +320,7 @@ def test_literal_shaped_queries_compile_nothing_and_match_enumeration_oracle(mon
 
 
 def test_literal_shaped_queries_along_a_lineage_match_enumeration_oracle(monkeypatch):
-    # stores grown one literal, hard rule or default at a time from a base
+    # stores grown one literal or hard rule at a time from a base
     # that may be unsatisfiable; each literal-shaped query, over atoms the
     # store lacks too, with complementary extras or a negated conjunction,
     # is asked twice, compiles nothing, and agrees with the oracle both times
@@ -349,16 +331,13 @@ def test_literal_shaped_queries_along_a_lineage_match_enumeration_oracle(monkeyp
         pool = atoms + ["x0", "x1"]
         kb = kb0(stores={(): _random_store(rng, atoms)})
         kb.store_at(()).compiled
-        for step in range(rng.randint(2, 5)):
-            pick = rng.random()
-            if pick < 0.5:
+        for _ in range(rng.randint(2, 5)):
+            if rng.random() < 0.5:
                 kb = kb.assert_fact((), reference.random_literal(rng, atoms + ["x0"]))
-            elif pick < 0.8:
+            else:
                 left = reference.random_formula(rng, pool, rng.randint(0, 1))
                 right = reference.random_formula(rng, pool, rng.randint(0, 1))
                 kb = kb.add_hard_rule((), Implies(left, right))
-            else:
-                kb = kb.with_default((), make_rule(f"d{step}", [Atom("a0")], Atom("a1")))
             store = kb.store_at(())
             assert "compiled" in store.__dict__  # extended from the parent's
             fs = store.formulas()

@@ -4,7 +4,9 @@ Each case hashes `report_dict` without `elapsed`, together with every
 store's facts and hard rules in order, so a change that alters any output
 -- a relation, a trace line, a fact, or the order of facts -- names the case
 it altered.  The committed digests come from the engine before the closure
-became incremental.  To write them again, from the root of a checkout:
+became incremental, and `context_defaults`'s from the engine before a
+context's defaults became rules scoped to its path.  To write them again,
+from the root of a checkout:
 
     PYTHONPATH=src:tests python tests/test_report_digests.py
 """
@@ -23,10 +25,13 @@ from dicekit.runner import report_dict, run_scenario
 from dicekit.scenario import load, loads
 from test_long_discourse import chain_scenario
 
-DIGESTS = os.path.join(os.path.dirname(__file__), "data", "report_digests.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+DIGESTS = os.path.join(DATA, "report_digests.json")
 
 CASES = [f"{name}@{steps}" for steps in (1000, 50) for name in CORPUS]
 CASES += [f"chain{n}" for n in range(3, 13)]
+#: scenarios kept out of the corpus, which the benchmark loads whole
+CASES += ["context_defaults@1000"]
 
 
 def case_digest(case: str) -> str:
@@ -34,7 +39,8 @@ def case_digest(case: str) -> str:
         report = run_scenario(loads(chain_scenario(int(case[5:])), case))
     else:
         name, steps = case.split("@")
-        report = run_scenario(load(scenario_path(name)), max_steps=int(steps))
+        scn = scenario_path(name) if name in CORPUS else os.path.join(DATA, name + ".scn")
+        report = run_scenario(load(scn), max_steps=int(steps))
     pinned = {k: v for k, v in report_dict(report).items() if k != "elapsed"}
     stores = [
         ["/".join(path), [print_formula(f) for f in store.facts], [print_formula(f) for f in store.hard_rules]]

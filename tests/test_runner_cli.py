@@ -2,16 +2,19 @@
 
 import gc
 import json
+import os
 import re
 
 import pytest
 
 from dicekit.axioms import isupport_atom
 from dicekit.cli import main
+from dicekit.engine import Trace, defeasible_closure
 from dicekit.formulas import Atom, Att, Const, Not, RelAtom, parse_formula
 from dicekit.runner import (
     THAT_WAY,
     ExpectationResult,
+    build,
     explain,
     report_dict,
     run_scenario,
@@ -114,6 +117,23 @@ def test_plan_progress_runs_without_utterances(corpus_reports):
     assert report.kb.entails((), parse_formula("(I A (R (plan paint-walls)))"))
     done = parse_formula("(I A (R (plan wash-walls sand-walls)))")
     assert report.kb.entails((), Not(done))
+
+
+CONTEXT_DEFAULTS = os.path.join(os.path.dirname(__file__), "data", "context_defaults.scn")
+
+
+def test_a_context_default_runs_in_the_closures_at_its_path_alone():
+    with open(CONTEXT_DEFAULTS, encoding="utf-8") as fh:
+        s = loads(fh.read())
+    kb, _ = build(s)
+    fired = {}
+    for path in ((), ("A",)):
+        trace = Trace()
+        defeasible_closure(kb, s.rules, path, trace=trace)
+        fired[path] = {step.rule for step in trace.steps()}
+    # both stores hold the bill facts that each default's antecedent needs
+    assert fired[()] == {"BadBillCause"}
+    assert fired[("A",)] == {"context-default-1-0"}
 
 
 def test_runner_installs_relation_exclusion_per_site(corpus_reports):
@@ -305,6 +325,16 @@ def test_cli_keeps_rules_that_share_a_name_apart(tmp_path, capsys):
     )
     assert main(["run", str(scn)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("body", ["", "default (> p q)"], ids=["empty", "defaults-only"])
+def test_cli_context_deeper_than_depth_exits_3(tmp_path, capsys, body):
+    # rejected as declared, whatever the context holds
+    scn = tmp_path / "deep.scn"
+    scn.write_text(f"agents A I context [A,I,A,I] {{ {body} }}\n")
+    assert main(["run", str(scn)]) == 3
+    assert "exceeds nesting bound 3" in capsys.readouterr().err
+    assert main(["run", str(scn), "--depth", "4"]) == 0
 
 
 def test_cli_failed_expectation_exit_code(tmp_path, capsys):

@@ -87,20 +87,21 @@ def test_loads_full_scenario():
     assert root.path == ()
     assert [str(f) for f in root.facts] == ["(p c1)"]
     assert [str(f) for f in root.hard_rules] == ["(-> (p c1) (q c1))"]
-    (birdish,) = root.defaults
+
+    # a context's defaults are scenario rules scoped to its path, in file order
+    birdish, anon, noisy, strict = s.rules
     assert birdish.name == "Birdish"
-    assert birdish.scope == "root"
+    assert birdish.scope == ()
     assert not birdish.hard
     # ?-marked pattern variables print bare
     assert [str(f) for f in birdish.antecedent] == ["(bird x)"]
     assert str(birdish.consequent) == "(fly x)"
 
     assert nested.path == ("fred",)
-    (anon,) = nested.defaults
+    assert [str(f) for f in nested.facts] == ["(r c1)"]
     assert anon.name == "context-default-1-0"
-    assert anon.scope == "everywhere"
+    assert anon.scope == ("fred",)
 
-    noisy, strict = s.rules
     assert noisy.abducible == frozenset({0})
     assert noisy.scope == "everywhere"
     assert not noisy.hard
@@ -129,10 +130,27 @@ def test_repeated_context_blocks_merge():
 def test_anonymous_defaults_get_distinct_names():
     s = loads("agents A I context [] { default (> p q) default (> q r) }")
     (decl,) = s.contexts
-    assert [r.name for r in decl.defaults] == [
+    assert decl.path == ()
+    assert [r.name for r in s.rules] == [
         "context-default-0-0",
         "context-default-0-1",
     ]
+
+
+def test_a_context_default_is_scoped_to_its_path_whatever_its_flags():
+    s = loads(
+        "agents A I\n"
+        "context [A] { default Here everywhere (> p q) }\n"
+        "rule Root default (> p q)\n"
+        "rule Anywhere default everywhere (> p q)\n"
+    )
+    assert [(r.name, r.scope) for r in s.rules] == [
+        ("Here", ("A",)),
+        ("Root", ()),
+        ("Anywhere", "everywhere"),
+    ]
+    # a context that holds only defaults is still declared
+    assert [decl.path for decl in s.contexts] == [("A",)]
 
 
 def test_abducible_indices_accept_bare_and_spread_forms():
