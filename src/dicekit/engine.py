@@ -7,8 +7,8 @@ defeated.  Two applicable defaults conflict when their consequents are jointly
 unsatisfiable with the store; the one whose antecedent strictly entails the
 other's (under the path's hard rules) wins and fires in Penguin mode, and when
 neither antecedent is strictly stronger both stay silent -- sceptical
-resolution.  The result is order-independent: candidate instances are
-collected per round and fired in a canonical order.
+resolution.  The result does not depend on the order of the rules: a round
+collects its candidate instances and fires them in one canonical order.
 
 Patterns bind against a store in one place, `bind`, for the closure's rules
 and the Result/Evidence driver's witness alike.  A conjunct that is opaque to
@@ -35,12 +35,12 @@ say), never by nested closure, which keeps hypothetical reasoning from
 recursing without bound.
 
 Knowledge bases and stores are immutable, so work on them is done once.  A
-closure is recorded on the knowledge base it closes, keyed by path, active
-rules and step bound (see `defeasible_closure`), and the closure of the
-store plus f on the knowledge base without f, keyed by f too (see
-`closed_pair`), since asserting f makes a new knowledge base every time:
-each closure a `yields` test needs is computed once per knowledge base, and
-a repeated test, or another g for the same f, is a lookup.
+closure is recorded on the knowledge base it closes, keyed by path, the
+set of active rules and step bound (see `defeasible_closure`), and the
+closure of the store plus f on the knowledge base without f, keyed by f
+too (see `closed_pair`), since asserting f makes a new knowledge base every
+time: each closure a `yields` test needs is computed once per knowledge
+base, and a repeated test, or another g for the same f, is a lookup.
 
 Closures follow the lineage of the store they close (see `kb.Store`): a
 store made from another by asserting facts or adding hard rules only
@@ -49,15 +49,16 @@ carry on the store it ends at, and on the store it started from as that
 store stood after the first round (see `_fixpoint`): for each rule, by
 identity, its instances and those whose consequent has held or is blocked
 (inconsistent with the store), which are settled for good, so a block is
-noted once along a lineage, and an index of the rules' anchors, which is
-extended as rules join the lineage and never rebuilt.  A later closure of a
-descendant starts from that carry, round by round alike.  The index maps the atoms
-gained since the last round, by key or by functor, to the rules they may
-touch; only those rules bind again, from the new atoms first (a semi-naive
-delta, see `bind`), every other rule keeps its instances, and only
-the unsettled instances are checked.  So a round's matching costs what its
-new atoms touch, not what the rule set holds.  An instance that cannot
-apply, because no grounded anchor of one of its conjuncts is among the
+noted once along a lineage; the rules that are awake, with instances not
+yet settled or atoms to bind; and an index of the rules' anchors, which is
+extended as rules join the lineage and never rebuilt.  A later closure of
+a descendant starts from that carry, round by round alike.  A rule binds
+once as it joins the lineage.  The index maps the atoms gained since the
+last round, by key or by functor, to the rules they may touch, which wake
+and bind again, from the new atoms first (a semi-naive delta, see
+`bind`).  A round reads the awake rules alone, so it costs what its new
+atoms touch, not what the rule set holds, and an instance that cannot
+apply, since no grounded anchor of one of its conjuncts is among the
 store's atoms, is not built until such an atom arrives.  A store that
 `retract_fact` makes, and any store made directly, starts a new lineage
 with no carry: the same code with nothing carried.  Within a closure, each
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Container, NamedTuple
 
 from . import satcore
@@ -291,11 +291,11 @@ def closed_pair(
 def _closed_with(kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext) -> KnowledgeBase:
     """The closure at path of the store plus `added`, recorded on `kb`,
     whose every assert makes a new knowledge base with an empty memo.  The
-    record is keyed by the path, `added`'s key, the identities of the rules
-    (the record keeps them alive) and the step bound, and holds None when
-    the closure is `kb` itself, so that a knowledge base never refers to
-    itself.  A closure that raises records nothing."""
-    key = (tuple(path), added.key, tuple(map(id, ctx.rules)), ctx.max_steps)
+    record is keyed by the path, `added`'s key, the set of the rules'
+    identities (the record keeps them alive) and the step bound, and holds
+    None when the closure is `kb` itself, so that a knowledge base never
+    refers to itself.  A closure that raises records nothing."""
+    key = (tuple(path), added.key, frozenset(map(id, ctx.rules)), ctx.max_steps)
     record = kb._closures.get(key)
     if record is None:
         out = defeasible_closure(kb.assert_fact(path, added), ctx.rules, path, max_steps=ctx.max_steps).kb
@@ -527,21 +527,10 @@ def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: Cont
             cons = And((Att("I", agent, Doing(suffix)), Not(Att("I", agent, Doing(q)))))
             b: Binding = {"done": Done(q), "plan": Att("I", agent, Doing(p))}
             insts.append(_Inst(rule, b, (Att("I", agent, Doing(p)), Done(q)), cons, render_binding(b)))
-    insts.sort(key=lambda i: i.key)
     return insts
 
 
 _BUILTINS = {"intention-update": _intention_update_instances}
-
-
-def _active_rules(rules, path: ContextPath):
-    out = [r for r in rules if not r.driver and r.scope in ("everywhere", path)]
-    # a total order, so that rules that share a name run in one order
-    # whatever the input order; the full key is built only when it is needed
-    out.sort(key=attrgetter("name"))
-    if any(a.name == b.name for a, b in zip(out, out[1:])):
-        out.sort(key=lambda r: (r.name, r.consequent.key, tuple(a.key for a in r.antecedent)))
-    return out
 
 
 def defeasible_closure(
@@ -554,22 +543,22 @@ def defeasible_closure(
 ) -> ClosureResult:
     """Fire rules to a fixpoint at one path.  See the module docstring for the
     conflict regime.  A rule joins the closure when its scope is the path
-    or "everywhere" (see `DefaultRule`).
+    or "everywhere" (see `DefaultRule`); the order of the rules is no input.
 
     Each closure is computed once per knowledge base, path, active rule set
     and step bound, and recorded in the knowledge base's closure memo
     (`KnowledgeBase._closures`), which lives and dies with it.  The memo is
-    keyed by the path, the identities of the active rules (the record keeps
-    them alive, so an identity is never reused) and `max_steps`.  A record
-    holds the closed knowledge base (None when nothing fired, so that a
-    knowledge base never refers to itself) and the trace entries the
+    keyed by the path, the set of the active rules' identities (the record
+    keeps the rules alive, so an identity is never reused) and `max_steps`.
+    A record holds the closed knowledge base (None when nothing fired, so
+    that a knowledge base never refers to itself) and the trace entries the
     closure wrote; a repeated closure appends the same entries to the
     caller's trace, numbering its steps on from the caller's.  A closure
     that raises records nothing, so it raises again on every call."""
     path = tuple(path)
     trace = trace if trace is not None else Trace()
-    active = tuple(_active_rules(rules, path))
-    key = (path, tuple(map(id, active)), max_steps)
+    active = {id(r): r for r in rules if not r.driver and r.scope in ("everywhere", path)}
+    key = (path, frozenset(active), max_steps)
     record = kb._closures.get(key)
     if record is None:
         start = len(trace.entries)
@@ -595,11 +584,10 @@ class _Carried(NamedTuple):
     (so that its identity, the carry's key, is never reused), its
     `anchored_conjuncts`, the count of the store's atoms its instances were
     bound at when an atom gained since may touch them (None when they are
-    bound at the carry's count), its instances not yet settled, in canonical
-    order, and the keys of the settled ones.  The anchored conjuncts are
-    kept here, not on the rule: kept there with `_active_rules`' sort key,
-    they added about 1,000 tracked objects to rulesys's long-lived rules,
-    and its tail latency rose 25%."""
+    bound at the carry's count), its instances not yet settled, and the keys
+    of the settled ones.  The anchored conjuncts are kept here, not on the
+    rule: kept there, they added about 1,000 tracked objects to rulesys's
+    long-lived rules, and its tail latency rose 25%."""
 
     rule: DefaultRule
     anchored: Anchored
@@ -610,20 +598,29 @@ class _Carried(NamedTuple):
 
 class _Carry(dict):
     """What the closures along a lineage of stores leave for the next (see
-    `_fixpoint`): a `_Carried` record by rule identity, the count of the
-    store's atoms the records are bound at, and the anchor index of the
-    carried rules.  The index maps the key of each ground anchor, and the
-    functor of each anchor with variables (every anchor has one), to the
-    rules with such an anchor.  A copy shares the index until it extends
-    it, so no carry changes another."""
+    `_fixpoint`): a `_Carried` record by rule identity, the awake rules'
+    identities, those whose record has live instances or a pending `since`
+    (kept as each record is written), the count of the store's atoms the
+    records are bound at, and the anchor index of the carried rules: the key
+    of each ground anchor, and the functor of each anchor with variables
+    (every anchor has one), to the rules with such an anchor.  A copy shares
+    the index until it extends it, so no carry changes another."""
 
-    __slots__ = ("count", "_index", "_own")
+    __slots__ = ("count", "awake", "_index", "_own")
 
     def __init__(self, other: _Carry | None = None):
         super().__init__(other or ())
         self.count = 0 if other is None else other.count
+        self.awake = set() if other is None else set(other.awake)
         self._index = ({}, {}) if other is None else other._index
         self._own = False
+
+    def __setitem__(self, ident: int, entry: _Carried) -> None:
+        super().__setitem__(ident, entry)
+        if entry.live or entry.since is not None:
+            self.awake.add(ident)
+        else:
+            self.awake.discard(ident)
 
     def add(self, entry: _Carried) -> None:
         """Record a rule that enters the lineage, and index its anchors."""
@@ -644,8 +641,8 @@ class _Carry(dict):
         """Bring the carry to the store's atoms, a descendant's of those it
         was bound at, and return the atoms gained, under the count they were
         gained since.  A rule that one of them may touch, by the index (an
-        anchor of the atom's key or of its functor), has its
-        record marked with the count its instances were bound at, for the
+        anchor of the atom's key or of its functor), has its record marked
+        with the count its instances were bound at, and wakes, for the
         closure to bind it again when it is active.  No other record
         changes: only anchored conjuncts bind, a binding only narrows a
         match, and a grounded anchor is an instance of its pattern."""
@@ -667,27 +664,32 @@ class _Carry(dict):
         return added
 
 
+def _canonical(i: _Inst):
+    """A round's order of instances, the same whatever the order of the rules."""
+    r = i.rule
+    return (r.name, i.key, i.cons.key, tuple(a.key for a in i.ants), r.hard, tuple(a.key for a in r.absent))
+
+
 def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_steps: int) -> ClosureResult:
     """The closure itself: rounds of instances, arbitration and firing.
 
-    A closure starts from the carry of the store at the path (`Store.carry`).
-    It leaves its carry after the first round on that store, and its final
-    carry on the store it ends at, for the closures of either store's
-    descendants (a `yields` test closes a store and that store plus a
-    formula, say).  The carry (`_Carry`) holds, for each rule by identity,
-    a `_Carried` record, and an index of the rules' anchors, built as each
-    rule enters the lineage and extended, never rebuilt, as rules are
-    appended; it holds rules, instances, keys and counts, never a store or
-    a knowledge base, so no store keeps its ancestors alive.  Along a
-    lineage (see `kb.Store`) a store only gains facts and hard rules, so
-    its atoms only grow, and so do the store's inside a closure, which makes
+    `active` maps the identity of each rule that runs to the rule.  A
+    closure starts from the carry of the store at the path (`Store.carry`),
+    and leaves its carry on that store after the first round and on the
+    store it ends at, for the closures of either store's descendants (a
+    `yields` test closes a store and that store plus a formula, say).  The
+    carry (`_Carry`) holds rules, instances, keys and counts, never a store
+    or a knowledge base, so no store keeps its ancestors alive.  Along a
+    lineage (see `kb.Store`) a store only gains facts and hard rules, so its
+    atoms only grow, and so do the store's inside a closure, which makes
     both of these sound:
-    - A rule's instances stay instances.  A round looks up the atoms gained
-      since the last in the index, and only the rules whose anchors they
-      hit bind again, from those atoms (see `rule_instances`); every other
-      rule's unsettled instances are carried as they are.  A rule the
-      atoms hit while it was not active binds when it is next active, from
-      every atom gained since.  Builtins are rebuilt every round.
+    - A rule's instances stay instances.  A rule binds once as it joins the
+      lineage.  Then a round looks up the atoms gained since the last in
+      the carry's anchor index, and only the rules whose anchors they hit
+      bind again, from those atoms (see `rule_instances`); every other
+      rule's unsettled instances are carried as they are.  A rule the atoms
+      hit while it was not active binds when it is next active, from every
+      atom gained since.  Builtins are rebuilt every round.
     - An instance whose consequent held is settled: it holds in every
       larger store, so no later round or closure checks it again.  So is
       a default's applicable instance whose consequent is inconsistent
@@ -695,20 +697,23 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
       It is settled before the input store keeps its first-round carry, so
       its "blocked" note is written once along the lineage, by the first
       closure that finds it.
-    An instance that cannot apply is never built, so a rule whose
-    instances wait for an atom costs nothing until the atom arrives.  A
-    store that starts a lineage has an empty carry, and each of its rules
-    binds from all of its atoms.
+    So a round reads the builtins and the awake active rules alone: a rule
+    whose instances are settled, or wait for an atom, costs nothing until
+    an atom touches it.
 
-    Every table is keyed by rule identity (`active` keeps the rules alive),
-    so rules that share a name never meet.  `specificity` depends on the
-    antecedents and the hard rules alone, so within a closure each pair of
-    antecedents is compared once, and the mirrored pair is answered from the
-    same comparison.  The store is fixed while a round arbitrates, so two
-    instances' joint consistency is asked once a round for both orders."""
+    A round arbitrates and fires its instances in one order (`_canonical`),
+    and keys every table by rule identity, so rules that share a name never
+    meet.  `specificity` depends on the antecedents and the hard rules
+    alone, so within a closure each pair of antecedents is compared once,
+    and the mirrored pair is answered from the same comparison.  The store
+    is fixed while a round arbitrates, so two instances' joint consistency
+    is asked once a round for both orders."""
     fired: list[InferenceStep] = []
     out = kb
     carry = _Carry(kb.store_at(path).carry)
+    uncarried = [active[ident] for ident in active.keys() - carry.keys()]  # a builtin is never carried
+    joining = [r for r in uncarried if not r.builtin]
+    builtins = [r for r in uncarried if r.builtin]
     compared: dict[tuple, str] = {}
 
     def compare(i: _Inst, j: _Inst) -> str:
@@ -722,29 +727,25 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     for _ in range(max_steps):
         store = out.store_at(path)
         added = carry.advance(store)  # since -> the atoms gained since then
-        insts: list[_Inst] = []
-        for rule in active:
-            if rule.builtin:
-                insts.extend(_BUILTINS[rule.builtin](rule, out, path))
-                continue
-            entry = carry.get(id(rule))
-            if entry is None:
-                anchored = anchored_conjuncts(rule.antecedent)
-                live = tuple(rule_instances(rule, out, path, anchored=anchored))
-                entry = _Carried(rule, anchored, None, live, frozenset())
-                carry.add(entry)
-            elif entry.since is not None:
-                new = added.get(entry.since)
-                if new is None:
-                    new = added[entry.since] = store.atoms_since(entry.since)
-                live = entry.live
-                known = entry.settled.union(i.key for i in live)
-                found = rule_instances(rule, out, path, new, anchored=entry.anchored)
-                more = tuple(i for i in found if i.key not in known)
-                if more:
-                    live = tuple(sorted(live + more, key=lambda i: i.key))
-                entry = carry[id(rule)] = entry._replace(since=None, live=live)
+        while joining:  # a rule that joins the lineage binds once, from every atom
+            rule = joining.pop()
+            anchored = anchored_conjuncts(rule.antecedent)
+            live = tuple(rule_instances(rule, out, path, anchored=anchored))
+            carry.add(_Carried(rule, anchored, None, live, frozenset()))
+        insts = [i for rule in builtins for i in _BUILTINS[rule.builtin](rule, out, path)]
+        for ident in [ident for ident in carry.awake if ident in active]:
+            entry = carry[ident]
+            if entry.since is not None:
+                if entry.since not in added:
+                    added[entry.since] = store.atoms_since(entry.since)
+                known = entry.settled.union(i.key for i in entry.live)
+                found = rule_instances(entry.rule, out, path, added[entry.since], anchored=entry.anchored)
+                live = entry.live + tuple(i for i in found if i.key not in known)
+                entry = carry[ident] = entry._replace(since=None, live=live)
             insts.extend(entry.live)
+        insts.sort(key=lambda i: (i.rule.name, i.key))
+        if any(a.rule.name == b.rule.name and a.key == b.key for a, b in zip(insts, insts[1:])):
+            insts.sort(key=_canonical)  # the full key only on a tie
         # applicability against the current store
         applicable = []
         ok_alone: dict[tuple[int, str], bool] = {}
@@ -816,7 +817,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             if not defeated:
                 winners.append((i, "Penguin" if contested else "DMP"))
         progressed = False
-        for i, mode in sorted(winners, key=lambda t: (t[0].rule.name, t[0].key)):
+        for i, mode in winners:
             if holds(out, path, i.cons):
                 continue
             if not i.rule.hard and not out.consistent_with(path, (i.cons,)):

@@ -91,22 +91,23 @@ class Store:
     built once, on first use, and lives and dies with the store: the
     compiled form for satisfiability (every query against it compiles only
     itself, and a literal-shaped one compiles nothing), the compiled form of
-    the hard rules alone for `engine.specificity`, the fact set for
-    membership, and the opaque atoms by key and by functor for rule
-    matching.  Each formula is keyed once (see `formulas`), so none of these
-    re-prints a fact.
+    the hard rules alone for `engine.specificity`, the fact set and the
+    hard-rule set for membership, and the opaque atoms by key and by
+    functor for rule matching.  Each formula is keyed once (see
+    `formulas`), so none of these re-prints a fact.
 
     A store made from a parent by `with_literal` or `with_hard_rule`
     extends what the parent has built instead of building it again: the
     compiled form by the new literal (`satcore.add_literal`) or hard rule
     (`satcore.add_formula`, which merges the groups the rule touches), the
     compiled hard rules by a new hard rule alone (a literal passes them on
-    as they are), the fact set by the new fact, and the atoms by the new
-    formula's.  It also takes over the parent's `carry`, what the engine's
-    last closure along this line of stores left for the next (see
-    `engine._fixpoint`).  Those three only append, so a descendant's facts
-    and hard rules begin with its ancestor's, and so do its atoms, in
-    first-seen order, once the ancestor has built them (see `atoms_since`).
+    as they are), the fact set by the new fact, the hard-rule set by the
+    new hard rule, and the atoms by the new formula's.  It also takes over
+    the parent's `carry`, what the engine's last closure along this line of
+    stores left for the next (see `engine._fixpoint`).  Those three only
+    append, so a descendant's facts and hard rules begin with its
+    ancestor's, and so do its atoms, in first-seen order, once the ancestor
+    has built them (see `atoms_since`).
     `KnowledgeBase.retract_fact`, which removes a fact, makes its store
     afresh: it starts a new lineage, with nothing built and no carry, as
     does every store made directly."""
@@ -122,7 +123,9 @@ class Store:
         child = replace(self, facts=self.facts + (f,))
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set | {f}
-        if "hard_compiled" in self.__dict__:  # a fact leaves the hard rules as they are
+        if "hard_rule_set" in self.__dict__:  # a fact leaves the hard rules as they are
+            child.__dict__["hard_rule_set"] = self.hard_rule_set
+        if "hard_compiled" in self.__dict__:
             child.__dict__["hard_compiled"] = self.hard_compiled
         return self._extended(child, f, satcore.add_literal, ("compiled",))
 
@@ -131,6 +134,8 @@ class Store:
         child = replace(self, hard_rules=self.hard_rules + (f,))
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set
+        if "hard_rule_set" in self.__dict__:
+            child.__dict__["hard_rule_set"] = self.hard_rule_set | {f}
         return self._extended(child, f, satcore.add_formula, ("compiled", "hard_compiled"))
 
     def _extended(self, child: "Store", f: Formula, extend, forms: tuple[str, ...]) -> "Store":
@@ -161,6 +166,10 @@ class Store:
     @cached_attr
     def fact_set(self) -> frozenset[Formula]:
         return frozenset(self.facts)
+
+    @cached_attr
+    def hard_rule_set(self) -> frozenset[Formula]:
+        return frozenset(self.hard_rules)
 
     @cached_attr
     def compiled(self) -> satcore.Compiled:
@@ -309,7 +318,7 @@ class KnowledgeBase:
         if len(path) > self.max_depth:
             raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
         store = self.store_at(path)
-        if f in store.hard_rules:
+        if f in store.hard_rule_set:
             return self
         return self._with_store(path, store.with_hard_rule(f))
 

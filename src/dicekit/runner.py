@@ -4,8 +4,8 @@
 first is taken up directly (the interpreter believes an assertion; an
 imperative registers as an order) and goes through phase 2 only; each later one
   1. mints an update site against the right frontier, asserts its tokens and
-     instantiates the pair's belief-property rules (`_open_site`), then
-     resolves a plan anaphor in a cause clue (`_resolve_anaphor`),
+     adds the pair's belief-property rules (`_open_site`), then resolves a
+     plan anaphor in a cause clue (`_resolve_anaphor`),
   2. closes the root store over attitude rules (intentionality, sincerity,
      wanting-and-doing, the practical syllogism and APS1, intention update,
      optionally charity) (`_close_attitudes`),
@@ -20,7 +20,8 @@ imperative registers as an order) and goes through phase 2 only; each later one
      are retracted and the discourse is incoherent, as it is when no relation
      is derived at all (`_check_permission`),
   7. attaches derived relations, extends intended plans (plan apprehension),
-     and closes over the pair's belief-property instances (`_attach`).
+     and closes over the relation rules again, among them every pair's
+     belief-property rules (`_attach`).
 
 After a coherent discourse, one abduction pass over the practical syllogism
 absorbs the author's reconstructed communicative goals (`_reconstruct_goals`).
@@ -136,8 +137,8 @@ class _Run:
     kb: KnowledgeBase
     max_steps: int
     attitude_rules: tuple[DefaultRule, ...]
-    relation_rules: tuple[DefaultRule, ...]  # the relation phase's and the scenario's, then bp_rules
-    bp_rules: tuple[DefaultRule, ...] = ()  # belief-property instances of every minted pair
+    # the relation phase's rules and the scenario's, then every pair's belief-property rules
+    relation_rules: tuple[DefaultRule, ...]
     trace: Trace = field(default_factory=Trace)
     sdrs: Sdrs = field(default_factory=Sdrs)
     contents: dict[str, Formula] = field(default_factory=dict)
@@ -232,9 +233,7 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
             run.kb = run.kb.add_hard_rule(path, excl)
     run.kb = run.kb.assert_fact((), site.token())
     run.kb = run.kb.assert_fact((), InfoToken(site.attach_to, new))
-    bp_rules = belief_property_rules(run.axioms, site.attach_to, new, run.contents)
-    run.bp_rules += bp_rules
-    run.relation_rules += bp_rules
+    run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents)
     return site, frontier
 
 
@@ -338,7 +337,7 @@ def _attach(run: _Run, site: UpdateSite, derived, applied, resolved: Plan | None
             run.kb = run.kb.assert_fact((), intent)
             run.trace.step("DMP", "PlanApprehension", {"x": site.attach_to, "y": site.new}, (intent,))
         run.provenance[extended] = site.new
-    run.close(run.bp_rules + run.scenario.rules)
+    run.close(run.relation_rules)
 
 
 def _justification_for(rel: RelAtom, applied, kb: KnowledgeBase, site: UpdateSite) -> tuple[Formula, ...]:

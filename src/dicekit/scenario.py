@@ -23,7 +23,9 @@ A rule's formula is (> ant cons) for defaults and (-> ant cons) for hard
 rules; a conjunctive antecedent contributes one conjunct per clause.  A
 `rule` runs in root closures, or with `everywhere` in closures at every path;
 a context's `default` becomes a rule that runs in the closures at that
-context's path alone (see `engine.DefaultRule.scope`).
+context's path alone (see `engine.DefaultRule.scope`), so it takes no
+`everywhere` flag.  An unnamed one is named `context-default-i-j`, the j-th
+default of the file's i-th context block, both from 0.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _parse_abducible(form) -> frozenset[int]:
 def _parse_rule(stream: _Stream, *, name: str, in_context: ContextPath | None) -> DefaultRule:
     """Shared tail of `rule` and context `default` directives: optional
     abducible(...) and everywhere flags, then the rule formula.  A context's
-    default is scoped to its path, whatever its flags."""
+    default is scoped to its path, so it takes no everywhere flag."""
     kind = "default" if in_context is not None else stream.symbol("rule kind")
     if kind not in ("default", "hard"):
         raise ParseError(f"rule kind must be default or hard, got {kind!r}")
@@ -165,6 +167,8 @@ def _parse_rule(stream: _Stream, *, name: str, in_context: ContextPath | None) -
             abducible = _parse_abducible(stream.next())
         elif in_context is None:
             scope = "everywhere"
+        else:
+            raise ParseError(f"default {name} takes no everywhere: a context's default runs at its path alone")
     f = stream.formula("rule body")
     if kind == "default":
         if not isinstance(f, Default):
@@ -191,9 +195,10 @@ def _parse_rule(stream: _Stream, *, name: str, in_context: ContextPath | None) -
         raise ParseError(f"bad rule {name}: {e}") from None
 
 
-def _parse_context(stream: _Stream, decls: dict, rules: list[DefaultRule]) -> None:
-    """A context block: its facts and hard rules join the path's declaration,
-    its defaults join `rules`, scoped to the path."""
+def _parse_context(stream: _Stream, decls: dict, rules: list[DefaultRule], block: int) -> None:
+    """A context block, the file's `block`-th from 0: its facts and hard
+    rules join the path's declaration, its defaults join `rules`, scoped to
+    the path."""
     path = _parse_path(stream.symbol("context path"))
     if stream.next() != "{":
         raise ParseError("expected '{' after context path")
@@ -213,7 +218,7 @@ def _parse_context(stream: _Stream, decls: dict, rules: list[DefaultRule]) -> No
             if isinstance(stream.peek(), str) and stream.peek() not in _KEYWORDS | {"abducible", "everywhere"}:
                 name = stream.next()
             if name is None:
-                name = f"context-default-{len(decls)}-{n_defaults}"
+                name = f"context-default-{block}-{n_defaults}"
             rules.append(_parse_rule(stream, name=name, in_context=path))
             n_defaults += 1
         else:
@@ -230,6 +235,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
     delta_constraints: list[Formula] = []
     decls: dict[ContextPath, ContextDecl] = {}
     rules: list[DefaultRule] = []
+    blocks = 0
     hypotheses: list[Formula] = []
     utterances: list[Utterance] = []
     expectations: list[Expectation] = []
@@ -247,7 +253,8 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             else:
                 raise ParseError(f"unknown option {opt!r}")
         elif head == "context":
-            _parse_context(stream, decls, rules)
+            _parse_context(stream, decls, rules, blocks)
+            blocks += 1
         elif head == "rule":
             rname = stream.symbol("rule name")
             rules.append(_parse_rule(stream, name=rname, in_context=None))

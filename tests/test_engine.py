@@ -303,6 +303,31 @@ def test_rules_that_share_a_name_fire_in_one_order_whatever_the_input_order():
                                                  "step 3 DMP R {} => s"]
 
 
+def test_rules_that_differ_only_in_hardness_fire_in_one_order_whatever_the_input_order():
+    # both instances share name, binding, consequent and antecedents, so
+    # only `hard` orders them: the default fires first, and the hard rule
+    # then finds its consequent held, in either input order
+    soft, hard = make_rule("R", ["p"], "q"), make_rule("R", ["p"], "q", hard=True)
+    lines = []
+    for rules in ((soft, hard), (hard, soft)):
+        trace = Trace()
+        defeasible_closure(kb_with(["p"]), rules, trace=trace)
+        lines.append(trace.lines())
+    assert lines[0] == lines[1] == ["step 1 DMP R {} => q"]
+
+
+def test_closing_under_the_same_rules_in_another_order_is_a_memo_hit(monkeypatch):
+    # the memo is keyed by the set of active rules, so no order of them,
+    # not even of two that differ only in `hard`, closes the store again
+    calls = _count_engine_calls(monkeypatch, "_fixpoint")
+    kb = kb_with(["p"])
+    rules = (make_rule("R", ["p"], "q"), make_rule("R", ["p"], "q", hard=True), make_rule("A", ["p"], "a"))
+    first = defeasible_closure(kb, rules)
+    again = defeasible_closure(kb, rules[::-1])
+    assert calls["_fixpoint"] == 1
+    assert again.kb is first.kb and [s.line() for s in again.steps] == [s.line() for s in first.steps]
+
+
 def test_closure_memo_keeps_rules_step_bounds_and_paths_apart():
     kb = KnowledgeBase().assert_fact((), Atom("p")).assert_fact(("A",), Atom("p"))
     to_q = make_rule("R", ["p"], "q", scope="everywhere")

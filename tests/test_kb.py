@@ -227,7 +227,7 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
     # hard rules, over atoms the root lacks too, and literals, one at a time:
     # each child extends its parent's compiled forms (merging the groups a
     # rule touches; a literal leaves the compiled hard rules as they are),
-    # fact set and atoms, and agrees with a store built afresh and the oracle
+    # fact set, hard-rule set and atoms, and agrees with a store built afresh and the oracle
     rng = random.Random(1982)
     seen_unsat = seen_sat = 0
     for _ in range(12):
@@ -238,6 +238,7 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
         kb.store_at(()).hard_compiled
         kb.store_at(()).by_functor
         kb.store_at(()).fact_set
+        kb.store_at(()).hard_rule_set
         for _ in range(rng.randint(1, 4)):
             pool = atoms + ["x0", "x1"]
             if rng.random() < 0.3:
@@ -247,9 +248,11 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
                 right = reference.random_formula(rng, pool, rng.randint(0, 2))
                 kb = kb.add_hard_rule((), (Implies if rng.random() < 0.7 else Iff)(left, right))
             store = kb.store_at(())
-            assert {"fact_set", "compiled", "hard_compiled", "atoms", "by_functor"} <= store.__dict__.keys()
+            assert {"fact_set", "hard_rule_set", "compiled", "hard_compiled", "atoms",
+                    "by_functor"} <= store.__dict__.keys()
             fresh = Store(store.facts, store.hard_rules)
             assert store.fact_set == fresh.fact_set
+            assert store.hard_rule_set == fresh.hard_rule_set
             assert store.atoms == fresh.atoms and _functor_keys(store) == _functor_keys(fresh)
             assert store.compiled.sat == fresh.compiled.sat == reference.satisfiable(store.formulas())
             assert store.hard_compiled.index.keys() == fresh.hard_compiled.index.keys()

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import CORPUS, scenario_path
 from dicekit import engine
-from dicekit.formulas import parse_formula
+from dicekit.formulas import Iff, Implies, parse_formula
+from dicekit.kb import KnowledgeBase
 from dicekit.runner import run_scenario
 from dicekit.scenario import load, loads
 
@@ -55,6 +56,77 @@ def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
         assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
         per_closure[n] = counts["match"] / counts["closures"]
     assert max(per_closure.values()) <= 1.2 * min(per_closure.values()), per_closure
+
+
+def test_rules_visited_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
+    # a rule is visited when its carry record is read by identity, or, for
+    # a builtin, when its matcher is called.  A round reads the record of
+    # each awake active rule, one with live instances or atoms to bind, and
+    # calls each builtin; a pair's belief-property rules sleep once their
+    # instances are settled, so the visits per closure do not grow with the chain
+    counts = {"visits": 0, "closures": 0}
+    real_fixpoint = engine._fixpoint
+
+    def getitem(carry, ident):
+        counts["visits"] += 1
+        return dict.__getitem__(carry, ident)
+
+    def get(carry, ident, default=None):
+        counts["visits"] += 1
+        return dict.get(carry, ident, default)
+
+    def fixpoint(*args, **kw):
+        counts["closures"] += 1
+        return real_fixpoint(*args, **kw)
+
+    def builtin(real):
+        def counted(*args):
+            counts["visits"] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(engine._Carry, "__getitem__", getitem, raising=False)
+    monkeypatch.setattr(engine._Carry, "get", get, raising=False)
+    monkeypatch.setattr(engine, "_fixpoint", fixpoint)
+    monkeypatch.setattr(engine, "_BUILTINS", {name: builtin(f) for name, f in engine._BUILTINS.items()})
+    per_closure = {}
+    for n in (20, 80):
+        counts.update(visits=0, closures=0)
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+        per_closure[n] = counts["visits"] / counts["closures"]
+    assert max(per_closure.values()) <= 1.2 * min(per_closure.values()), per_closure
+
+
+def test_hard_rule_comparisons_per_addition_stay_flat_as_the_chain_grows(monkeypatch):
+    # each pair adds its Narration-Result exclusion to every store; whether
+    # the store has it already is a set lookup, not a scan of its hard rules
+    counts = {"eq": 0, "adds": 0}
+    inside = []
+    real_add = KnowledgeBase.add_hard_rule
+
+    def add_hard_rule(self, path, f):
+        counts["adds"] += 1
+        inside.append(True)
+        try:
+            return real_add(self, path, f)
+        finally:
+            inside.pop()
+
+    def counted_eq(real):
+        def eq(self, other):
+            counts["eq"] += bool(inside)
+            return real(self, other)
+        return eq
+
+    monkeypatch.setattr(KnowledgeBase, "add_hard_rule", add_hard_rule)
+    for cls in (Implies, Iff):
+        monkeypatch.setattr(cls, "__eq__", counted_eq(cls.__eq__))
+    per_addition = {}
+    for n in (20, 80):
+        counts.update(eq=0, adds=0)
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+        per_addition[n] = counts["eq"] / counts["adds"]
+    assert max(per_addition.values()) <= 1.2 * min(per_addition.values()), per_addition
 
 
 def _blocked_notes(report) -> list[str]:

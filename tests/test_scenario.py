@@ -135,12 +135,21 @@ def test_anonymous_defaults_get_distinct_names():
         "context-default-0-0",
         "context-default-0-1",
     ]
+    # i counts context blocks, not paths, so a repeated block names its
+    # defaults apart from a later path's
+    s = loads("agents A I context [] { default (> p q) } context [] { default (> q r) }"
+              " context [A] { default (> p s) }")
+    assert [(r.name, r.scope) for r in s.rules] == [
+        ("context-default-0-0", ()),
+        ("context-default-1-0", ()),
+        ("context-default-2-0", ("A",)),
+    ]
 
 
-def test_a_context_default_is_scoped_to_its_path_whatever_its_flags():
+def test_a_context_default_is_scoped_to_its_path_and_takes_no_everywhere_flag():
     s = loads(
         "agents A I\n"
-        "context [A] { default Here everywhere (> p q) }\n"
+        "context [A] { default Here abducible(0) (> p q) }\n"
         "rule Root default (> p q)\n"
         "rule Anywhere default everywhere (> p q)\n"
     )
@@ -151,6 +160,12 @@ def test_a_context_default_is_scoped_to_its_path_whatever_its_flags():
     ]
     # a context that holds only defaults is still declared
     assert [decl.path for decl in s.contexts] == [("A",)]
+    # the flag would change nothing, so it is rejected rather than dropped
+    for flags in ("everywhere", "abducible(0) everywhere"):
+        with pytest.raises(ParseError, match="default Here takes no everywhere"):
+            loads(f"agents A I context [A] {{ default Here {flags} (> p q) }}")
+    with pytest.raises(ParseError, match="default context-default-0-0 takes no everywhere"):
+        loads("agents A I context [] { default everywhere (> p q) }")
 
 
 def test_abducible_indices_accept_bare_and_spread_forms():
