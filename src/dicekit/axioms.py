@@ -41,7 +41,6 @@ from .formulas import (
     Doing,
     Eventually,
     Formula,
-    FVar,
     Generic,
     InfoToken,
     Not,
@@ -242,10 +241,10 @@ def standard_axioms(author: str = "A", interpreter: str = "I") -> AxiomSet:
             note="a Result-attached 'you can ...' extends the author's intended plan"
             " with the enabled action (applied by plan_apprehension)",
         ),
-        DefaultRule(
-            name="IntentionUpdate",
-            antecedent=(Att("I", A, FVar("p", "doing")),),
-            consequent=Att("I", A, FVar("p", "doing")),
+        r(
+            "IntentionUpdate",
+            ["(I {A} ?plan:doing)", "?done:done"],
+            "(I {A} ?p:doing)",
             hard=True,
             builtin="intention-update",
             note="progress schema: an intended plan with a done prefix yields the"

@@ -47,13 +47,16 @@ store made from another by asserting facts or adding hard rules only
 grows, and so does the store inside one closure.  Each closure leaves a
 carry on the store it ends at, and on the store it started from as that
 store stood after the first round (see `_fixpoint`): for each rule, by
-identity, its instances and those whose consequent has held or is blocked
-(inconsistent with the store), which are settled for good, so a block is
-noted once along a lineage; the rules that are awake, with instances not
+identity, its instances and those whose consequent has held, is blocked
+(inconsistent with the store) or is barred by a negation-as-absence premise
+that holds, which are settled for good, so a block is noted once along a
+lineage; the rules that are awake, with instances not
 yet settled or atoms to bind; and an index of the rules' anchors, which is
 extended as rules join the lineage and never rebuilt.  A later closure of
 a descendant starts from that carry, round by round alike.  A rule binds
-once as it joins the lineage.  The index maps the atoms gained since the
+once as it joins the lineage, the intention-update schema too, whose
+builtin builds each instance from a binding (see `rule_instances`): a round
+has no other source of instances.  The index maps the atoms gained since the
 last round, by key or by functor, to the rules they may touch, which wake
 and bind again, from the new atoms first (a semi-naive delta, see
 `bind`).  A round reads the awake rules alone, so it costs what its new
@@ -78,7 +81,6 @@ from .formulas import (
     And,
     Att,
     Binding,
-    Done,
     Doing,
     Eventually,
     FVar,
@@ -111,8 +113,9 @@ class DefaultRule:
     of them holds (flagged in the trace when used).  scope is the context
     path whose closures the rule joins, the root by default, or "everywhere"
     for closures at every path.  driver=True marks rules applied by a
-    dedicated procedure rather than the closure loop; builtin names a special
-    matcher.
+    dedicated procedure rather than the closure loop; builtin names a
+    procedure (in `_BUILTINS`) that builds the rule's instances from each
+    binding of its antecedent, in place of instantiating its consequent.
 
     Rules are range-restricted: each variable of a conjunct without
     `_anchors` occurs in an anchored one, the only ones `bind` binds.
@@ -367,18 +370,13 @@ class _Inst:
     ants: tuple[Formula, ...]
     cons: Formula
     key: str
+    absent: tuple[Formula, ...]  # negation-as-absence premises, grounded
 
 
 @dataclass(frozen=True)
 class ClosureResult:
     kb: KnowledgeBase
     steps: tuple[InferenceStep, ...]
-
-
-def _pool_confines(b: Binding, pool) -> bool:
-    """A candidate pool both supplies unbound metavariables and confines bound
-    ones: a binding whose pooled variable landed outside the pool is rejected."""
-    return all(b[name] in allowed for name, allowed in pool.items() if name in b)
 
 
 def _extend_bindings(pat: Formula, bindings, facts: Atoms, fvar_pool=None):
@@ -486,51 +484,52 @@ def rule_instances(
     Its anchored conjuncts bind by `bind`, from the store's atoms or,
     given `new`, from the new ones among them: at a satisfiable store no
     other instance holds, and at an unsatisfiable one every consequent
-    holds already, so no instance applies.  `anchored` is the rule's
-    `anchored_conjuncts`, when the caller keeps them."""
+    holds already, so no instance applies.  A rule with a builtin hands
+    each binding to it, which builds the instance.  `anchored` is the
+    rule's `anchored_conjuncts`, when the caller keeps them."""
     store = kb.store_at(path)
     anchored = anchored_conjuncts(rule.antecedent) if anchored is None else anchored
     insts = []
     for key, b in sorted(bind(anchored, (store.atoms, store.by_functor), new).items()):
+        if rule.builtin:
+            insts.extend(_BUILTINS[rule.builtin](rule, b))
+            continue
         try:
             ants = tuple(p if not p.variables else instantiate(p, b) for p in rule.antecedent)
             cons = rule.consequent if not rule.consequent.variables else instantiate(rule.consequent, b)
+            absent = tuple(instantiate(p, b) for p in rule.absent)
         except ValidationError:
             continue
         if not all(is_ground(a) for a in ants) or not is_ground(cons):
             continue
-        insts.append(_Inst(rule, b, ants, cons, key))
+        insts.append(_Inst(rule, b, ants, cons, key, absent))
     return insts
 
 
-def _intention_update_instances(rule: DefaultRule, kb: KnowledgeBase, path: ContextPath) -> list[_Inst]:
-    """Progress-update schema: from an intended plan and a done prefix, intend
-    the remaining suffix and drop the intention for the consumed prefix.
-    Both are read from the store's atoms of their functor that it states."""
-    agent = None
-    for pat in rule.antecedent:
-        if isinstance(pat, Att) and pat.kind == "I":
-            agent = pat.agent
-    if agent is None:
-        return []
-    store = kb.store_at(path)
-    index, held = store.by_functor, store.fact_set
-    intended = [f.body.plan for f in index.get(("Att", "I", agent), ()) if isinstance(f.body, Doing) and f in held]
-    done = [f.plan for f in index.get(("Done",), ()) if f in held]
-    insts = []
-    for p in intended:
-        for q in done:
-            k = len(q.steps)
-            if k >= len(p.steps) or p.steps[:k] != q.steps:
-                continue
-            suffix = Plan(p.steps[k:])
-            cons = And((Att("I", agent, Doing(suffix)), Not(Att("I", agent, Doing(q)))))
-            b: Binding = {"done": Done(q), "plan": Att("I", agent, Doing(p))}
-            insts.append(_Inst(rule, b, (Att("I", agent, Doing(p)), Done(q)), cons, render_binding(b)))
-    return insts
+def _intention_update(rule: DefaultRule, b: Binding) -> tuple[_Inst, ...]:
+    """Progress-update schema, under a binding of its antecedent `(I A
+    ?plan:doing)`, `?done:done`: when the done plan is a proper prefix of the
+    intended one, intend the remaining suffix and drop the intention for the
+    done prefix.  `plan` is bound to the whole intention.
+
+    A done record is consumed once along a plan: the instance does not
+    apply while the done prefix followed by the plan is intended, since
+    then the plan is the remainder that this record left (a plan whose
+    actions repeat, such as (plan a a b) with (D (plan a)), leaves a
+    remainder that begins with the record again)."""
+    intended, done = instantiate(rule.antecedent[0], b), b["done"]
+    p, q = intended.body.plan, done.plan
+    k = len(q.steps)
+    if k >= len(p.steps) or p.steps[:k] != q.steps:
+        return ()
+    agent = intended.agent
+    cons = And((Att("I", agent, Doing(Plan(p.steps[k:]))), Not(Att("I", agent, Doing(q)))))
+    named: Binding = {"done": done, "plan": intended}
+    consumed = Att("I", agent, Doing(q.then(p)))
+    return (_Inst(rule, named, (intended, done), cons, render_binding(named), (consumed,)),)
 
 
-_BUILTINS = {"intention-update": _intention_update_instances}
+_BUILTINS = {"intention-update": _intention_update}
 
 
 def defeasible_closure(
@@ -689,15 +688,17 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
       bind again, from those atoms (see `rule_instances`); every other
       rule's unsettled instances are carried as they are.  A rule the atoms
       hit while it was not active binds when it is next active, from every
-      atom gained since.  Builtins are rebuilt every round.
+      atom gained since.  A rule with a builtin is carried like any other:
+      the builtin builds its instances from the bindings alone.
     - An instance whose consequent held is settled: it holds in every
       larger store, so no later round or closure checks it again.  So is
       a default's applicable instance whose consequent is inconsistent
       with the store (blocked): it is inconsistent with every larger store.
       It is settled before the input store keeps its first-round carry, so
       its "blocked" note is written once along the lineage, by the first
-      closure that finds it.
-    So a round reads the builtins and the awake active rules alone: a rule
+      closure that finds it.  So is an instance one of whose
+      negation-as-absence premises holds.
+    So a round reads the awake active rules alone: a rule
     whose instances are settled, or wait for an atom, costs nothing until
     an atom touches it.
 
@@ -711,9 +712,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     fired: list[InferenceStep] = []
     out = kb
     carry = _Carry(kb.store_at(path).carry)
-    uncarried = [active[ident] for ident in active.keys() - carry.keys()]  # a builtin is never carried
-    joining = [r for r in uncarried if not r.builtin]
-    builtins = [r for r in uncarried if r.builtin]
+    joining = [active[ident] for ident in active.keys() - carry.keys()]
     compared: dict[tuple, str] = {}
 
     def compare(i: _Inst, j: _Inst) -> str:
@@ -732,7 +731,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             anchored = anchored_conjuncts(rule.antecedent)
             live = tuple(rule_instances(rule, out, path, anchored=anchored))
             carry.add(_Carried(rule, anchored, None, live, frozenset()))
-        insts = [i for rule in builtins for i in _BUILTINS[rule.builtin](rule, out, path)]
+        insts = []
         for ident in [ident for ident in carry.awake if ident in active]:
             entry = carry[ident]
             if entry.since is not None:
@@ -756,17 +755,15 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 continue
             if not all(holds(out, path, a) for a in i.ants):
                 continue
-            absent = tuple(instantiate(p, i.binding) for p in i.rule.absent)
-            if any(holds(out, path, a) for a in absent):
+            if any(holds(out, path, a) for a in i.absent):  # so in every larger store
+                settled.setdefault(id(i.rule), set()).add(i.key)
                 continue
             applicable.append(i)
             ok = ok_alone[id(i.rule), i.key] = i.rule.hard or out.consistent_with(path, (i.cons,))
             if not ok:  # blocked: inconsistent with this store, so with every larger one
                 settled.setdefault(id(i.rule), set()).add(i.key)
         for ident, keys in settled.items():
-            e = carry.get(ident)
-            if e is None:
-                continue  # a builtin's instances are built again every round
+            e = carry[ident]
             carry[ident] = e._replace(live=tuple(i for i in e.live if i.key not in keys), settled=e.settled | keys)
         if out is kb:  # the first round's carry is the input store's, for its other descendants
             kb.store_at(path).keep_carry(carry)
@@ -895,10 +892,13 @@ def abduce(
         if not bindings:
             return ()
 
+    # a pool both supplies unbound metavariables and confines bound ones: a
+    # binding whose pooled variable landed outside the pool is rejected
+    confined = {name: frozenset(allowed) for name, allowed in (pool or {}).items()}
     results: list[AbductionResult] = []
     seen_hyp = set()
     for b in bindings:
-        if pool and not _pool_confines(b, pool):
+        if any(name in b and b[name] not in allowed for name, allowed in confined.items()):
             continue
         try:
             ants = tuple(instantiate(p, b) for p in rule.antecedent)

@@ -17,8 +17,8 @@ Surface syntax (s-expressions, one form per formula):
 
 Plan steps are action symbols or (name arg ...) lists.  Symbols beginning with
 ``?`` are metavariables and only legal in rule patterns, never in ground
-formulas; ``?f:doing`` restricts the metavariable to R-shaped bodies, and
-no other shape exists.
+formulas; a shape restricts what a metavariable binds, ``?f:doing`` to an
+(R ...) formula and ``?f:done`` to a (D ...) one (the table `_SHAPES`).
 
 Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
@@ -145,9 +145,9 @@ class Formula:
         """What `match` compares literally at the head of the formula: its
         class name and, for an atom or relation atom, the predicate and
         arity, for an attitude its kind and agent.  A pattern matches only
-        formulas of its own functor.  A `doing` metavariable has the functor
-        of `Doing`, and one of no shape has None: it may match a formula of
-        any functor."""
+        formulas of its own functor.  A shaped metavariable has the functor
+        of its shape's class, and one of no shape has None: it may match a
+        formula of any functor."""
         return _functor(self)
 
     @cached_attr
@@ -172,14 +172,14 @@ class Atom(Formula):
 
 @dataclass(frozen=True)
 class FVar(Formula):
-    """Formula metavariable for rule patterns; shape='doing' restricts matches
-    to R-shaped bodies, and no other shape exists."""
+    """Formula metavariable for rule patterns; a shape, a key of `_SHAPES`,
+    restricts matches to formulas of its class."""
 
     name: str
     shape: str | None = field(default=None, compare=True)
 
     def __post_init__(self):
-        if self.shape not in (None, "doing"):
+        if self.shape is not None and self.shape not in _SHAPES:
             raise ValidationError(f"unknown metavariable shape {self.shape!r}")
 
 
@@ -264,6 +264,9 @@ class Doing(Formula):
 @dataclass(frozen=True)
 class Done(Formula):
     plan: Plan
+
+
+_SHAPES = {"doing": Doing, "done": Done}  # metavariable shape -> the class it binds
 
 
 @dataclass(frozen=True)
@@ -674,7 +677,7 @@ def _bind(name: str, got, b: Binding) -> bool:
 
 
 def _match_fvar(p: FVar, f: Formula, b: Binding) -> bool:
-    return (p.shape is None or type(f) is Doing) and _bind(p.name, f, b)
+    return (p.shape is None or type(f) is _SHAPES[p.shape]) and _bind(p.name, f, b)
 
 
 def _match_term(p: Term, got: Term, b: Binding) -> bool:
@@ -729,7 +732,7 @@ def _functor(f: Formula) -> tuple | None:
 _by_class = lambda f: (type(f).__name__,)
 _FUNCTOR = _cases(_by_class, _by_class, _by_class, _by_class, {
     Atom: lambda f: ("Atom", f.pred, len(f.args)),
-    FVar: lambda f: ("Doing",) if f.shape == "doing" else None,
+    FVar: lambda f: (_SHAPES[f.shape].__name__,) if f.shape else None,
     Att: lambda f: ("Att", f.kind, f.agent),
     RelAtom: lambda f: ("RelAtom", f.rel, len(f.args)),
     Generic: _by_class, SiteToken: _by_class, InfoToken: _by_class})

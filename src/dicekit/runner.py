@@ -213,8 +213,9 @@ def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
         if diagnostics:
             return diagnostics
         _attach(run, site, derived, applied, resolved)
-    for f in run.kb.facts_at(()):  # every intended plan not yet traced to a constituent
-        if isinstance(f, Att) and f.kind == "I" and f.agent == run.scenario.author and isinstance(f.body, Doing):
+    root = run.kb.store_at(())
+    for f in root.by_functor.get(("Att", "I", run.scenario.author), ()):  # every intended plan not yet traced
+        if isinstance(f.body, Doing) and f in root.fact_set:  # hashing a formula walks it, so last
             run.provenance.setdefault(f.body.plan, utt.id)
     return ()
 

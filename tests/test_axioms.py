@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dicekit.axioms import (
     AXIOM_NAMES,
@@ -27,6 +29,8 @@ from dicekit.formulas import (
     And,
     Att,
     Atom,
+    Doing,
+    Done,
     Not,
     Plan,
     RelAtom,
@@ -445,3 +449,27 @@ def test_intention_updates_are_cumulative():
     at_once = update_intentions(IntentionState("A", plan), Plan((Action("a"), Action("b"))))
     assert two == at_once
     assert two.intended() == Plan((Action("c"),))
+
+
+PLANS = st.lists(st.sampled_from("abc").map(Action), min_size=1, max_size=4).map(lambda s: Plan(tuple(s)))
+
+
+@settings(max_examples=200)
+@given(PLANS, PLANS)
+@example(Plan((Action("a"), Action("a"), Action("b"))), Plan((Action("a"),)))
+def test_closing_under_the_schema_agrees_with_update_intentions(plan, done):
+    # the progress schema twice: as a closure rule over (I A (R p)) and (D q),
+    # and as `update_intentions` over an intention state.  A record is
+    # consumed once: (plan a b), what (plan a a b) leaves after (D (plan a)),
+    # begins with the record again, and is not updated by it
+    kb = kb_with().assert_fact((), Att("I", "A", Doing(plan))).assert_fact((), Done(done))
+    res = defeasible_closure(kb, (AX["IntentionUpdate"],))
+    try:
+        state = update_intentions(IntentionState("A", plan), done)
+    except NotAPrefix:
+        state = None
+    if state is None or state.intended() is None:  # not a prefix, or the whole plan
+        assert res.steps == ()
+        return
+    added = set(res.kb.facts_at(())) - set(kb.facts_at(()))
+    assert added == {state.intention_formula(), state.dropped_formula()}

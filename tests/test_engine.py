@@ -842,11 +842,43 @@ def test_intention_update_builtin_advances_plans():
     assert done.steps == ()
 
 
+def test_a_done_record_entailed_through_a_hard_rule_updates_the_plan():
+    # the schema applies when the store entails its antecedents, as every
+    # rule does: (D (plan a)) is no fact here, only an atom of a hard rule
+    from dicekit.axioms import standard_axioms
+
+    iu = standard_axioms()["IntentionUpdate"]
+    kb = kb_with(["x", "(I A (R (plan a b)))"], hard=["(-> x (D (plan a)))"])
+    res = defeasible_closure(kb, (iu,))
+    assert [s.line() for s in res.steps] == [
+        "step 1 Hard IntentionUpdate {done=(D (plan a)), plan=(I A (R (plan a b)))}"
+        " => (I A (R (plan b))); (not (I A (R (plan a))))"
+    ]
+
+
+def test_a_descendant_that_gains_an_atom_of_another_functor_calls_no_builtin(monkeypatch):
+    # the schema's instances are carried like every rule's: its anchors are
+    # (I A ...) and (D ...) formulas, so a new (p q) atom wakes nothing
+    from dicekit.axioms import standard_axioms
+
+    iu = standard_axioms()["IntentionUpdate"]
+    closed = defeasible_closure(kb_with(["(I A (R (plan a b c)))", "(D (plan a))"]), (iu,)).kb
+    calls = collections.Counter()
+    real = engine._BUILTINS["intention-update"]
+
+    def counted(*args):
+        calls["builtin"] += 1
+        return real(*args)
+
+    monkeypatch.setitem(engine._BUILTINS, "intention-update", counted)
+    res = defeasible_closure(closed.assert_fact((), parse_formula("(p q)")), (iu,))
+    assert res.steps == () and calls["builtin"] == 0
+
+
 def test_intention_update_reads_no_fact_of_another_functor(monkeypatch):
-    # the builtin is rebuilt every round; with 2,000 unrelated facts beside
-    # the plan, the attitude closure fires the same steps with the same
-    # matching work, and reads none of them (the builtin tests each fact it
-    # reads with isinstance)
+    # the schema binds through its anchors, by functor, like every rule;
+    # with 2,000 unrelated facts beside the plan, the attitude closure fires
+    # the same steps with the same matching work, and reads none of them
     from dicekit.axioms import standard_axioms
 
     rules = standard_axioms().phase("attitude")

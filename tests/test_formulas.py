@@ -117,7 +117,7 @@ pattern_leaves = st.one_of(
     leaves,
     open_generics,
     st.builds(lambda pred, args: Atom(pred, tuple(args)), NAMES, st.lists(TERMS, max_size=3)),
-    st.builds(FVar, st.sampled_from(("phi", "psi")), st.sampled_from((None, "doing"))),
+    st.builds(FVar, st.sampled_from(("phi", "psi")), st.sampled_from((None, "doing", "done"))),
     st.builds(SiteToken, SLOTS, SLOTS, SLOTS),
     st.builds(InfoToken, SLOTS, SLOTS),
     st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, SLOTS, SLOTS),
@@ -383,6 +383,17 @@ def test_match_respects_doing_shape():
     assert match(pattern, other) is None
 
 
+def test_a_done_metavariable_parses_prints_back_and_matches_only_a_done_record():
+    d = parse_formula("?d:done")
+    assert d == FVar("d", "done")
+    assert print_formula(d) == "?d:done" and parse_formula(print_formula(d)) == d
+    assert d.functor == ("Done",)
+    record = parse_formula("(D (plan a b))")
+    assert match(d, record) == {"d": record}
+    for other in ("(R (plan a b))", "(p a)", "(not (D (plan a)))", "(I A (R (plan a)))"):
+        assert match(d, parse_formula(other)) is None, other
+
+
 def test_unknown_shape_raises():
     with pytest.raises(ValidationError):
         match(FVar("f", "weird"), Atom("p"))
@@ -418,6 +429,22 @@ def test_match_instantiate_round_trip(pattern, fact):
     assert instantiate(p, b) == f
 
 
+def _shapes(p: Formula) -> dict[str, set[str]]:
+    """The shapes each formula metavariable of a pattern is written with."""
+    out: dict[str, set[str]] = {}
+    for g in subformulas(p):
+        if isinstance(g, FVar) and g.shape:
+            out.setdefault(g.name, set()).add(g.shape)
+    return out
+
+
+def _shaped(shapes: set[str] | None):
+    """Formulas that a metavariable of these shapes (one at most) binds."""
+    if not shapes:
+        return formulas
+    return st.builds({"doing": Doing, "done": Done}[min(shapes)], plans)
+
+
 @settings(max_examples=300)
 @given(patterns, st.data())
 def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
@@ -425,11 +452,12 @@ def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
     # or the other for the binding to match back as it was
     slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
     assume(not slots & terms)
-    doing = {g.name for g in subformulas(p) if isinstance(g, FVar) and g.shape == "doing"}
+    shapes = _shapes(p)
+    assume(all(len(s) == 1 for s in shapes.values()))  # no formula has two shapes
     b: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
     b.update((name, data.draw(NAMES)) for name in sorted(slots))
     for name in sorted(p.fvar_names):
-        b[name] = data.draw(st.builds(Doing, plans) if name in doing else formulas)
+        b[name] = data.draw(_shaped(shapes.get(name)))
     fact = instantiate(p, b)
     assert is_ground(fact)
     m = match(p, fact)
@@ -482,11 +510,11 @@ def test_match_under_a_binding_agrees_with_matching_afresh_and_comparing_names(p
     # holds some of the grounding's values, as any position would bind them,
     # and some other names
     slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
-    doing = {g.name for g in subformulas(p) if isinstance(g, FVar) and g.shape == "doing"}
+    shapes = _shapes(p)
     g: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
     g.update((name, data.draw(NAMES)) for name in sorted(slots - terms))
     for name in sorted(p.fvar_names):
-        g[name] = data.draw(st.builds(Doing, plans) if name in doing else formulas)
+        g[name] = data.draw(_shaped(shapes.get(name)))
     fact = instantiate(p, g) if data.draw(st.booleans()) else data.draw(formulas)
     b: dict = {}
     for name in sorted(g):

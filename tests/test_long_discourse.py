@@ -4,8 +4,8 @@ any corpus scenario interpret with the relations their construction implies."""
 import pytest
 
 from conftest import CORPUS, scenario_path
-from dicekit import engine
-from dicekit.formulas import Iff, Implies, parse_formula
+from dicekit import engine, runner
+from dicekit.formulas import Att, Formula, Iff, Implies, parse_formula
 from dicekit.kb import KnowledgeBase
 from dicekit.runner import run_scenario
 from dicekit.scenario import load, loads
@@ -59,11 +59,11 @@ def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
 
 
 def test_rules_visited_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
-    # a rule is visited when its carry record is read by identity, or, for
-    # a builtin, when its matcher is called.  A round reads the record of
-    # each awake active rule, one with live instances or atoms to bind, and
-    # calls each builtin; a pair's belief-property rules sleep once their
-    # instances are settled, so the visits per closure do not grow with the chain
+    # a rule is visited when its carry record is read by identity.  A round
+    # reads the record of each awake active rule, one with live instances or
+    # atoms to bind, the intention-update schema among them; a pair's
+    # belief-property rules sleep once their instances are settled, so the
+    # visits per closure do not grow with the chain
     counts = {"visits": 0, "closures": 0}
     real_fixpoint = engine._fixpoint
 
@@ -79,16 +79,9 @@ def test_rules_visited_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
         counts["closures"] += 1
         return real_fixpoint(*args, **kw)
 
-    def builtin(real):
-        def counted(*args):
-            counts["visits"] += 1
-            return real(*args)
-        return counted
-
     monkeypatch.setattr(engine._Carry, "__getitem__", getitem, raising=False)
     monkeypatch.setattr(engine._Carry, "get", get, raising=False)
     monkeypatch.setattr(engine, "_fixpoint", fixpoint)
-    monkeypatch.setattr(engine, "_BUILTINS", {name: builtin(f) for name, f in engine._BUILTINS.items()})
     per_closure = {}
     for n in (20, 80):
         counts.update(visits=0, closures=0)
@@ -127,6 +120,68 @@ def test_hard_rule_comparisons_per_addition_stay_flat_as_the_chain_grows(monkeyp
         assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
         per_addition[n] = counts["eq"] / counts["adds"]
     assert max(per_addition.values()) <= 1.2 * min(per_addition.values()), per_addition
+
+
+def test_root_facts_read_per_utterance_stay_flat_as_the_chain_grows(monkeypatch):
+    # after each utterance the runner traces every intended plan to the
+    # constituent it is intended since.  It reads the author's intentions
+    # (one more per pair, from the practical syllogism), not every root
+    # fact: beyond one isinstance test per intention the author holds at
+    # the root, the runner makes one per site
+    counts = {"isinstance": 0, "intentions": 0, "utterances": 0}
+    real_take_up = runner._take_up
+
+    def counted_isinstance(*args):
+        counts["isinstance"] += 1
+        return isinstance(*args)
+
+    def take_up(run, utt):
+        out = real_take_up(run, utt)
+        counts["utterances"] += 1
+        counts["intentions"] += sum(isinstance(f, Att) and f.kind == "I" and f.agent == run.scenario.author
+                                    for f in run.kb.facts_at(()))
+        return out
+
+    monkeypatch.setattr(runner, "isinstance", counted_isinstance, raising=False)
+    monkeypatch.setattr(runner, "_take_up", take_up)
+    per_utterance = {}
+    for n in (20, 80):
+        counts.update(isinstance=0, intentions=0, utterances=0)
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+        per_utterance[n] = (counts["isinstance"] - counts["intentions"]) / counts["utterances"]
+    assert max(per_utterance.values()) <= 1.2 * min(per_utterance.values()), per_utterance
+
+
+def test_abduction_compares_no_formulas_however_long_the_chain(monkeypatch):
+    # the goal reconstruction's pool holds each constituent's content and
+    # each site's update; a pooled binding is looked up in a set built once
+    # per call, not compared with each pooled formula in turn
+    counts = {"eq": 0}
+    inside = []
+    real_abduce = runner.abduce
+
+    def abduce(*args, **kw):
+        inside.append(True)
+        try:
+            return real_abduce(*args, **kw)
+        finally:
+            inside.pop()
+
+    def counted_eq(real):
+        def eq(self, other):
+            counts["eq"] += bool(inside)
+            return real(self, other)
+        return eq
+
+    monkeypatch.setattr(runner, "abduce", abduce)
+    for cls in Formula.__subclasses__():
+        monkeypatch.setattr(cls, "__eq__", counted_eq(cls.__eq__))
+    per_run = {}
+    for n in (20, 80):
+        counts.update(eq=0)
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+        per_run[n] = counts["eq"]
+    assert per_run == {20: 0, 80: 0}, per_run
 
 
 def _blocked_notes(report) -> list[str]:

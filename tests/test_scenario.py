@@ -218,7 +218,7 @@ def test_malformed_scenarios_raise(text, message):
 
 
 def test_an_unknown_metavariable_shape_is_rejected_when_the_scenario_loads():
-    # only ?f:doing exists; the rule is rejected as it loads, not when a
+    # only ?f:doing and ?f:done exist; the rule is rejected as it loads, not when a
     # closure first matches it, which a store with no atoms never does
     with pytest.raises(DicekitError, match="'weird'"):
         loads("agents A I rule R default (> (W A ?x:weird) (q))")
