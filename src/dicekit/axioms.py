@@ -530,7 +530,10 @@ class IntentionState:
         return Att("I", self.agent, Doing(rest)) if rest else None
 
     def dropped_formula(self) -> Formula | None:
-        if not self.done:
+        """The intention the done prefix no longer is; None when nothing is
+        done, or when the remainder is the done prefix again (the two
+        intentions are one formula, which stays intended)."""
+        if not self.done or self.intended() == Plan(self.done):
             return None
         return Not(Att("I", self.agent, Doing(Plan(self.done))))
 

@@ -343,13 +343,14 @@ def specificity(a: tuple[Formula, ...], b: tuple[Formula, ...], kb: KnowledgeBas
 
     `a` entails `b` under the hard rules H when, for each conjunct d of b,
     a plus (not d) is unsatisfiable against the store's compiled form of H
-    (`Store.hard_compiled`, extended along the store's lineage).  So only
-    the antecedents are ever decided, and literal ones compile nothing.
+    (`Store.hard_compiled`, extended along the store's lineage).  d goes to
+    `satcore.satisfiable` as `negated`, so no (not d) node is built.  So
+    only the antecedents are ever decided, and literal ones compile nothing.
     """
     hard = kb.store_at(path).hard_compiled
 
     def entails(src, dst) -> bool:
-        return not any(satcore.satisfiable(src + (Not(d),), base=hard) for d in dst)
+        return not any(satcore.satisfiable(src, base=hard, negated=d) for d in dst)
 
     fwd = entails(a, b)
     back = entails(b, a)
@@ -510,7 +511,10 @@ def _intention_update(rule: DefaultRule, b: Binding) -> tuple[_Inst, ...]:
     """Progress-update schema, under a binding of its antecedent `(I A
     ?plan:doing)`, `?done:done`: when the done plan is a proper prefix of the
     intended one, intend the remaining suffix and drop the intention for the
-    done prefix.  `plan` is bound to the whole intention.
+    done prefix.  `plan` is bound to the whole intention.  When the remainder
+    is the done prefix again, as (plan a a) leaves after (D (plan a)), the
+    two intentions are one formula, so nothing is dropped: the new
+    intention stands and the store stays consistent.
 
     A done record is consumed once along a plan: the instance does not
     apply while the done prefix followed by the plan is intended, since
@@ -522,8 +526,10 @@ def _intention_update(rule: DefaultRule, b: Binding) -> tuple[_Inst, ...]:
     k = len(q.steps)
     if k >= len(p.steps) or p.steps[:k] != q.steps:
         return ()
-    agent = intended.agent
-    cons = And((Att("I", agent, Doing(Plan(p.steps[k:]))), Not(Att("I", agent, Doing(q)))))
+    agent, rest = intended.agent, Plan(p.steps[k:])
+    cons = Att("I", agent, Doing(rest))
+    if rest != q:
+        cons = And((cons, Not(Att("I", agent, Doing(q)))))
     named: Binding = {"done": done, "plan": intended}
     consumed = Att("I", agent, Doing(q.then(p)))
     return (_Inst(rule, named, (intended, done), cons, render_binding(named), (consumed,)),)

@@ -26,9 +26,10 @@ form (`Formula.key`, what `print_formula` returns) and its groundness
 its children's cached values and kept on the node.  So are a pattern's
 variables (`Formula.variables` and `Formula.fvar_names`) and its functor
 (`Formula.functor`), which rule matching reads on every round, and its
-literals (`Formula.literals`), which `satcore` reads.  Equality stays
-structural.  `(p ?x)` and `(p x)` print alike, so a key stands in for
-equality only between ground formulas.
+literals (`Formula.literals`), which `satcore` reads.  The key also gives
+the node's hash, so a set or dict lookup reads no child.  Equality stays
+structural: `(p ?x)` and `(p x)` print alike and so hash alike, but differ,
+so a key stands in for equality only between ground formulas.
 
 Every walk over a node (`children`, printing, groundness, `free_variables`,
 `metavariables`, `substitute`, `match`, `instantiate` and the functor)
@@ -121,6 +122,17 @@ class cached_attr:
 
 
 class Formula:
+    def __init_subclass__(cls, **kwargs):
+        # a node class's own __hash__ keeps @dataclass from generating one
+        # that hashes the fields, walking the whole tree on every lookup
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = Formula.__hash__
+
+    def __hash__(self) -> int:
+        """The hash of the cached key, so a set lookup reads no child.
+        Equality stays structural: formulas that print alike hash alike."""
+        return hash(self.key)
+
     def __str__(self) -> str:
         return self.key
 

@@ -18,7 +18,7 @@ takes A to believe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from . import satcore
@@ -120,7 +120,7 @@ class Store:
 
     def with_literal(self, f: Formula) -> "Store":
         """The store with one more fact, a ground literal."""
-        child = replace(self, facts=self.facts + (f,))
+        child = Store(self.facts + (f,), self.hard_rules)
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set | {f}
         if "hard_rule_set" in self.__dict__:  # a fact leaves the hard rules as they are
@@ -131,7 +131,7 @@ class Store:
 
     def with_hard_rule(self, f: Formula) -> "Store":
         """The store with one more hard rule, a ground formula."""
-        child = replace(self, hard_rules=self.hard_rules + (f,))
+        child = Store(self.facts, self.hard_rules + (f,))
         if "fact_set" in self.__dict__:
             child.__dict__["fact_set"] = self.fact_set
         if "hard_rule_set" in self.__dict__:
@@ -262,7 +262,7 @@ class KnowledgeBase:
     def _with_store(self, path: ContextPath, store: Store) -> "KnowledgeBase":
         stores = dict(self.stores)
         stores[tuple(path)] = store
-        return replace(self, stores=stores)
+        return KnowledgeBase(stores, self.max_depth, self.root_consistency_paths)
 
     def assert_fact(self, path: ContextPath, f: Formula, *, mirror: bool = True) -> "KnowledgeBase":
         """Add a ground literal (or conjunction of literals) at a path.
@@ -307,7 +307,7 @@ class KnowledgeBase:
         store = self.store_at(path)
         if f not in store.fact_set:
             return self
-        return self._with_store(path, replace(store, facts=tuple(x for x in store.facts if x != f)))
+        return self._with_store(path, Store(tuple(x for x in store.facts if x != f), store.hard_rules))
 
     def add_hard_rule(self, path: ContextPath, f: Formula) -> "KnowledgeBase":
         path = tuple(path)

@@ -215,7 +215,7 @@ def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
         _attach(run, site, derived, applied, resolved)
     root = run.kb.store_at(())
     for f in root.by_functor.get(("Att", "I", run.scenario.author), ()):  # every intended plan not yet traced
-        if isinstance(f.body, Doing) and f in root.fact_set:  # hashing a formula walks it, so last
+        if isinstance(f.body, Doing) and f in root.fact_set:  # a fact, not an atom of a hard rule
             run.provenance.setdefault(f.body.plan, utt.id)
     return ()
 

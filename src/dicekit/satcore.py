@@ -25,22 +25,25 @@ without a base runs the same routine over an empty base.
 Most queries are literal-shaped: a set of literals (opaque atoms under any
 number of `not`s, given as several extras or as an `and` of them), perhaps
 with the negation of one such conjunction (`entails` of a literal or an
-`and`, which passes the conjunction as `negated` rather than build its
-negation).
+`and`, and `engine.specificity`'s test of each conjunct, which pass it as
+`negated` rather than build its negation).
 `satisfiable` sorts a query in one pass that checks each formula is ground
 and reads its (atom key, nots) pairs (`Formula.literals`, cached on the
-node).  A literal set, of one member or more, is decided from the stored
-tables alone: each touched group's table is narrowed by the mask of each
-literal's atom key, and a literal on an atom the base lacks is free unless
-the set also holds its complement.  A negated conjunction is satisfiable iff
-one negated conjunct is, together with the other literals.  So only a
-compound query compiles.  A store one literal larger than a compiled one is
-compiled by `add_literal`: an atom the base numbers narrows its group's
-table by the atom's mask, and a new atom becomes a group of its own, so no
-other group is touched.  A store one hard rule larger is compiled by
-`add_formula`, which merges the groups the rule touches with its new atoms,
-builds that one group's table and numbers again only the variables of the
-groups it merged or moved.
+node; a lone formula's pairs are read as they are, not copied).  A literal
+set, of one member or more, is then decided from the stored tables alone,
+in one plain loop (`_literals_fit`): each touched group's table is narrowed
+by the mask of each literal's atom key, and a literal on an atom the base
+lacks is free unless the set also holds its complement.  A negated
+conjunction is satisfiable iff one negated conjunct is, together with the
+other literals, so each conjunct, its parity flipped, costs one mask test
+against the narrowed tables; a lone literal query is one such test.  So
+only a compound query compiles.  A store one literal larger than a
+compiled one is compiled by `add_literal`: an atom the base numbers narrows
+its group's table by the atom's mask, and a new atom becomes a group of its
+own, so no other group is touched.  A store one hard rule larger is
+compiled by `add_formula`, which merges the groups the rule touches with its
+new atoms, builds that one group's table and numbers again only the
+variables of the groups it merged or moved.
 
 A truth table over n variables is a single bignum of 2**n bits: bit j holds a
 formula's value under assignment j (the group's k-th variable is true in
@@ -229,34 +232,49 @@ def _table(variables: list[int], programs: list[list[int]]) -> int:
     return acc
 
 
-def _narrowed(base: Compiled, var: int, nots: int, table: int) -> int:
-    """table, a table of var's group, narrowed to the assignments under
-    which var under `nots` nested `not`s is true."""
-    mask = _var_mask(base.position[var], len(base.groups[base.group_of[var]][0]))
-    return table & ~mask if nots % 2 else table & mask
-
-
-def _literals_fit(base: Compiled, lits: Iterable[tuple[str, int]]) -> bool:
+def _literals_fit(base: Compiled, lits: Iterable[tuple[str, int]], negation: tuple[tuple[str, int], ...] = ()) -> bool:
     """Whether the literals, (atom key, nots) pairs, fit some assignment the
-    base's tables allow: each touched group's table stays nonzero once
-    narrowed by its literals, and no atom the base lacks is wanted both true
-    and false.  Assumes base.sat.  Each dict is made when first written."""
+    base's tables allow, together with the negation of the conjunction of
+    `negation`'s literals when that is not empty.  The literals fit when each
+    touched group's table stays nonzero once narrowed by its literals, and
+    no atom the base lacks is wanted both true and false.  A negated
+    conjunction holds iff one of its conjuncts fails, so it fits when some
+    conjunct, its parity flipped, fits the narrowed tables: one mask test
+    each.  Assumes base.sat.  Each dict is made when first written."""
     tables = None  # touched group -> its narrowed table
     free = None  # atom the base lacks -> the parity of its nots
     for key, nots in lits:
         var = base.index.get(key)
         if var is None:
-            free = free or {}
+            if free is None:
+                free = {}
             if free.setdefault(key, nots % 2) != nots % 2:
                 return False
             continue
         g = base.group_of[var]
-        table = _narrowed(base, var, nots, tables.get(g, base.tables[g]) if tables else base.tables[g])
+        table = tables.get(g, base.tables[g]) if tables else base.tables[g]
+        mask = _var_mask(base.position[var], len(base.groups[g][0]))
+        table = table & ~mask if nots % 2 else table & mask
         if not table:
             return False
-        tables = tables or {}
+        if tables is None:
+            tables = {}
         tables[g] = table
-    return True
+    if not negation:
+        return True
+    for key, nots in negation:
+        flipped = (nots + 1) % 2
+        var = base.index.get(key)
+        if var is None:
+            if free is None or free.get(key, flipped) == flipped:
+                return True
+            continue
+        g = base.group_of[var]
+        table = tables.get(g, base.tables[g]) if tables else base.tables[g]
+        mask = _var_mask(base.position[var], len(base.groups[g][0]))
+        if table & ~mask if flipped else table & mask:
+            return True
+    return False
 
 
 def _require_ground(fs: tuple[Formula, ...]) -> None:
@@ -305,7 +323,8 @@ def add_literal(base: Compiled, literal: Formula) -> Compiled:
         )
     g = base.group_of[var]
     vs, ps = base.groups[g]
-    table = _narrowed(base, var, nots, base.tables[g])
+    mask = _var_mask(base.position[var], len(vs))
+    table = base.tables[g] & ~mask if nots % 2 else base.tables[g] & mask
     return Compiled(
         base.index,
         base.groups[:g] + ((vs, ps + [[var] + [OP_NOT] * nots]),) + base.groups[g + 1:],
@@ -359,29 +378,26 @@ def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None, negat
     groups they touch are decided again."""
     base = _EMPTY if base is None else base
     fs = tuple(formulas)
-    lits: list[tuple[str, int]] = []
-    negation = None  # the literals of the one negated conjunction, if any
+    negation = ()  # the literals of the one negated conjunction, if any
     if negated is not None:
         if negated.ground and negated.literals is not None:
             negation = negated.literals
         else:
             fs, negated = fs + (Not(negated),), None
+    lits: tuple[tuple[str, int], ...] = ()
     compound = False
     for f in fs:
         if not f.ground:
             _require_ground((f,))  # raises
         conjunction = f.literals
         if conjunction is not None:
-            lits += conjunction
-        elif negation is None and type(f) is Not and f.body.literals is not None:
+            lits = lits + conjunction if lits else conjunction
+        elif not negation and type(f) is Not and f.body.literals is not None:
             negation = f.body.literals
         else:
             compound = True
     if not compound:
-        if negation is None:
-            return base.sat and _literals_fit(base, lits)
-        # (not (and l1 ... ln)) holds iff some (not li) does
-        return base.sat and any(_literals_fit(base, lits + [(key, nots + 1)]) for key, nots in negation)
+        return base.sat and _literals_fit(base, lits, negation)
     if negated is not None:
         fs += (Not(negated),)
     _, groups = _extend(base, fs)

@@ -904,6 +904,26 @@ def test_specificity_compares_antecedents_under_hard_rules():
     assert specificity((Atom("p"),), (Atom("q"),), kb) == "incomparable"
 
 
+def test_specificity_of_literal_antecedents_builds_no_negation(monkeypatch):
+    # each conjunct goes to satcore as the query's negated part, so literal
+    # antecedents under a hard rule are decided with no (not d) node built
+    kb = kb_with(["r"], hard=["(-> penguin bird)"])
+    kb.store_at(()).hard_compiled
+    penguin, bird, not_fly = Atom("penguin"), Atom("bird"), Not(Atom("fly"))
+    built = []
+    real = Not.__init__
+
+    def counting(self, body):
+        built.append(body)
+        real(self, body)
+
+    monkeypatch.setattr(Not, "__init__", counting)
+    assert specificity((penguin, not_fly), (bird,), kb) == "first"
+    assert specificity((bird,), (penguin, not_fly), kb) == "second"
+    assert specificity((penguin,), (not_fly,), kb) == "incomparable"
+    assert built == []
+
+
 def _random_antecedent(rng, atoms) -> tuple:
     """Ground conjuncts: mostly literals, now and then a compound formula."""
     return tuple(reference.random_formula(rng, atoms, rng.randint(1, 2)) if rng.random() < 0.25

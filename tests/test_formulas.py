@@ -586,6 +586,32 @@ def test_every_node_class_matches_and_instantiates_to_itself():
         assert instantiate(s, {"phi": s}) == s
 
 
+def test_every_node_class_hashes_by_its_key():
+    for s in SAMPLES:
+        assert hash(s) == hash(s.key)
+
+
+def test_a_variable_and_a_constant_hash_alike_and_stay_apart():
+    # (p x) over a term variable and over a constant print alike, so they
+    # hash alike, as their key; equality is structural, so a set keeps both
+    var, const = Atom("p", (Var("x"),)), Atom("p", (Const("x"),))
+    assert hash(var) == hash(const) == hash("(p x)")
+    assert var != const
+    assert len({var, const}) == 2
+    assert {var, const} - {const} == {var}
+
+
+def test_hashing_a_keyed_formula_hashes_no_child(monkeypatch):
+    f = parse_formula("(and (B A (not (p a))) (or q (yields r s)))")
+    f.key
+    hashed = []
+    for cls in {type(g) for g in subformulas(f)} - {And}:
+        monkeypatch.setattr(cls, "__hash__", lambda self: hashed.append(self) or 0)
+    assert hash(f) == hash(f.key)
+    assert {f, f} == {f}
+    assert hashed == []
+
+
 @dataclass(frozen=True)
 class _Unknown(Formula):
     body: Formula

@@ -174,8 +174,9 @@ def _negated_conjunction(f) -> bool:
 
 def test_literal_sets_are_decided_from_the_tables_and_match_enumeration_oracle(monkeypatch):
     # bases of several groups, satisfiable or not; literal-shaped extras over
-    # their atoms and atoms they lack, decided with nothing compiled
-    rng = random.Random(1995)
+    # their atoms and atoms they lack, decided with nothing compiled, alone
+    # and beside a literal or conjunction passed as `negated`
+    rng, queries = random.Random(1995), random.Random(1996)
     seen_sat = seen_unsat = seen_unsat_base = seen_negated = 0
     for _ in range(40):
         atoms = [f"a{i}" for i in range(rng.randint(6, 9))]
@@ -193,6 +194,13 @@ def test_literal_sets_are_decided_from_the_tables_and_match_enumeration_oracle(m
                 seen_sat += expected
                 seen_unsat += not expected
                 seen_negated += any(_negated_conjunction(f) for f in extras)
+                pool = atoms + ["x0", "x1"]
+                query = reference.random_literal(queries, pool)
+                if queries.random() < 0.5:
+                    query = And((query, reference.random_literal(queries, pool)))
+                rest = [f for f in extras if not _negated_conjunction(f)]
+                expected = reference.satisfiable(fs + rest + [Not(query)])
+                assert satcore.satisfiable(rest, base=base, negated=query) == expected
     assert seen_sat and seen_unsat and seen_unsat_base and seen_negated
 
 
