@@ -69,14 +69,9 @@ from .formulas import (
     substitute,
 )
 from .kb import KnowledgeBase, Store
-from .axioms import (
-    AxiomSet,
-    IntentionState,
-    standard_axioms,
-    update_intentions,
-)
+from .axioms import AxiomSet, standard_axioms
 from .runner import RunReport, build, explain, run_scenario
-from .satcore import entailed_by, satisfiable
+from .satcore import satisfiable
 from .scenario import Scenario, load, loads
 from .sdrs import (
     Attachment,
@@ -120,7 +115,6 @@ __all__ = [
     "Implies",
     "InferenceStep",
     "InfoToken",
-    "IntentionState",
     "KnowledgeBase",
     "NoAntecedent",
     "Not",
@@ -147,7 +141,6 @@ __all__ = [
     "build",
     "coherent",
     "defeasible_closure",
-    "entailed_by",
     "explain",
     "holds",
     "instantiate",
@@ -165,5 +158,4 @@ __all__ = [
     "specificity",
     "standard_axioms",
     "substitute",
-    "update_intentions",
 ]

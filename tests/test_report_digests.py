@@ -21,7 +21,7 @@ import pytest
 
 from conftest import CORPUS, scenario_path
 from dicekit.formulas import print_formula
-from dicekit.runner import report_dict, run_scenario
+from dicekit.runner import RunReport, report_dict, run_scenario
 from dicekit.scenario import load, loads
 from test_long_discourse import chain_scenario
 
@@ -34,19 +34,27 @@ CASES += [f"chain{n}" for n in range(3, 13)]
 CASES += ["context_defaults@1000"]
 
 
-def case_digest(case: str) -> str:
+def run_case(case: str) -> RunReport:
     if case.startswith("chain"):
-        report = run_scenario(loads(chain_scenario(int(case[5:])), case))
-    else:
-        name, steps = case.split("@")
-        scn = scenario_path(name) if name in CORPUS else os.path.join(DATA, name + ".scn")
-        report = run_scenario(load(scn), max_steps=int(steps))
+        return run_scenario(loads(chain_scenario(int(case[5:])), case))
+    name, steps = case.split("@")
+    scn = scenario_path(name) if name in CORPUS else os.path.join(DATA, name + ".scn")
+    return run_scenario(load(scn), max_steps=int(steps))
+
+
+def case_payload(report: RunReport) -> dict:
+    """What a digest pins: the report without `elapsed`, and every store's
+    facts and hard rules in order."""
     pinned = {k: v for k, v in report_dict(report).items() if k != "elapsed"}
     stores = [
         ["/".join(path), [print_formula(f) for f in store.facts], [print_formula(f) for f in store.hard_rules]]
         for path, store in report.kb.walk()
     ]
-    payload = json.dumps({"report": pinned, "stores": stores}, sort_keys=True)
+    return {"report": pinned, "stores": stores}
+
+
+def case_digest(case: str) -> str:
+    payload = json.dumps(case_payload(run_case(case)), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
