@@ -19,7 +19,9 @@ groundings that hold through a hard rule alone.  Other conjuncts (an `or`,
 say) can hold with no atom at all, so they bind nothing: a rule is
 range-restricted, every variable of such a conjunct occurring in an anchored
 one (Datalog's safety condition, checked by `DefaultRule`), and `holds` checks
-them once the anchored conjuncts have bound them.  Abduction, whose hypotheses
+them once the anchored conjuncts have bound them.  A ground rule binds nothing:
+it is its own one instance once each anchored conjunct has an anchor among
+the atoms (see `rule_instances`).  Abduction, whose hypotheses
 need not hold, binds from the facts and, for a formula metavariable that no
 fact binds, from the candidate pool; a variable that nothing binds yields no
 hypothesis, whatever the number of constants.  A pattern meets only the atoms
@@ -88,6 +90,7 @@ from .formulas import (
     Not,
     Plan,
     Yields,
+    cached_attr,
     conjuncts,
     free_variables,
     instantiate,
@@ -131,6 +134,14 @@ class DefaultRule:
     driver: bool = False
     builtin: str | None = None
     note: str = ""
+
+    @cached_attr
+    def ground(self) -> bool:
+        """No variable in the antecedent, the consequent or `absent`, and no
+        builtin: the rule has one instance, itself (see `rule_instances`)."""
+        return not self.builtin and not any(
+            f.variables for f in (*self.antecedent, self.consequent, *self.absent)
+        )
 
     def __post_init__(self):
         if self.scope != "everywhere" and not isinstance(self.scope, tuple):
@@ -487,9 +498,24 @@ def rule_instances(
     other instance holds, and at an unsatisfiable one every consequent
     holds already, so no instance applies.  A rule with a builtin hands
     each binding to it, which builds the instance.  `anchored` is the
-    rule's `anchored_conjuncts`, when the caller keeps them."""
+    rule's `anchored_conjuncts`, when the caller keeps them.
+
+    A ground rule (see `DefaultRule.ground`) is its own one instance, with
+    the empty binding, when each anchored conjunct has an anchor among the
+    store's atoms: what `bind` decides from the atoms, without binding.
+    It ignores `new`, so it may return the instance a caller already has
+    from an earlier binding, which the closure skips by its key."""
     store = kb.store_at(path)
     anchored = anchored_conjuncts(rule.antecedent) if anchored is None else anchored
+    if rule.ground:
+        atoms = store.atoms
+        for _, anchors in anchored:
+            for anchor in anchors:
+                if anchor.key in atoms:
+                    break
+            else:
+                return []
+        return [_Inst(rule, {}, rule.antecedent, rule.consequent, "{}", rule.absent)]
     insts = []
     for key, b in sorted(bind(anchored, (store.atoms, store.by_functor), new).items()):
         if rule.builtin:
@@ -664,7 +690,7 @@ class _Carry(dict):
             for ident in touched:
                 entry = self[ident]
                 if entry.since is None:
-                    self[ident] = entry._replace(since=self.count)
+                    self[ident] = _Carried(entry.rule, entry.anchored, self.count, entry.live, entry.settled)
         self.count = n
         return added
 
@@ -746,7 +772,7 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 known = entry.settled.union(i.key for i in entry.live)
                 found = rule_instances(entry.rule, out, path, added[entry.since], anchored=entry.anchored)
                 live = entry.live + tuple(i for i in found if i.key not in known)
-                entry = carry[ident] = entry._replace(since=None, live=live)
+                entry = carry[ident] = _Carried(entry.rule, entry.anchored, None, live, entry.settled)
             insts.extend(entry.live)
         insts.sort(key=lambda i: (i.rule.name, i.key))
         if any(a.rule.name == b.rule.name and a.key == b.key for a, b in zip(insts, insts[1:])):
@@ -770,7 +796,8 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 settled.setdefault(id(i.rule), set()).add(i.key)
         for ident, keys in settled.items():
             e = carry[ident]
-            carry[ident] = e._replace(live=tuple(i for i in e.live if i.key not in keys), settled=e.settled | keys)
+            live = tuple(i for i in e.live if i.key not in keys)
+            carry[ident] = _Carried(e.rule, e.anchored, e.since, live, e.settled | keys)
         if out is kb:  # the first round's carry is the input store's, for its other descendants
             kb.store_at(path).keep_carry(carry)
             carry = _Carry(carry)

@@ -102,9 +102,11 @@ class Store:
     (`satcore.add_formula`, which merges the groups the rule touches), the
     compiled hard rules by a new hard rule alone (a literal passes them on
     as they are), the fact set by the new fact, the hard-rule set by the
-    new hard rule, and the atoms by the new formula's.  It also takes over
-    the parent's `carry`, what the engine's last closure along this line of
-    stores left for the next (see `engine._fixpoint`).  Those three only
+    new hard rule, and the atoms by the new formula's (a literal's one
+    atom, read off without a walk, appended to its functor's group).  It
+    also takes over the parent's `carry`, what the engine's last closure
+    along this line of stores left for the next (see `engine._fixpoint`).
+    Those three only
     append, so a descendant's facts and hard rules begin with its
     ancestor's, and so do its atoms, in first-seen order, once the ancestor
     has built them (see `atoms_since`).
@@ -119,34 +121,44 @@ class Store:
         return self.facts + self.hard_rules
 
     def with_literal(self, f: Formula) -> "Store":
-        """The store with one more fact, a ground literal."""
+        """The store with one more fact, a ground literal, whose one atom is
+        the child's atoms' only possible gain."""
         child = Store(self.facts + (f,), self.hard_rules)
-        if "fact_set" in self.__dict__:
-            child.__dict__["fact_set"] = self.fact_set | {f}
-        if "hard_rule_set" in self.__dict__:  # a fact leaves the hard rules as they are
-            child.__dict__["hard_rule_set"] = self.hard_rule_set
-        if "hard_compiled" in self.__dict__:
-            child.__dict__["hard_compiled"] = self.hard_compiled
-        return self._extended(child, f, satcore.add_literal, ("compiled",))
+        built, grown = self.__dict__, child.__dict__
+        if "fact_set" in built:
+            grown["fact_set"] = built["fact_set"] | {f}
+        if "hard_rule_set" in built:  # a fact leaves the hard rules as they are
+            grown["hard_rule_set"] = built["hard_rule_set"]
+        if "hard_compiled" in built:
+            grown["hard_compiled"] = built["hard_compiled"]
+        if "compiled" in built:  # built, and did not raise
+            try:
+                grown["compiled"] = satcore.add_literal(built["compiled"], f)
+            except SatTooLarge:
+                pass  # the child's own compile raises on each query
+        if "atoms" in built:
+            atoms, index = built["atoms"], self.by_functor
+            atom = f.body if isinstance(f, Not) else f
+            if atom.key not in atoms:
+                atoms = {**atoms, atom.key: atom}
+                index = {**index, atom.functor: index.get(atom.functor, ()) + (atom,)}
+            grown["atoms"], grown["by_functor"] = atoms, index
+        if "carry" in built:
+            grown["carry"] = built["carry"]
+        return child
 
     def with_hard_rule(self, f: Formula) -> "Store":
         """The store with one more hard rule, a ground formula."""
         child = Store(self.facts, self.hard_rules + (f,))
-        if "fact_set" in self.__dict__:
-            child.__dict__["fact_set"] = self.fact_set
-        if "hard_rule_set" in self.__dict__:
-            child.__dict__["hard_rule_set"] = self.hard_rule_set | {f}
-        return self._extended(child, f, satcore.add_formula, ("compiled", "hard_compiled"))
-
-    def _extended(self, child: "Store", f: Formula, extend, forms: tuple[str, ...]) -> "Store":
-        """child, one formula f larger than this store, given what this store
-        has built, extended by f (of the compiled forms, those named in
-        forms), and this store's carry."""
-        built = self.__dict__
-        for name in forms:
+        built, grown = self.__dict__, child.__dict__
+        if "fact_set" in built:
+            grown["fact_set"] = built["fact_set"]
+        if "hard_rule_set" in built:
+            grown["hard_rule_set"] = built["hard_rule_set"] | {f}
+        for name in ("compiled", "hard_compiled"):
             if name in built:  # built, and did not raise
                 try:
-                    child.__dict__[name] = extend(built[name], f)
+                    grown[name] = satcore.add_formula(built[name], f)
                 except SatTooLarge:
                     pass  # the child's own compile raises on each query
         if "atoms" in built:
@@ -157,10 +169,9 @@ class Store:
                 index = dict(index)
                 for k, group in _by_functor(new).items():
                     index[k] = index.get(k, ()) + group
-            child.__dict__["atoms"] = atoms
-            child.__dict__["by_functor"] = index
+            grown["atoms"], grown["by_functor"] = atoms, index
         if "carry" in built:
-            child.__dict__["carry"] = built["carry"]
+            grown["carry"] = built["carry"]
         return child
 
     @cached_attr
@@ -283,10 +294,10 @@ class KnowledgeBase:
             raise ValidationError(f"not a literal: {print_formula(f)}")
         if len(path) > self.max_depth:
             raise DepthExceeded(f"path {path} exceeds nesting bound {self.max_depth}")
-        store = self.store_at(path)
+        store = self.stores.get(path) or Store()
         if f in store.fact_set:
             return self  # idempotent; also terminates mirror ping-pong
-        kb = self._with_store(path, store.with_literal(f))
+        kb = KnowledgeBase({**self.stores, path: store.with_literal(f)}, self.max_depth, self.root_consistency_paths)
         if not mirror:
             return kb
         # downward: (B a body) at p puts body at p + (a,)

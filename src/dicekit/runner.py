@@ -144,6 +144,7 @@ class _Run:
     contents: dict[str, Formula] = field(default_factory=dict)
     provenance: dict[Plan, str] = field(default_factory=dict)  # plan -> constituent it is intended since
     sites: list[UpdateSite] = field(default_factory=list)
+    traced: tuple[int, int] = (0, 0)  # root facts and author intention atoms read by `_trace_intentions`
 
     def close(self, rules) -> None:
         self.kb = defeasible_closure(self.kb, rules, (), trace=self.trace, max_steps=self.max_steps).kb
@@ -213,11 +214,29 @@ def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
         if diagnostics:
             return diagnostics
         _attach(run, site, derived, applied, resolved)
-    root = run.kb.store_at(())
-    for f in root.by_functor.get(("Att", "I", run.scenario.author), ()):  # every intended plan not yet traced
-        if isinstance(f.body, Doing) and f in root.fact_set:  # a fact, not an atom of a hard rule
-            run.provenance.setdefault(f.body.plan, utt.id)
+    _trace_intentions(run, utt.id)
     return ()
+
+
+def _trace_intentions(run: _Run, cid: str) -> None:
+    """Trace each plan that the author came to intend at the root since the
+    last utterance to `cid`, in the order of the author's intention atoms,
+    as a read of them all would: one that was already an atom (of a hard
+    rule or a negated fact) before it became a fact comes first.  Reads
+    only the root facts and the intention atoms gained since: along a
+    coherent run the root store only grows, so both only append."""
+    root = run.kb.store_at(())
+    author = ("Att", "I", run.scenario.author)
+    group = root.by_functor.get(author, ())
+    facts, atoms = run.traced
+    new = {f for f in root.facts[facts:] if f.functor == author and isinstance(f.body, Doing)}
+    if new:
+        gained = group[atoms:]
+        earlier = new.difference(gained)
+        ordered = [g for g in group[:atoms] if g in earlier] if earlier else []
+        for f in ordered + [g for g in gained if g in new]:
+            run.provenance.setdefault(f.body.plan, cid)
+    run.traced = len(root.facts), len(group)
 
 
 def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str, ...]]:

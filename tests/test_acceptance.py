@@ -17,12 +17,14 @@ from dicekit.axioms import isupport_atom, standard_axioms
 from dicekit.engine import DefaultRule, defeasible_closure, nonmon_yields
 from dicekit.formulas import (
     Action,
+    And,
     Atom,
     Att,
     Doing,
     Done,
     Implies,
     Not,
+    Or,
     Plan,
     RelAtom,
     parse_formula,
@@ -148,14 +150,18 @@ def _random_ground_kb(rng):
         )
     rules = []
     for i in range(rng.randint(1, 6)):
-        ants = tuple(
-            dict.fromkeys(reference.random_literal(rng, names) for _ in range(rng.randint(1, 2)))
-        )
+        compound = rng.random() < 0.3  # an `or`, unanchored: it binds nothing, and holds by entailment
+        ants = [reference.random_literal(rng, names) for _ in range(rng.randint(0 if compound else 1, 2))]
+        if compound:
+            ants.insert(rng.randint(0, len(ants)), Or(tuple(reference.random_literal(rng, names) for _ in "ab")))
+        consequent = reference.random_literal(rng, names)
+        if rng.random() < 0.25:
+            consequent = And((consequent, reference.random_literal(rng, names)))
         rules.append(
             DefaultRule(
                 name=f"R{i}",
-                antecedent=ants,
-                consequent=reference.random_literal(rng, names),
+                antecedent=tuple(dict.fromkeys(ants)),
+                consequent=consequent,
                 hard=rng.random() < 0.2,
             )
         )

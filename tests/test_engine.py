@@ -37,6 +37,7 @@ from dicekit.formulas import (
     Iff,
     Implies,
     Not,
+    Or,
     Yields,
     conj,
     free_variables,
@@ -784,6 +785,100 @@ def test_compound_conjuncts_bind_nothing_in_either_order():
     for ants in (["(p ?x)", taut], [taut, "(p ?x)"]):
         pair = make_rule("P", ants, "(q ?x)")
         assert [i.key for i in rule_instances(pair, kb, ())] == ["{x=a}"], ants
+
+
+def _random_ground_conjunct(rng, names):
+    lit = reference.random_literal(rng, names)
+    shape = rng.choice(("literal", "negated", "eventual", "compound"))
+    if shape == "negated":
+        return Not(Atom(rng.choice(names)))
+    if shape == "eventual":
+        return Eventually(lit)
+    if shape == "compound":  # unanchored: holds with no atom at all, when a tautology
+        return Or((lit, reference.random_literal(rng, names)))
+    return lit
+
+
+def test_a_ground_rule_is_its_own_instance_exactly_when_bind_gives_the_empty_binding():
+    # over stores that have and lack the anchors of literal, negated,
+    # eventual and compound conjuncts, with and without absent premises;
+    # the instance agrees with what binding and instantiating make
+    rng = random.Random(27)
+    seen = collections.Counter()
+    for _ in range(300):
+        names = tuple(f"p{i}" for i in range(rng.randint(2, 6)))
+        kb = KnowledgeBase()
+        for _ in range(rng.randint(0, 3)):
+            kb = kb.assert_fact((), reference.random_literal(rng, names))
+        if rng.random() < 0.4:
+            hard = Implies(reference.random_literal(rng, names), Eventually(Atom(rng.choice(names))))
+            kb = kb.add_hard_rule((), hard)
+        ants = tuple(dict.fromkeys(_random_ground_conjunct(rng, names) for _ in range(rng.randint(1, 3))))
+        absent = tuple(reference.random_literal(rng, names) for _ in range(rng.randint(0, 2)))
+        cons = And((reference.random_literal(rng, names), Atom("q"))) if rng.random() < 0.3 else Atom("q")
+        rule = DefaultRule("G", ants, cons, absent=absent)
+        assert rule.ground
+        store = kb.store_at(())
+        bound = engine.bind(engine.anchored_conjuncts(ants), (store.atoms, store.by_functor))
+        insts = rule_instances(rule, kb, ())
+        assert bound in ({}, {"{}": {}})
+        assert len(insts) == len(bound)
+        seen[len(insts), bool(absent)] += 1
+        if not insts:
+            continue
+        (inst,) = insts
+        assert (inst.rule, inst.binding, inst.key) == (rule, {}, "{}")
+        assert (inst.ants, inst.cons, inst.absent) == (rule.antecedent, rule.consequent, rule.absent)
+        general = replace(rule)
+        general.__dict__["ground"] = False  # the path of a rule with variables
+        (bound_inst,) = rule_instances(general, kb, ())
+        assert (bound_inst.binding, bound_inst.key, bound_inst.ants, bound_inst.cons, bound_inst.absent) == (
+            inst.binding, inst.key, inst.ants, inst.cons, inst.absent)
+    assert all(seen[n, a] for n in (0, 1) for a in (False, True)), seen
+
+
+def test_a_rule_is_ground_without_a_variable_or_a_builtin():
+    assert make_rule("R", ["p", "(not q)"], "r", absent=["s"]).ground
+    assert not make_rule("R", ["p", "(q ?x)"], "(r ?x)").ground
+    assert not make_rule("R", ["(p ?x)"], "r").ground
+    assert not make_rule("R", ["p"], "r", absent=["(s ?x)"]).ground
+    assert not DefaultRule("R", (Atom("p"),), Atom("r"), builtin="intention-update").ground
+
+
+def test_closing_penguin_and_nixon_systems_binds_nothing(monkeypatch):
+    # every rule is ground, so each is its own instance: no binding, no instantiation
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        return wrapper
+
+    for name in ("bind", "instantiate"):
+        monkeypatch.setattr(engine, name, counted(name))
+    bird, penguin, fly = Atom("bird"), Atom("penguin"), Atom("fly")
+    quaker, republican, pacifist = Atom("quaker"), Atom("republican"), Atom("pacifist")
+    rules = (
+        DefaultRule("Bird", (bird,), fly),
+        DefaultRule("Penguin", (penguin,), Not(fly)),
+        DefaultRule("Quaker", (quaker,), pacifist),
+        DefaultRule("Republican", (republican,), Not(pacifist)),
+    )
+    kb = KnowledgeBase()
+    for f in (penguin, quaker, republican):
+        kb = kb.assert_fact((), f)
+    kb = kb.add_hard_rule((), Implies(penguin, bird))
+    closed = defeasible_closure(kb, rules)
+    assert closed.kb.entails((), Not(fly))
+    assert not closed.kb.entails((), pacifist) and not closed.kb.entails((), Not(pacifist))
+    assert nonmon_yields(kb.retract_fact((), quaker), rules, (), Atom("x"), Not(pacifist)) is False
+    assert nonmon_yields(kb.retract_fact((), republican), rules, (), Atom("x"), pacifist) is False
+    assert nonmon_yields(kb.retract_fact((), penguin), rules, (), penguin, Not(fly))
+    assert calls == {}, calls
 
 
 def test_closure_reach_does_not_depend_on_the_number_of_constants():

@@ -223,30 +223,56 @@ def _functor_keys(store: Store) -> dict:
     return {k: {a.key for a in group} for k, group in store.by_functor.items()}
 
 
+def _lineage_literal(rng, pool):
+    """A literal over the pool's atoms, over (p c0) to (p c2), one functor's
+    group, or a belief that the root mirrors into A's store."""
+    pick = rng.random()
+    if pick < 0.5:
+        return reference.random_literal(rng, pool)
+    atom = Atom("p", (Const(rng.choice(("c0", "c1", "c2"))),))
+    if pick < 0.85:
+        return atom if rng.random() < 0.5 else Not(atom)
+    return Att("B", "A", atom)
+
+
+def _assert_extends(child: Store, parent: Store) -> None:
+    """The child's atoms, and each of its functor groups, begin with the
+    parent's in the same order: what `Store.atoms_since` relies on."""
+    assert [a.key for a in child.atoms.values()][:len(parent.atoms)] == [a.key for a in parent.atoms.values()]
+    for functor, group in parent.by_functor.items():
+        assert [a.key for a in child.by_functor[functor][:len(group)]] == [a.key for a in group]
+
+
 def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
-    # hard rules, over atoms the root lacks too, and literals, one at a time:
-    # each child extends its parent's compiled forms (merging the groups a
-    # rule touches; a literal leaves the compiled hard rules as they are),
-    # fact set, hard-rule set and atoms, and agrees with a store built afresh and the oracle
+    # literals, most of the steps (a belief is mirrored into A's store), and
+    # hard rules, over atoms the root lacks too, one at a time: each child
+    # extends its parent's compiled forms (merging the groups a rule touches;
+    # a literal leaves the compiled hard rules as they are), fact set,
+    # hard-rule set and atoms, appending to its atoms and functor groups in
+    # order, and agrees with a store built afresh and the oracle
     rng = random.Random(1982)
     seen_unsat = seen_sat = 0
+    steps = {"literal": 0, "hard": 0}
     for _ in range(12):
         atoms = [f"a{i}" for i in range(rng.randint(6, 8))]
         kb = KnowledgeBase(stores={(): _random_store(rng, atoms), ("A",): _random_store(rng, atoms)},
                            root_consistency_paths=(("A",),))
-        kb.store_at(()).compiled
-        kb.store_at(()).hard_compiled
-        kb.store_at(()).by_functor
-        kb.store_at(()).fact_set
-        kb.store_at(()).hard_rule_set
-        for _ in range(rng.randint(1, 4)):
+        for path in ((), ("A",)):
+            store = kb.store_at(path)
+            store.compiled, store.hard_compiled, store.by_functor, store.fact_set, store.hard_rule_set
+        for _ in range(rng.randint(4, 10)):
             pool = atoms + ["x0", "x1"]
-            if rng.random() < 0.3:
-                kb = kb.assert_fact((), reference.random_literal(rng, pool))
+            parents = {path: kb.store_at(path) for path in ((), ("A",))}
+            if rng.random() < 0.75:
+                kb = kb.assert_fact((), _lineage_literal(rng, pool))
+                steps["literal"] += 1
             else:
                 left = reference.random_formula(rng, pool, rng.randint(0, 2))
                 right = reference.random_formula(rng, pool, rng.randint(0, 2))
                 kb = kb.add_hard_rule((), (Implies if rng.random() < 0.7 else Iff)(left, right))
+                steps["hard"] += 1
+            for path, parent in parents.items():
+                _assert_extends(kb.store_at(path), parent)
             store = kb.store_at(())
             assert {"fact_set", "hard_rule_set", "compiled", "hard_compiled", "atoms",
                     "by_functor"} <= store.__dict__.keys()
@@ -254,13 +280,14 @@ def test_stores_grown_along_a_lineage_extend_what_their_parents_built():
             assert store.fact_set == fresh.fact_set
             assert store.hard_rule_set == fresh.hard_rule_set
             assert store.atoms == fresh.atoms and _functor_keys(store) == _functor_keys(fresh)
-            assert store.compiled.sat == fresh.compiled.sat == reference.satisfiable(store.formulas())
+            assert store.compiled.sat == fresh.compiled.sat == reference.satisfiable_pinned(store.formulas())
             assert store.hard_compiled.index.keys() == fresh.hard_compiled.index.keys()
             assert store.hard_compiled.sat == fresh.hard_compiled.sat == reference.satisfiable(store.hard_rules)
             seen_sat += store.compiled.sat
             seen_unsat += not store.compiled.sat
             _check_queries(rng, kb, atoms, 2)
     assert seen_sat and seen_unsat
+    assert steps["literal"] > steps["hard"], steps
 
 
 def test_a_store_is_compiled_once_for_many_queries(monkeypatch):

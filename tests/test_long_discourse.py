@@ -1,11 +1,13 @@
 """Length robustness: generated imperative-plus-enablements chains longer than
 any corpus scenario interpret with the relations their construction implies."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import CORPUS, scenario_path
 from dicekit import engine, runner
-from dicekit.formulas import Att, Formula, Iff, Implies, parse_formula
+from dicekit.formulas import Doing, Formula, Iff, Implies, parse_formula
 from dicekit.kb import KnowledgeBase
 from dicekit.runner import run_scenario
 from dicekit.scenario import load, loads
@@ -123,12 +125,12 @@ def test_hard_rule_comparisons_per_addition_stay_flat_as_the_chain_grows(monkeyp
 
 
 def test_root_facts_read_per_utterance_stay_flat_as_the_chain_grows(monkeypatch):
-    # after each utterance the runner traces every intended plan to the
-    # constituent it is intended since.  It reads the author's intentions
-    # (one more per pair, from the practical syllogism), not every root
-    # fact: beyond one isinstance test per intention the author holds at
-    # the root, the runner makes one per site
-    counts = {"isinstance": 0, "intentions": 0, "utterances": 0}
+    # after each utterance the runner traces every plan the author came to
+    # intend to the constituent it is intended since.  It reads the author's
+    # intentions among the root facts the utterance added, not every one the
+    # author holds (one more per pair, from the practical syllogism): one
+    # isinstance test per intention read, and one per site
+    counts = {"isinstance": 0, "utterances": 0}
     real_take_up = runner._take_up
 
     def counted_isinstance(*args):
@@ -136,20 +138,60 @@ def test_root_facts_read_per_utterance_stay_flat_as_the_chain_grows(monkeypatch)
         return isinstance(*args)
 
     def take_up(run, utt):
-        out = real_take_up(run, utt)
         counts["utterances"] += 1
-        counts["intentions"] += sum(isinstance(f, Att) and f.kind == "I" and f.agent == run.scenario.author
-                                    for f in run.kb.facts_at(()))
-        return out
+        return real_take_up(run, utt)
 
     monkeypatch.setattr(runner, "isinstance", counted_isinstance, raising=False)
     monkeypatch.setattr(runner, "_take_up", take_up)
     per_utterance = {}
     for n in (20, 80):
-        counts.update(isinstance=0, intentions=0, utterances=0)
+        counts.update(isinstance=0, utterances=0)
         assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
-        per_utterance[n] = (counts["isinstance"] - counts["intentions"]) / counts["utterances"]
-    assert max(per_utterance.values()) <= 1.2 * min(per_utterance.values()), per_utterance
+        per_utterance[n] = counts["isinstance"] / counts["utterances"]
+    assert per_utterance[20] == per_utterance[80], per_utterance  # 2.0 each
+
+
+def _traced_from_every_intention(run, cid: str, before: dict) -> dict:
+    """The plans that a read of every author intention at the root traces."""
+    out = dict(before)
+    root = run.kb.store_at(())
+    for f in root.by_functor.get(("Att", "I", run.scenario.author), ()):
+        if isinstance(f.body, Doing) and f in root.fact_set:
+            out.setdefault(f.body.plan, cid)
+    return out
+
+
+EARLY_INTENTION = """agents A I
+context [] {
+  hard (-> (mood) (and (I A (R (plan y))) (I A (R (plan x)))))
+}
+utterance u0 assertion (fine day)
+utterance u1 imperative (R (plan x))
+expect coherent
+"""
+
+
+@pytest.mark.parametrize("steps", [1000, 50])
+def test_intentions_are_traced_as_a_read_of_every_intention_would(monkeypatch, steps):
+    # the same plans, constituents and order after every utterance
+    compared = []
+    real_trace = runner._trace_intentions
+
+    def trace(run, cid):
+        want = _traced_from_every_intention(run, cid, run.provenance)
+        real_trace(run, cid)
+        assert list(run.provenance.items()) == list(want.items())
+        compared.append(len(want))
+
+    monkeypatch.setattr(runner, "_trace_intentions", trace)
+    sources = [load(scenario_path(name)) for name in CORPUS]
+    sources.append(load(str(Path(__file__).parent / "data" / "context_defaults.scn")))
+    sources += [loads(chain_scenario(n), f"chain{n}") for n in (3, 8, 20)]
+    # an intention that is an atom of a hard rule before an order makes it a fact
+    sources.append(loads(EARLY_INTENTION, "early_intention"))
+    for scn in sources:
+        assert run_scenario(scn, max_steps=steps).ok, scn.name
+    assert compared and max(compared) >= 3
 
 
 def test_abduction_compares_no_formulas_however_long_the_chain(monkeypatch):
