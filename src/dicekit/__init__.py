@@ -54,12 +54,10 @@ from .formulas import (
     Iff,
     Imp,
     Implies,
-    InfoToken,
     Not,
     Or,
     Plan,
     RelAtom,
-    SiteToken,
     Var,
     Yields,
     instantiate,
@@ -114,7 +112,6 @@ __all__ = [
     "Imp",
     "Implies",
     "InferenceStep",
-    "InfoToken",
     "KnowledgeBase",
     "NoAntecedent",
     "Not",
@@ -127,7 +124,6 @@ __all__ = [
     "SatTooLarge",
     "Scenario",
     "Sdrs",
-    "SiteToken",
     "StepBoundExceeded",
     "Store",
     "Trace",

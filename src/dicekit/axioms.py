@@ -41,7 +41,6 @@ from .formulas import (
     Eventually,
     Formula,
     Generic,
-    InfoToken,
     Not,
     Plan,
     RelAtom,
@@ -261,7 +260,7 @@ def isupport_atom(x: str, y: str) -> Formula:
 
 
 def update_content(site: UpdateSite) -> Formula:
-    return And((site.token(), InfoToken(site.attach_to, site.new)))
+    return And((site.token(), site.info()))
 
 
 def collect_generics(kb: KnowledgeBase, path: ContextPath = ()) -> tuple[Generic, ...]:

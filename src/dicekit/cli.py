@@ -4,7 +4,8 @@
 
 Exit status: 0 when every expectation holds, 1 when a coherence verdict
 expectation fails, 2 for any other failed expectation, 3 for unreadable or
-ill-formed input, a bad command line included.  ``--help`` exits 0.
+ill-formed input, a bad command line or an unwritable report path included.
+``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 3
     try:
-        scenario = load(args.path)
-        report = run_scenario(scenario, max_steps=args.max_steps, max_depth=args.depth)
+        return _run(args)
     except (DicekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+
+def _run(args) -> int:
+    scenario = load(args.path)
+    report = run_scenario(scenario, max_steps=args.max_steps, max_depth=args.depth)
     print(f"scenario {scenario.name}: {report.verdict} ({report.elapsed:.3f}s)")
     for a in report.sdrs.attachments:
         print(f"  relation {a.rel}")

@@ -92,14 +92,13 @@ from .formulas import (
     Yields,
     cached_attr,
     conjuncts,
-    free_variables,
     instantiate,
     is_ground,
     match,
     parse_formula,
     print_formula,
+    print_pattern,
     sat_atomic,
-    substitute,
 )
 from .kb import Atoms, ContextPath, KnowledgeBase, indexed
 
@@ -156,7 +155,7 @@ class DefaultRule:
             unbound = p.variables - bound
             if unbound:
                 raise ValidationError(
-                    f"rule {self.name}: conjunct {_pattern_str(p)} leaves"
+                    f"rule {self.name}: conjunct {print_pattern(p)} leaves"
                     f" {', '.join('?' + v for v in sorted(unbound))} unbound; each variable of"
                     " a compound conjunct must occur in an atomic, negated or eventual one"
                 )
@@ -186,12 +185,6 @@ def _anchors(pat: Formula) -> tuple[Formula, ...] | None:
     body = pat.body if isinstance(pat, Not) else pat
     opaque = body.shape is not None if isinstance(body, FVar) else sat_atomic(body)
     return (body,) if opaque else None
-
-
-def _pattern_str(pat: Formula) -> str:
-    """A pattern printed with its `?` variables (`print_formula` prints a
-    term variable by its bare name)."""
-    return print_formula(substitute(pat, {v: f"?{v}" for v in free_variables(pat)}))
 
 
 def _as_formula(x) -> Formula:
@@ -415,7 +408,8 @@ def _extend_bindings(pat: Formula, bindings, facts: Atoms, fvar_pool=None):
 
 def _ground_key(anchor: Formula, b: Binding) -> str | None:
     """The key of an anchor grounded by a binding that binds its variables;
-    None when the binding cannot ground it (a slot bound for a formula)."""
+    None when the binding cannot ground it (a formula metavariable bound
+    to a constant)."""
     if not anchor.variables:
         return anchor.key
     try:

@@ -10,15 +10,19 @@ Surface syntax (s-expressions, one form per formula):
     (R (plan a1 a2 ...))  the agent is doing/executing the plan
     (D (plan a1 a2 ...))  the plan's actions have been done
     (eventually f) (can f) (imp f)
-    (site tau alpha beta) update-site token: attach new beta to open alpha
-    (info alpha beta)     opaque content-summary token for a site
+    (site tau alpha beta) update-site atom: attach new beta to open alpha
+    (info alpha beta)     content-summary atom for a site
     (rel Result alpha beta)   discourse-relation atom over constituent ids
     (yields f g)          nonmonotonic-consequence atom: f defeasibly yields g
 
-Plan steps are action symbols or (name arg ...) lists.  Symbols beginning with
-``?`` are metavariables and only legal in rule patterns, never in ground
-formulas; a shape restricts what a metavariable binds, ``?f:doing`` to an
-(R ...) formula and ``?f:done`` to a (D ...) one (the table `_SHAPES`).
+Plan steps are action symbols or (name arg ...) lists.  `site` and `info`
+are plain atoms whose parser checks their arity.  Symbols beginning with
+``?`` are pattern variables and only legal in rule patterns, never in ground
+formulas: in an atom's argument (a site or info atom's too) or a relation
+atom's argument one is a term variable (`Var`), which binds a constant, and in
+formula position a formula metavariable (`FVar`).  A shape restricts what a
+metavariable binds, ``?f:doing`` to an (R ...) formula and ``?f:done`` to a
+(D ...) one (the table `_SHAPES`).
 
 Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
@@ -148,8 +152,8 @@ class Formula:
 
     @cached_attr
     def variables(self) -> frozenset[str]:
-        """What a match must bind: the free term variables, the formula
-        metavariables and the ?-slots."""
+        """What a match must bind: the free term variables and the formula
+        metavariables."""
         return metavariables(self) | free_variables(self)
 
     @cached_attr
@@ -299,24 +303,12 @@ class Imp(Formula):
 
 
 @dataclass(frozen=True)
-class SiteToken(Formula):
-    """Update context: while tau holds, attach new constituent to the open one."""
-
-    tau: str
-    attach_to: str
-    new: str
-
-
-@dataclass(frozen=True)
-class InfoToken(Formula):
-    attach_to: str
-    new: str
-
-
-@dataclass(frozen=True)
 class RelAtom(Formula):
+    """A discourse relation between two constituents: names in a ground
+    atom, a `Var` where a pattern has a `?` argument."""
+
     rel: str
-    args: tuple[str, ...]
+    args: tuple[str | Var, ...]
 
     def __post_init__(self):
         if len(self.args) != 2:
@@ -365,11 +357,7 @@ def _parse_plan(form) -> Plan:
     return Plan(tuple(_parse_action(a) for a in form[1:]))
 
 
-def _expect_symbols(form: list, n: int, what: str) -> list[str]:
-    args = form[1:]
-    if len(args) != n or not all(isinstance(a, str) for a in args):
-        raise ParseError(f"{what} takes {n} symbols, got {sexp.write(form)}")
-    return args
+_ARITY = {"site": 3, "info": 2}  # atoms whose parser checks their arity
 
 
 def from_sexp(form, bound: frozenset[str] = frozenset()) -> Formula:
@@ -426,16 +414,14 @@ def from_sexp(form, bound: frozenset[str] = frozenset()) -> Formula:
             raise ParseError(f"{head} takes one argument")
         cls = {"eventually": Eventually, "can": Can, "imp": Imp}[head]
         return cls(from_sexp(rest[0], bound))
-    if head == "site":
-        t, a, b = _expect_symbols(form, 3, "site")
-        return SiteToken(t, a, b)
-    if head == "info":
-        a, b = _expect_symbols(form, 2, "info")
-        return InfoToken(a, b)
+    if head in _ARITY:
+        n = _ARITY[head]
+        if len(rest) != n or not all(isinstance(x, str) for x in rest):
+            raise ParseError(f"{head} takes {n} symbols, got {sexp.write(form)}")
     if head == "rel":
         if len(rest) != 3 or not all(isinstance(x, str) for x in rest):
             raise ParseError(f"(rel Name alpha beta) expected, got {sexp.write(form)}")
-        return RelAtom(rest[0], (rest[1], rest[2]))
+        return RelAtom(rest[0], tuple([Var(x[1:]) if _is_metavar(x) else x for x in rest[1:]]))
     if head == "yields":
         if len(rest) != 2:
             raise ParseError("yields takes two formulas")
@@ -462,7 +448,7 @@ _PLANS = (Doing, Done)  # plan
 
 def _cases(unary, binary, nary, plans, singles: dict) -> dict:
     """A dispatch table: the case of each group, then those of the other
-    classes (atoms, metavariables, generics, attitudes and tokens)."""
+    classes (atoms, metavariables, generics, attitudes and relation atoms)."""
     return {**dict.fromkeys(_UNARY, unary), **dict.fromkeys(_BINARY, binary),
             **dict.fromkeys(_NARY, nary), **dict.fromkeys(_PLANS, plans), **singles}
 
@@ -493,16 +479,10 @@ _RENDER = _cases(
         FVar: lambda f: f"?{f.name}:{f.shape}" if f.shape else f"?{f.name}",
         Generic: lambda f: f"(forall {f.var} (> {f.antecedent.key} {f.consequent.key}))",
         Att: lambda f: f"({f.kind} {f.agent} {f.body.key})",
-        SiteToken: lambda f: f"(site {f.tau} {f.attach_to} {f.new})",
-        InfoToken: lambda f: f"(info {f.attach_to} {f.new})",
         RelAtom: lambda f: f"(rel {f.rel} {f.args[0]} {f.args[1]})"})
 
 
 # ------------------------------------------------------------------- structure walks
-
-_SLOTS = {SiteToken: attrgetter("tau", "attach_to", "new"), InfoToken: attrgetter("attach_to", "new"),
-          RelAtom: attrgetter("args")}
-
 
 def children(f: Formula) -> tuple[Formula, ...]:
     return _CHILDREN[type(f)](f)
@@ -511,7 +491,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
 _leaf = lambda f: ()
 _CHILDREN = _cases(lambda f: (f.body,), attrgetter("left", "right"), attrgetter("parts"), _leaf, {
     Atom: _leaf, FVar: _leaf, Generic: attrgetter("antecedent", "consequent"), Att: lambda f: (f.body,),
-    SiteToken: _leaf, InfoToken: _leaf, RelAtom: _leaf})
+    RelAtom: _leaf})
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -533,14 +513,14 @@ def _free_in_children(f: Formula) -> frozenset[str]:
 
 
 _no_names = lambda f: _NONE
+_vars_in_args = lambda f: frozenset([t.name for t in f.args if type(t) is Var])
 _FREE = _cases(_free_in_children, _free_in_children, _free_in_children, _no_names, {
-    Atom: lambda f: frozenset([t.name for t in f.args if type(t) is Var]), FVar: _no_names,
-    Generic: lambda f: _free_in_children(f) - {f.var}, Att: _free_in_children,
-    SiteToken: _no_names, InfoToken: _no_names, RelAtom: _no_names})
+    Atom: _vars_in_args, FVar: _no_names, Generic: lambda f: _free_in_children(f) - {f.var},
+    Att: _free_in_children, RelAtom: _vars_in_args})
 
 
 def metavariables(f: Formula) -> frozenset[str]:
-    """Names of formula metavariables and ?-slots in token/relation positions."""
+    """Names of the formula metavariables."""
     return _META[type(f)](f)
 
 
@@ -548,13 +528,9 @@ def _meta_in_children(f: Formula) -> frozenset[str]:
     return _NONE.union(*[_META[type(c)](c) for c in children(f)])
 
 
-def _meta_in_slots(f: Formula) -> frozenset[str]:
-    return frozenset([x[1:] for x in _SLOTS[type(f)](f) if _is_metavar(x)])
-
-
 _META = _cases(_meta_in_children, _meta_in_children, _meta_in_children, _no_names, {
     Atom: _no_names, FVar: lambda f: frozenset([f.name]), Generic: _meta_in_children, Att: _meta_in_children,
-    SiteToken: _meta_in_slots, InfoToken: _meta_in_slots, RelAtom: _meta_in_slots})
+    RelAtom: _no_names})
 
 
 def is_ground(f: Formula) -> bool:
@@ -562,26 +538,23 @@ def is_ground(f: Formula) -> bool:
 
 
 def _ground(f: Formula) -> bool:
-    """One node's groundness, from its own slots and terms and its children's
+    """One node's groundness, from its own arguments and its children's
     cached groundness.  A generic's variable is free in its children, so a
     generic is checked in full."""
     return _GROUND[type(f)](f)
 
 
-def _slots_filled(f: Formula) -> bool:
-    return not any(map(_is_metavar, _SLOTS[type(f)](f)))
-
-
+_args_ground = lambda f: Var not in map(type, f.args)
 _GROUND = _cases(
     lambda f: f.body.ground,
     lambda f: f.left.ground and f.right.ground,
     lambda f: all([p.ground for p in f.parts]),
     lambda f: True, {
-        Atom: lambda f: Var not in map(type, f.args),
+        Atom: _args_ground,
         FVar: lambda f: False,
         Generic: lambda f: not free_variables(f) and not metavariables(f),
         Att: lambda f: f.body.ground,
-        SiteToken: _slots_filled, InfoToken: _slots_filled, RelAtom: _slots_filled})
+        RelAtom: _args_ground})
 
 
 def conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -626,8 +599,15 @@ def _literals(f: Formula) -> tuple[tuple[str, int], ...] | None:
 
 
 def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Replace free term variables by constants; generic binders shadow."""
+    """Replace free term variables by constants, or a relation atom's by
+    names; generic binders shadow."""
     return _SUBSTITUTE[type(f)](f, mapping)
+
+
+def print_pattern(f: Formula) -> str:
+    """A formula printed with its `?` variables (`print_formula` prints a
+    term variable by its bare name)."""
+    return print_formula(substitute(f, {v: f"?{v}" for v in free_variables(f)}))
 
 
 def _substitute_generic(f: Generic, mapping: Mapping[str, str]) -> Formula:
@@ -647,24 +627,27 @@ _SUBSTITUTE = _cases(
             [Const(m[t.name]) if type(t) is Var and t.name in m else t for t in f.args])),
         Generic: _substitute_generic,
         Att: lambda f, m: Att(f.kind, f.agent, substitute(f.body, m)),
-        FVar: _unchanged, SiteToken: _unchanged, InfoToken: _unchanged, RelAtom: _unchanged})
+        FVar: _unchanged,
+        RelAtom: lambda f, m: RelAtom(f.rel, tuple(
+            [m[t.name] if type(t) is Var and t.name in m else t for t in f.args]))})
 
 
 # ------------------------------------------------------------------ pattern matching
 
-Binding = dict[str, "Formula | str | Const"]
+Binding = dict[str, "Formula | Term"]
 
 
 def match(pattern: Formula, fact: Formula, binding: Binding | None = None) -> Binding | None:
     """Structurally match a pattern against a ground formula, extending a
     binding; None on failure.
 
-    A variable already bound compares by printed name, whichever position
-    bound it: a slot binds a bare name, a term a `Const` and a metavariable
-    a formula, so `(cause ?x ?y)` under the binding of `(site ?t ?x ?y)`
-    matches `(cause a b)`.  A generic pattern matches a generic of the same
-    variable, which matches itself and nothing else, while its free
-    variables bind as anywhere."""
+    A term variable binds a `Const`, in an atom's argument and a relation
+    atom's alike, and a formula metavariable a formula.  A variable already
+    bound compares by printed name, whichever position bound it, so
+    `(cause ?x ?y)` under the binding of `(rel Result ?x ?y)` matches
+    `(cause a b)`, and `?x` bound to the atom `a` matches the constant `a`.
+    A generic pattern matches a generic of the same variable, which matches
+    itself and nothing else, while its free variables bind as anywhere."""
     b: Binding = dict(binding) if binding else {}
     return b if _match(pattern, fact, b) else None
 
@@ -699,13 +682,9 @@ def _match_term(p: Term, got: Term, b: Binding) -> bool:
     return (type(got) is not Var or p.name in b) and _bind(p.name, got, b)
 
 
-def _match_slot(p: str, got: str, b: Binding) -> bool:
-    return _bind(p[1:], got, b) if _is_metavar(p) else p == got
-
-
-def _match_slots(p: Formula, f: Formula, b: Binding) -> bool:
-    slots = _SLOTS[type(p)]
-    return all(map(_match_slot, slots(p), slots(f), repeat(b)))
+def _match_name(p: str | Var, got: str, b: Binding) -> bool:
+    """A relation atom's argument: a variable binds the name as a constant."""
+    return _bind(p.name, Const(got), b) if type(p) is Var else p == got
 
 
 def _match_generic(p: Generic, f: Generic, b: Binding) -> bool:
@@ -731,8 +710,7 @@ _MATCH = _cases(
         FVar: _match_fvar,
         Generic: _match_generic,
         Att: lambda p, f, b: p.kind == f.kind and p.agent == f.agent and _match(p.body, f.body, b),
-        SiteToken: _match_slots, InfoToken: _match_slots,
-        RelAtom: lambda p, f, b: p.rel == f.rel and _match_slots(p, f, b)})
+        RelAtom: lambda p, f, b: p.rel == f.rel and all(map(_match_name, p.args, f.args, repeat(b)))})
 
 
 def _functor(f: Formula) -> tuple | None:
@@ -747,20 +725,13 @@ _FUNCTOR = _cases(_by_class, _by_class, _by_class, _by_class, {
     FVar: lambda f: (_SHAPES[f.shape].__name__,) if f.shape else None,
     Att: lambda f: ("Att", f.kind, f.agent),
     RelAtom: lambda f: ("RelAtom", f.rel, len(f.args)),
-    Generic: _by_class, SiteToken: _by_class, InfoToken: _by_class})
+    Generic: _by_class})
 
 
 def _bound(name: str, b: Binding):
     if name not in b:
         raise ValidationError(f"unbound metavariable ?{name}")
     return b[name]
-
-
-def _slot_value(pat: str, b: Binding) -> str:
-    if not _is_metavar(pat):
-        return pat
-    v = _bound(pat[1:], b)
-    return v.name if isinstance(v, Const) else str(v)
 
 
 def instantiate(pattern: Formula, b: Binding) -> Formula:
@@ -783,10 +754,6 @@ def _instantiate_term(t: Term, b: Binding) -> Term:
     return v if type(v) in (Const, Var) else Const(str(v))
 
 
-def _instantiate_slots(p: Formula, b: Binding) -> Formula:
-    return type(p)(*[_slot_value(x, b) for x in _SLOTS[type(p)](p)])
-
-
 def _instantiate_generic(p: Generic, b: Binding) -> Formula:
     inner = {**b, p.var: Var(p.var)}
     return Generic(p.var, instantiate(p.antecedent, inner), instantiate(p.consequent, inner))
@@ -801,5 +768,5 @@ _INSTANTIATE = _cases(
         FVar: _instantiate_fvar,
         Generic: _instantiate_generic,
         Att: lambda p, b: Att(p.kind, p.agent, instantiate(p.body, b)),
-        SiteToken: _instantiate_slots, InfoToken: _instantiate_slots,
-        RelAtom: lambda p, b: RelAtom(p.rel, tuple([_slot_value(x, b) for x in p.args]))})
+        RelAtom: lambda p, b: RelAtom(p.rel, tuple(
+            [_instantiate_term(t, b).name if type(t) is Var else t for t in p.args]))})

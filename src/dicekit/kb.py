@@ -34,6 +34,7 @@ from .formulas import (
     conjuncts,
     is_ground,
     print_formula,
+    print_pattern,
     sat_atomic,
 )
 
@@ -283,7 +284,7 @@ class KnowledgeBase:
         """
         path = tuple(path)
         if not is_ground(f):
-            raise ValidationError(f"facts must be ground: {print_formula(f)}")
+            raise ValidationError(f"facts must be ground: {print_pattern(f)}")
         kb = self
         for lit in conjuncts(f):
             kb = kb._assert_literal(path, lit, mirror)
@@ -323,7 +324,7 @@ class KnowledgeBase:
     def add_hard_rule(self, path: ContextPath, f: Formula) -> "KnowledgeBase":
         path = tuple(path)
         if not is_ground(f):
-            raise ValidationError(f"hard rules must be ground: {print_formula(f)}")
+            raise ValidationError(f"hard rules must be ground: {print_pattern(f)}")
         if not isinstance(f, (Implies, Iff)):
             raise ValidationError(f"hard rules are -> or <-> formulas: {print_formula(f)}")
         if len(path) > self.max_depth:

@@ -3,9 +3,9 @@
 `run_scenario` takes up each utterance (`_take_up`) over one run state.  The
 first is taken up directly (the interpreter believes an assertion; an
 imperative registers as an order) and goes through phase 2 only; each later one
-  1. mints an update site against the right frontier, asserts its tokens and
-     adds the pair's belief-property rules (`_open_site`), then resolves a
-     plan anaphor in a cause clue (`_resolve_anaphor`),
+  1. mints an update site against the right frontier, asserts its site and
+     info atoms and adds the pair's belief-property rules (`_open_site`),
+     then resolves a plan anaphor in a cause clue (`_resolve_anaphor`),
   2. closes the root store over attitude rules (intentionality, sincerity,
      wanting-and-doing, the practical syllogism and APS1, intention update,
      optionally charity) (`_close_attitudes`),
@@ -57,7 +57,6 @@ from .formulas import (
     Formula,
     Imp,
     Implies,
-    InfoToken,
     Not,
     Plan,
     RelAtom,
@@ -252,7 +251,7 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
         if len(path) <= run.kb.max_depth:
             run.kb = run.kb.add_hard_rule(path, excl)
     run.kb = run.kb.assert_fact((), site.token())
-    run.kb = run.kb.assert_fact((), InfoToken(site.attach_to, new))
+    run.kb = run.kb.assert_fact((), site.info())
     run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents)
     return site, frontier
 

@@ -2,9 +2,9 @@
 
 Every formula the rest of the package deals in is ground; anything that is
 not a boolean connective (attitudes, generics, defeasible conditionals,
-site/info/relation tokens, yields-atoms, plain atoms) is one opaque boolean
-variable, keyed by its canonical printed form (`Formula.key`, cached on the
-node).
+relation atoms, yields-atoms, plain atoms, site and info atoms among them)
+is one opaque boolean variable, keyed by its canonical printed form
+(`Formula.key`, cached on the node).
 
 `compile_program` walks a formula once: it numbers the opaque atoms in
 first-seen order and emits the formula's RPN program.  The programs are then

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from . import sexp
 from .engine import DefaultRule
 from .errors import ParseError, ValidationError
-from .formulas import Default, Formula, Implies, conjuncts, from_sexp, is_ground
+from .formulas import Default, Formula, Implies, conjuncts, from_sexp, is_ground, print_pattern
 from .kb import ContextPath
 from .sdrs import MOODS
 
@@ -283,16 +283,16 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
 
     if agents is None:
         raise ParseError("scenario must declare agents")
-    for decl in decls.values():
-        for f in decl.facts + decl.hard_rules:
+    for what, formulas in (
+        ("context formulas", [f for d in decls.values() for f in d.facts + d.hard_rules]),
+        ("expectations", [e.formula for e in expectations if e.formula is not None]),
+        ("hypotheses", hypotheses),
+        ("delta constraints", delta_constraints),
+        *((f"utterance {u.id}'s content", [u.content]) for u in utterances),
+    ):
+        for f in formulas:
             if not is_ground(f):
-                raise ParseError(f"context formulas must be ground: {f}")
-    for e in expectations:
-        if e.formula is not None and not is_ground(e.formula):
-            raise ParseError(f"expectations must be ground: {e.formula}")
-    for h in hypotheses:
-        if not is_ground(h):
-            raise ParseError(f"hypotheses must be ground: {h}")
+                raise ParseError(f"{what} must be ground: {print_pattern(f)}")
     return Scenario(
         name=name,
         author=agents[0],

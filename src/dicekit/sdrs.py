@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import AmbiguousAntecedent, NoAntecedent, ValidationError
-from .formulas import Formula, Plan, RelAtom, SiteToken
+from .formulas import Atom, Const, Formula, Plan, RelAtom
 from .kb import KnowledgeBase
 
 MOODS = ("assertion", "imperative")
@@ -41,8 +41,13 @@ class UpdateSite:
     attach_to: str
     new: str
 
-    def token(self) -> SiteToken:
-        return SiteToken(self.tau, self.attach_to, self.new)
+    def token(self) -> Atom:
+        """The site atom `(site tau attach_to new)`."""
+        return Atom("site", (Const(self.tau), Const(self.attach_to), Const(self.new)))
+
+    def info(self) -> Atom:
+        """The site's content-summary atom `(info attach_to new)`."""
+        return Atom("info", (Const(self.attach_to), Const(self.new)))
 
 
 @dataclass(frozen=True)

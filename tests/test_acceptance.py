@@ -14,7 +14,7 @@ from conftest import scenario_path
 
 from dicekit import satcore
 from dicekit.axioms import isupport_atom, standard_axioms
-from dicekit.engine import DefaultRule, defeasible_closure, nonmon_yields
+from dicekit.engine import DefaultRule, Trace, defeasible_closure, nonmon_yields
 from dicekit.formulas import (
     Action,
     And,
@@ -137,17 +137,44 @@ def test_intention_update_drops_prefix_and_is_cumulative():
 # ------------------------------------------------------------------- closure
 
 
+def _conflict_motif(rng, names, tag):
+    """A default and a conflicting twin, as `perfbench`'s rulesys shapes draw
+    them, with the twin's triggers: a Penguin twin has a strictly stronger
+    antecedent (a conjunction, or an atom that a hard rule makes imply the
+    base antecedent), and a Nixon twin an incomparable one.  Returns the
+    rules, the hard rules and the triggers."""
+    a, b, c = (Atom(n) for n in rng.sample(names, 3))
+    concl = c if rng.random() < 0.5 else Not(c)
+    base = DefaultRule(f"{tag}a", (a,), concl)
+    hard, twin_ants, triggers = [], (b,), [a, b]
+    if rng.random() < 0.5:  # Penguin
+        if rng.random() < 0.5:
+            hard, triggers = [Implies(b, a)], [b]
+        else:
+            twin_ants = (a, b)
+    twin = DefaultRule(f"{tag}b", twin_ants, Not(c) if concl == c else c)
+    return [base, twin], hard, triggers
+
+
 def _random_ground_kb(rng):
     names = tuple(f"p{i}" for i in range(rng.randint(2, 8)))
     facts = []
     for _ in range(rng.randint(0, 2)):
         facts.append(reference.random_literal(rng, names))
-    facts = list(dict.fromkeys(facts))
     hard = []
     if rng.random() < 0.5:
         hard.append(
             Implies(reference.random_literal(rng, names), reference.random_literal(rng, names))
         )
+    motifs = []
+    if rng.random() < 0.5:  # arbitration: one or two defaults with conflicting twins
+        names = names + tuple(f"p{i}" for i in range(len(names), 3))
+        for k in range(rng.randint(1, 2)):
+            rules, motif_hard, triggers = _conflict_motif(rng, names, f"M{k}")
+            motifs += rules
+            hard += motif_hard
+            facts += triggers
+    facts = list(dict.fromkeys(facts))
     rules = []
     for i in range(rng.randint(1, 6)):
         compound = rng.random() < 0.3  # an `or`, unanchored: it binds nothing, and holds by entailment
@@ -165,7 +192,7 @@ def _random_ground_kb(rng):
                 hard=rng.random() < 0.2,
             )
         )
-    return names, facts, hard, tuple(rules)
+    return names, facts, hard, tuple(rules + motifs)
 
 
 def test_closure_matches_brute_force_reference_within_budget():
@@ -199,10 +226,11 @@ def test_closure_matches_brute_force_reference_within_budget():
     # randomized audit: closure facts, the two-closure yields test, and
     # insensitivity to rule order all track the brute-force reference
     rng = random.Random(731)
+    trace = Trace()
     for _ in range(200):
         names, facts, hard, rules = _random_ground_kb(rng)
         kb = _kb(facts, hard)
-        closed = defeasible_closure(kb, rules, ())
+        closed = defeasible_closure(kb, rules, (), trace=trace)
         got = {print_formula(f) for f in closed.kb.facts_at(())}
         want = {print_formula(f) for f in reference.ref_closure(facts, hard, rules)}
         assert got == want
@@ -216,6 +244,11 @@ def test_closure_matches_brute_force_reference_within_budget():
             reclosed = defeasible_closure(kb, shuffled, ())
             assert {print_formula(f) for f in reclosed.kb.facts_at(())} == got
 
+    # the audit reaches arbitration: specificity and scepticism are checked too
+    lines = trace.lines()
+    assert sum(s.mode == "Penguin" for s in trace.steps()) >= 10
+    assert sum(" defeated by more specific " in line for line in lines) >= 10
+    assert sum("sceptical stand-off" in line for line in lines) >= 10
     assert time.perf_counter() - t0 < CLOSURE_BUDGET
 
 

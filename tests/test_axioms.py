@@ -35,6 +35,7 @@ from dicekit.formulas import (
     RelAtom,
     parse_formula,
     print_formula,
+    print_pattern,
 )
 from dicekit.kb import KnowledgeBase
 from dicekit.sdrs import UpdateSite
@@ -101,17 +102,18 @@ def test_aps1_is_the_converse_schema():
 
 def test_intentionality_and_narration_shapes():
     intent = AX["Intentionality"]
-    assert print_formula(intent.consequent) == "(I A (and (site ?t ?x ?y) (info ?x ?y)))"
+    assert print_pattern(intent.consequent) == "(I A (and (site ?t ?x ?y) (info ?x ?y)))"
     narr = AX["Narration"]
-    assert print_formula(narr.consequent) == "(rel Narration ?x ?y)"
+    assert print_pattern(narr.consequent) == "(rel Narration ?x ?y)"
     assert narr.scope == "everywhere"
 
 
 def test_result_via_cause_shape():
     rvc = AX["ResultViaCause"]
-    # pattern variables in atom arguments print bare; site slots keep the marker
-    assert [print_formula(a) for a in rvc.antecedent] == ["(site ?t ?x ?y)", "(cause x y)"]
-    assert print_formula(rvc.consequent) == "(rel Result ?x ?y)"
+    # print_formula prints a pattern variable bare, print_pattern with its ?
+    assert [print_formula(a) for a in rvc.antecedent] == ["(site t x y)", "(cause x y)"]
+    assert [print_pattern(a) for a in rvc.antecedent] == ["(site ?t ?x ?y)", "(cause ?x ?y)"]
+    assert print_pattern(rvc.consequent) == "(rel Result ?x ?y)"
     assert rvc.scope == "everywhere"
 
 

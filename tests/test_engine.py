@@ -45,6 +45,7 @@ from dicekit.formulas import (
     metavariables,
     parse_formula,
     print_formula,
+    print_pattern,
 )
 from dicekit.kb import KnowledgeBase, Store
 
@@ -250,6 +251,10 @@ def test_a_compound_conjunct_whose_variables_nothing_else_binds_is_rejected():
     assert "Either" in str(err.value) and "(or (p ?x) (q ?x))" in str(err.value)
     with pytest.raises(ValidationError, match=r"leaves \?y unbound"):
         make_rule("Half", ["(p ?x)", "(or (q ?x) (q ?y))"], "(r ?x)")
+    # site and relation arguments print with their ?, as atom arguments do
+    with pytest.raises(ValidationError) as err:
+        make_rule("Rel", ["(or (rel Result ?x ?y) (site t ?x ?y))"], "(q ?x)")
+    assert "conjunct (or (rel Result ?x ?y) (site t ?x ?y)) leaves ?x, ?y unbound" in str(err.value)
     # a formula metavariable of no shape can stand for a compound formula
     with pytest.raises(ValidationError):
         make_rule("Bare", ["?phi"], "(B I ?phi)")
@@ -429,9 +434,9 @@ def _random_open_rule_system(rng):
     p and q; h, k and site occur only in hard rules, so a conjunct over them
     matches no stored fact and holds, if at all, through a hard rule.  A
     conjunct over p, q or rel can hold through a hard rule for one grounding
-    while a fact fits another.  site and rel bind their
-    variables as slots and p, q, h and k as terms, and half the rules share a
-    variable between the two kinds.  The store states random groundings of
+    while a fact fits another.  The slots are the site and rel conjuncts,
+    the terms those over p, q, h and k, and half the rules share a variable
+    between the two kinds.  The store states random groundings of
     the rules' own conjuncts, some of them negated, so that conjuncts often
     hold.  The constants the groundings draw on are returned with them."""
     consts = ("a", "b", "c")[: rng.randint(2, 3)]
@@ -517,7 +522,7 @@ def test_closure_of_rules_with_compound_conjuncts_matches_reference():
         widened = []
         for rule in rules:
             names = sorted(set().union(*(a.variables for a in rule.antecedent)))
-            ant = engine._pattern_str(rng.choice(rule.antecedent))
+            ant = print_pattern(rng.choice(rule.antecedent))
             compound = rng.choice(_COMPOUNDS).format(rng.choice(names), rng.choice(names), ant=ant)
             ants = list(rule.antecedent)
             ants.insert(rng.randint(0, len(ants)), parse_formula(compound))
@@ -559,7 +564,7 @@ def test_closing_along_a_lineage_matches_closing_afresh():
     retracted = hardened = 0
     for _ in range(60):
         kb, rules, consts = _random_open_rule_system(rng)
-        patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
+        patterns = [print_pattern(p) for r in rules for p in r.antecedent + (r.consequent,)]
 
         def grounding() -> str:
             return rng.choice(patterns).replace("?x", rng.choice(consts)).replace("?y", rng.choice(consts))
@@ -632,7 +637,7 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
     appended = strays = resumed = 0
     for _ in range(40):
         kb, rules, consts = _random_open_rule_system(rng)
-        patterns = [engine._pattern_str(p) for r in rules for p in r.antecedent + (r.consequent,)]
+        patterns = [print_pattern(p) for r in rules for p in r.antecedent + (r.consequent,)]
 
         def grounding() -> str:
             return rng.choice(patterns).replace("?x", rng.choice(consts)).replace("?y", rng.choice(consts))
@@ -652,7 +657,7 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
                     x, y = rng.choice(consts), rng.choice(consts)
 
                     def ground(p):
-                        return parse_formula(engine._pattern_str(p).replace("?x", x).replace("?y", y))
+                        return parse_formula(print_pattern(p).replace("?x", x).replace("?y", y))
 
                     rule = replace(rule, antecedent=tuple(map(ground, rule.antecedent)),
                                    consequent=ground(rule.consequent))
@@ -751,7 +756,7 @@ def test_rule_instances_bind_unmatched_conjuncts_from_the_store_atoms():
     assert rule_instances(rule, bare, ()) == []
     hard = kb_with(["seed"], hard=["(-> seed (p b))"])
     assert [i.key for i in rule_instances(rule, hard, ())] == ["{x=b}"]
-    # slots bind from the atoms as terms do
+    # a site atom's arguments bind from the atoms as any atom's do
     site = make_rule("S", ["(site ?t ?x ?y)"], "(open ?x)")
     tokens = kb_with(["(not (site t u0 u1))"])
     assert [i.key for i in rule_instances(site, tokens, ())] == ["{t=t, x=u0, y=u1}"]
@@ -896,8 +901,8 @@ def test_closure_reach_does_not_depend_on_the_number_of_constants():
 
 
 def test_closure_binds_variables_shared_by_slots_and_terms():
-    # site and rel bind slots to names, p binds terms to constants; a
-    # variable bound by one kind must still match the other
+    # a variable bound by a site or rel argument must still match where p
+    # meets it, and the other way round
     kb = kb_with(["seed", "(rel R b c)"], hard=["(-> seed (site t a b))", "(-> seed (p b))"])
     for ants, cons, want in (
         (["(site ?t ?x ?y)", "(rel R ?y ?z)"], "(q ?z)", "(q c)"),
@@ -1271,8 +1276,8 @@ def test_abduce_matches_no_fact_of_another_functor(monkeypatch):
 
 
 def test_abduce_binds_a_variable_shared_by_a_slot_and_a_term():
-    # the relation atom binds ?y as a slot (a bare name) and (q ?y ?z) as a
-    # term (a constant); the two must still match, as the plain atom's do
+    # the relation atom and (q ?y ?z) both bind ?y; the two must match, as
+    # the plain atom's do
     for cons, stated in (("(rel Result ?x ?y)", "(rel Result a b)"), ("(r ?x ?y)", "(r a b)")):
         rule = make_rule("R", ["(p ?y)", "(q ?y ?z)"], cons, abducible=frozenset({0}))
         results = abduce(kb_with([stated, "(q b c)"]), rule, ())

@@ -29,12 +29,10 @@ from dicekit.formulas import (
     Iff,
     Imp,
     Implies,
-    InfoToken,
     Not,
     Or,
     Plan,
     RelAtom,
-    SiteToken,
     Var,
     Yields,
     conj,
@@ -46,6 +44,7 @@ from dicekit.formulas import (
     metavariables,
     parse_formula,
     print_formula,
+    print_pattern,
     subformulas,
     substitute,
 )
@@ -74,8 +73,8 @@ leaves = st.one_of(
     generics,
     st.builds(Doing, plans),
     st.builds(Done, plans),
-    st.builds(SiteToken, NAMES, NAMES, NAMES),
-    st.builds(InfoToken, NAMES, NAMES),
+    st.builds(lambda t, a, b: Atom("site", (Const(t), Const(a), Const(b))), NAMES, NAMES, NAMES),
+    st.builds(lambda a, b: Atom("info", (Const(a), Const(b))), NAMES, NAMES),
     st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, NAMES, NAMES),
 )
 
@@ -98,10 +97,10 @@ def compounds(kids):
 
 formulas = st.recursive(leaves, compounds, max_leaves=10)
 
-# rule patterns: ?-variables in terms, ?-slots in tokens and relations,
-# formula metavariables, and generics with or without a free variable
+# rule patterns: ?-variables in atom and relation arguments, formula
+# metavariables, and generics with or without a free variable
 TERMS = st.one_of(NAMES.map(Const), st.sampled_from(("x", "y")).map(Var))
-SLOTS = st.one_of(NAMES, st.sampled_from(("?x", "?y")))
+REL_ARGS = st.one_of(NAMES, st.sampled_from(("x", "y")).map(Var))
 open_generics = st.builds(
     lambda p, t, q, phi: Generic(
         "x",
@@ -118,9 +117,9 @@ pattern_leaves = st.one_of(
     open_generics,
     st.builds(lambda pred, args: Atom(pred, tuple(args)), NAMES, st.lists(TERMS, max_size=3)),
     st.builds(FVar, st.sampled_from(("phi", "psi")), st.sampled_from((None, "doing", "done"))),
-    st.builds(SiteToken, SLOTS, SLOTS, SLOTS),
-    st.builds(InfoToken, SLOTS, SLOTS),
-    st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, SLOTS, SLOTS),
+    st.builds(lambda t, a, b: Atom("site", (t, a, b)), TERMS, TERMS, TERMS),
+    st.builds(lambda a, b: Atom("info", (a, b)), TERMS, TERMS),
+    st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, REL_ARGS, REL_ARGS),
 )
 patterns = st.recursive(pattern_leaves, compounds, max_leaves=10)
 
@@ -247,6 +246,13 @@ def test_malformed_forms_rejected(text):
         parse_formula(text)
 
 
+def test_site_and_info_atoms_keep_their_arity_errors():
+    for text, n in (("(site tau a)", 3), ("(site tau a (b))", 3), ("(info a b c)", 2)):
+        with pytest.raises(ParseError) as e:
+            parse_formula(text)
+        assert str(e.value) == f"{text[1:5]} takes {n} symbols, got {text}"
+
+
 def test_generic_variable_must_be_free_on_both_sides():
     with pytest.raises(ValidationError):
         parse_formula("(forall x (> p q))")
@@ -259,7 +265,9 @@ def test_comments_are_skipped():
 def test_metavariable_parsing():
     assert parse_formula("(W A ?phi)") == Att("W", "A", FVar("phi"))
     assert parse_formula("?f:doing") == FVar("f", "doing")
-    assert parse_formula("(site ?t ?x ?y)") == SiteToken("?t", "?x", "?y")
+    assert parse_formula("(site ?t ?x ?y)") == Atom("site", (Var("t"), Var("x"), Var("y")))
+    assert parse_formula("(info ?x b)") == Atom("info", (Var("x"), Const("b")))
+    assert parse_formula("(rel Result ?x b)") == RelAtom("Result", (Var("x"), "b"))
     assert parse_formula("(p ?x bill)") == Atom("p", (Var("x"), Const("bill")))
 
 
@@ -326,8 +334,14 @@ def test_free_variables_respect_generic_binding():
 
 
 def test_metavariables_cover_tokens_and_relations():
-    assert metavariables(parse_formula("(site ?t ?x ?y)")) == frozenset({"t", "x", "y"})
-    assert metavariables(parse_formula("(rel Result ?x ?y)")) == frozenset({"x", "y"})
+    # a ? argument of a site, info or relation atom is a free term variable,
+    # which a match must bind
+    for text, names in (("(site ?t ?x ?y)", {"t", "x", "y"}), ("(info ?x b)", {"x"}),
+                        ("(rel Result ?x ?y)", {"x", "y"})):
+        f = parse_formula(text)
+        assert metavariables(f) == frozenset()
+        assert free_variables(f) == f.variables == frozenset(names)
+        assert not f.ground
     assert metavariables(parse_formula("(W A ?phi)")) == frozenset({"phi"})
     assert metavariables(parse_formula("(p a)")) == frozenset()
 
@@ -344,6 +358,18 @@ def test_subformulas_walks_every_node():
 def test_substitute_replaces_free_variables():
     f = parse_formula("(p ?x ?y)")
     assert substitute(f, {"x": "a"}) == Atom("p", (Const("a"), Var("y")))
+    # a relation atom's argument is a name, not a constant
+    rel = parse_formula("(rel Result ?x ?y)")
+    assert substitute(rel, {"x": "a"}) == RelAtom("Result", ("a", Var("y")))
+
+
+def test_print_pattern_marks_every_pattern_variable():
+    for text in ("(p ?x bill)", "(site ?t ?x ?y)", "(info ?x ?y)", "(rel Result ?x beta)",
+                 "(B A (and (q ?x) ?phi))", "(I A ?f:doing)", "(forall x (> (p x) (q x ?y)))"):
+        assert print_pattern(parse_formula(text)) == text
+    # a ground formula prints as print_formula prints it
+    ground = parse_formula("(and (site t a b) (rel Result a b))")
+    assert print_pattern(ground) == print_formula(ground)
 
 
 def test_substitute_respects_generic_shadowing():
@@ -363,10 +389,13 @@ def test_match_binds_formula_metavariables():
 
 
 def test_match_binds_slots_and_terms():
-    b = match(parse_formula("(site ?t ?x ?y)"), SiteToken("tau1", "alpha", "beta"))
-    assert b == {"t": "tau1", "x": "alpha", "y": "beta"}
+    # site and relation arguments bind constants, as an atom's arguments do
+    b = match(parse_formula("(site ?t ?x ?y)"), parse_formula("(site tau1 alpha beta)"))
+    assert b == {"t": Const("tau1"), "x": Const("alpha"), "y": Const("beta")}
     b2 = match(parse_formula("(p ?x)"), parse_formula("(p bill)"))
     assert b2 == {"x": Const("bill")}
+    b3 = match(parse_formula("(rel Result ?x ?y)"), parse_formula("(rel Result alpha beta)"))
+    assert b3 == {"x": Const("alpha"), "y": Const("beta")}
 
 
 def test_match_rejects_conflicting_rebinding():
@@ -448,14 +477,10 @@ def _shaped(shapes: set[str] | None):
 @settings(max_examples=300)
 @given(patterns, st.data())
 def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
-    # a slot binds a name and a term a constant, so a variable must be one
-    # or the other for the binding to match back as it was
-    slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
-    assume(not slots & terms)
+    # a term variable binds a constant in every argument position
     shapes = _shapes(p)
     assume(all(len(s) == 1 for s in shapes.values()))  # no formula has two shapes
-    b: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
-    b.update((name, data.draw(NAMES)) for name in sorted(slots))
+    b: dict = {name: Const(data.draw(NAMES)) for name in sorted(free_variables(p))}
     for name in sorted(p.fvar_names):
         b[name] = data.draw(_shaped(shapes.get(name)))
     fact = instantiate(p, b)
@@ -466,10 +491,11 @@ def test_a_pattern_matches_each_grounding_back_to_its_binding(p, data):
 
 
 def test_a_bound_slot_name_matches_a_term_of_that_name():
-    # (site ?t ?x ?y) binds its slots to bare names, and (cause ?x ?y) meets
-    # them in term positions: one call compares them by name
-    b = match(parse_formula("(site ?t ?x ?y)"), parse_formula("(site t a b)"))
-    assert b == {"t": "t", "x": "a", "y": "b"}
+    # (rel Result ?x ?y) binds its names as constants, and (cause ?x ?y)
+    # meets them in term positions, as (site ?t ?x ?y)'s bindings meet them
+    b = match(parse_formula("(rel Result ?x ?y)"), parse_formula("(rel Result a b)"))
+    assert b == {"x": Const("a"), "y": Const("b")}
+    assert match(parse_formula("(site ?t ?x ?y)"), parse_formula("(site t a b)"), b) == {**b, "t": Const("t")}
     cause = parse_formula("(cause ?x ?y)")
     assert match(cause, parse_formula("(cause a b)"), b) == b
     assert match(cause, parse_formula("(cause b a)"), b) is None
@@ -496,8 +522,8 @@ def _match_rendered(pat: Formula, f: Formula, b: dict) -> dict | None:
 
 
 def _renderings(value) -> tuple:
-    """Values of the same printed name, as a slot, a term or a metavariable
-    would bind it."""
+    """Values of the same printed name, as a caller's bare name, a term or a
+    metavariable would bind it."""
     if isinstance(value, Formula):
         return value, value.key, Const(value.key)
     return str(value), Const(str(value)), Atom(str(value))
@@ -509,10 +535,8 @@ def test_match_under_a_binding_agrees_with_matching_afresh_and_comparing_names(p
     # the fact is a grounding of the pattern or any formula; the binding
     # holds some of the grounding's values, as any position would bind them,
     # and some other names
-    slots, terms = metavariables(p) - p.fvar_names, free_variables(p)
     shapes = _shapes(p)
-    g: dict = {name: Const(data.draw(NAMES)) for name in sorted(terms)}
-    g.update((name, data.draw(NAMES)) for name in sorted(slots - terms))
+    g: dict = {name: Const(data.draw(NAMES)) for name in sorted(free_variables(p))}
     for name in sorted(p.fvar_names):
         g[name] = data.draw(_shaped(shapes.get(name)))
     fact = instantiate(p, g) if data.draw(st.booleans()) else data.draw(formulas)
@@ -551,7 +575,7 @@ SAMPLES = (
     Or((Atom("p"), Atom("q"))), Implies(Atom("p"), Atom("q")), Iff(Atom("p"), Atom("q")),
     Default(Atom("p"), Atom("q")), parse_formula("(forall x (> (p x) (q x)))"), Att("B", "A", Atom("p")),
     Doing(Plan((Action("go"),))), Done(Plan((Action("go"),))), Eventually(Atom("p")), Can(Atom("p")),
-    Imp(Atom("p")), SiteToken("t", "a", "b"), InfoToken("a", "b"), RelAtom("Result", ("a", "b")),
+    Imp(Atom("p")), RelAtom("Result", ("a", "b")),
     Yields(Atom("p"), Atom("q")),
 )
 

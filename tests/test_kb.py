@@ -29,6 +29,15 @@ def test_assert_fact_requires_ground_literals():
         kb.assert_fact((), parse_formula("(-> p q)"))
 
 
+def test_groundness_errors_show_their_pattern_variables():
+    with pytest.raises(ValidationError, match=r"^facts must be ground: \(B I \(p \?x\)\)$"):
+        kb0().assert_fact((), parse_formula("(B I (p ?x))"))
+    with pytest.raises(ValidationError, match=r"^facts must be ground: \(rel Result a \?y\)$"):
+        kb0().assert_fact((), parse_formula("(rel Result a ?y)"))
+    with pytest.raises(ValidationError, match=r"^hard rules must be ground: \(-> \(site \?t a b\) q\)$"):
+        kb0().add_hard_rule((), parse_formula("(-> (site ?t a b) q)"))
+
+
 def test_assert_fact_splits_conjunctions():
     kb = kb0().assert_fact((), parse_formula("(and p (not q))"))
     assert kb.facts_at(()) == (Atom("p"), Not(Atom("q")))

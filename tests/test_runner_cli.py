@@ -267,6 +267,16 @@ def test_cli_writes_report(tmp_path, capsys):
     assert json.loads(out.read_text())["exit_code"] == 0
 
 
+def test_cli_unwritable_report_path_exits_3(tmp_path, capsys):
+    # exit 1 is kept for a failed verdict expectation
+    for out in (tmp_path / "no-such-dir" / "report.json", tmp_path):
+        code = main(["run", scenario_path("plan_progress"), "--report", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, out
+        assert err.startswith("error:") and str(out) in err, out
+        assert "Traceback" not in err
+
+
 def test_cli_missing_file_exits_3(capsys):
     code = main(["run", "no-such-scenario.scn"])
     err = capsys.readouterr().err

@@ -217,6 +217,28 @@ def test_malformed_scenarios_raise(text, message):
         loads(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("context [] { fact (B I (p ?x)) }", "context formulas must be ground: (B I (p ?x))"),
+        ("context [A] { hard (-> (site ?t a b) q) }", "context formulas must be ground: (-> (site ?t a b) q)"),
+        ("expect (q ?x)", "expectations must be ground: (q ?x)"),
+        ("expect not (rel Result ?x b)", "expectations must be ground: (rel Result ?x b)"),
+        ("hypothesis (and p (q ?y))", "hypotheses must be ground: (and p (q ?y))"),
+        ("option delta-constraint (not (bad ?x))", "delta constraints must be ground: (not (bad ?x))"),
+        ("utterance a assertion (p ?x)", "utterance a's content must be ground: (p ?x)"),
+        ("utterance b imperative (R (plan go)) utterance c assertion (W A ?phi)",
+         "utterance c's content must be ground: (W A ?phi)"),
+    ],
+)
+def test_groundness_errors_show_their_pattern_variables(text, message):
+    # a pattern variable prints with its ?, so the formula does not look
+    # ground; a non-ground utterance is rejected as the scenario loads
+    with pytest.raises(ParseError) as err:
+        loads("agents A I " + text)
+    assert str(err.value) == message
+
+
 def test_an_unknown_metavariable_shape_is_rejected_when_the_scenario_loads():
     # only ?f:doing and ?f:done exist; the rule is rejected as it loads, not when a
     # closure first matches it, which a store with no atoms never does

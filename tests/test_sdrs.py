@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dicekit.errors import AmbiguousAntecedent, NoAntecedent, ValidationError
-from dicekit.formulas import Action, Atom, Not, Plan, RelAtom, SiteToken
+from dicekit.formulas import Action, Atom, Not, Plan, RelAtom, parse_formula
 from dicekit.kb import KnowledgeBase
 from dicekit.sdrs import (
     Attachment,
@@ -45,7 +45,9 @@ def test_duplicate_constituent_ids_rejected():
 
 
 def test_update_site_token():
-    assert UpdateSite("tau1", "a", "b").token() == SiteToken("tau1", "a", "b")
+    site = UpdateSite("tau1", "a", "b")
+    assert site.token() == parse_formula("(site tau1 a b)")
+    assert site.info() == parse_formula("(info a b)")
 
 
 def test_attach_requires_the_site_pair():
