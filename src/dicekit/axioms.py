@@ -27,24 +27,24 @@ from .engine import (
     anchored_conjuncts,
     bind,
     closed_pair,
+    entailed_instance,
     holds,
     make_rule,
 )
 from .errors import ValidationError
 from .formulas import (
-    And,
     Atom,
     Att,
     Can,
     Const,
     Doing,
-    Eventually,
     Formula,
     Generic,
     Not,
     Plan,
     RelAtom,
-    Yields,
+    Var,
+    cached_attr,
     conj,
     conjuncts,
     instantiate,
@@ -259,10 +259,6 @@ def isupport_atom(x: str, y: str) -> Formula:
     return Atom("isupport", (Const(x), Const(y)))
 
 
-def update_content(site: UpdateSite) -> Formula:
-    return And((site.token(), site.info()))
-
-
 def collect_generics(kb: KnowledgeBase, path: ContextPath = ()) -> tuple[Generic, ...]:
     store = kb.store_at(path)
     out: dict[str, Generic] = {}
@@ -278,13 +274,28 @@ def collect_generics(kb: KnowledgeBase, path: ContextPath = ()) -> tuple[Generic
 
 @dataclass(frozen=True)
 class SupportCheck:
+    """The outcome of `isupport_holds`.  Its three clauses are the antecedent
+    of IntendsToSupport under `binding`, each built on first read: the
+    pipeline reads only the belief clause of a check that holds."""
+
     supporter: str
     supported: str
     ok: bool
-    want: Formula
-    believe_absent: Formula
-    belief_clause: Formula
     lazy_verified: bool  # belief clause held only via nested hypothetical closure
+    antecedent: tuple[Formula, ...]
+    binding: Mapping[str, Formula]
+
+    @cached_attr
+    def want(self) -> Formula:
+        return instantiate(self.antecedent[0], self.binding)
+
+    @cached_attr
+    def believe_absent(self) -> Formula:
+        return instantiate(self.antecedent[1], self.binding)
+
+    @cached_attr
+    def belief_clause(self) -> Formula:
+        return instantiate(self.antecedent[2], self.binding)
 
 
 def isupport_holds(
@@ -297,18 +308,22 @@ def isupport_holds(
     *,
     ctx: EvalContext | None = None,
 ) -> SupportCheck:
-    """Check the three definitional clauses of intentional support."""
-    A, I = axioms.author, axioms.interpreter
-    target = Att("B", I, contents[supported])
-    want = Att("W", A, target)
-    believe_absent = Att("B", A, Not(target))
-    belief_clause = Att("B", A, Yields(update_content(site), Eventually(target)))
-    if not (holds(kb, (), want) and holds(kb, (), believe_absent)):
-        return SupportCheck(supporter, supported, False, want, believe_absent, belief_clause, False)
-    if holds(kb, (), belief_clause):
-        return SupportCheck(supporter, supported, True, want, believe_absent, belief_clause, False)
-    ok = holds(kb, (), belief_clause, ctx) if ctx is not None else False
-    return SupportCheck(supporter, supported, ok, want, believe_absent, belief_clause, ok)
+    """Check the three definitional clauses of intentional support: the
+    antecedent of IntendsToSupport, its target bound to the supported
+    content and its update to the site's content.  Each clause is opaque,
+    so the root entails it only as one of its atoms, looked up without
+    building it (`entailed_instance`); the belief clause is built to be
+    verified by nested closure when it is not entailed."""
+    b = {"target": contents[supported], "update": site.content}
+    antecedent = axioms["IntendsToSupport"].antecedent
+    want, absent, clause = antecedent
+    if entailed_instance(kb, (), want, b) is None or entailed_instance(kb, (), absent, b) is None:
+        ok = lazy = False
+    elif entailed_instance(kb, (), clause, b) is not None:
+        ok, lazy = True, False
+    else:
+        ok = lazy = ctx is not None and holds(kb, (), instantiate(clause, b), ctx)
+    return SupportCheck(supporter, supported, ok, lazy, antecedent, b)
 
 
 # ------------------------------------------------------------------- cooperation
@@ -443,15 +458,16 @@ def apply_support_relation(
     return None
 
 
+_CAUSE = Atom("cause", (Var("x"), Var("y")))
+
+
 def result_via_cause(
     kb: KnowledgeBase, site: UpdateSite, path: ContextPath = ()
 ) -> tuple[RelAtom, Formula] | None:
     """Thin checker for the cause-based Result default (the closure fires it):
-    the Result atom and the cause fact that justifies it, or None."""
-    cause = Atom("cause", (Const(site.attach_to), Const(site.new)))
-    if kb.entails(path, cause):
-        return RelAtom("Result", (site.attach_to, site.new)), cause
-    return None
+    the Result atom and the cause atom that justifies it, or None."""
+    cause = entailed_instance(kb, path, _CAUSE, {"x": Const(site.attach_to), "y": Const(site.new)})
+    return None if cause is None else (RelAtom("Result", (site.attach_to, site.new)), cause)
 
 
 # ----------------------------------------------------------- belief transmission
@@ -464,22 +480,23 @@ def belief_property_rules(
     contents: Mapping[str, Formula],
 ) -> tuple[DefaultRule, ...]:
     """Ground belief-property instances for an attachment pair, one per
-    relation atom the pair could acquire."""
+    relation atom the pair could acquire.  The interpreter's belief in each
+    content is built once, and the three rules share it."""
     I = axioms.interpreter
-    cx, cy = contents[x], contents[y]
+    bx, by = Att("B", I, contents[x]), Att("B", I, contents[y])
 
-    def mk(rel: str, a: str, b: str, ca: Formula, cb: Formula) -> DefaultRule:
+    def mk(rel: str, a: str, b: str, ba: Formula, bb: Formula) -> DefaultRule:
         return DefaultRule(
             name=f"BeliefProperty-{rel}@{a},{b}",
-            antecedent=(Att("B", I, ca), RelAtom(rel, (a, b))),
-            consequent=Att("B", I, cb),
+            antecedent=(ba, RelAtom(rel, (a, b))),
+            consequent=bb,
             scope="everywhere",
         )
 
     return (
-        mk("Result", x, y, cx, cy),
-        mk("Evidence", x, y, cx, cy),
-        mk("Evidence", y, x, cy, cx),
+        mk("Result", x, y, bx, by),
+        mk("Evidence", x, y, bx, by),
+        mk("Evidence", y, x, by, bx),
     )
 
 

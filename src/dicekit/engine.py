@@ -19,13 +19,16 @@ groundings that hold through a hard rule alone.  Other conjuncts (an `or`,
 say) can hold with no atom at all, so they bind nothing: a rule is
 range-restricted, every variable of such a conjunct occurring in an anchored
 one (Datalog's safety condition, checked by `DefaultRule`), and `holds` checks
-them once the anchored conjuncts have bound them.  A ground rule binds nothing:
-it is its own one instance once each anchored conjunct has an anchor among
-the atoms (see `rule_instances`).  Abduction, whose hypotheses
-need not hold, binds from the facts and, for a formula metavariable that no
-fact binds, from the candidate pool; a variable that nothing binds yields no
-hypothesis, whatever the number of constants.  A pattern meets only the atoms
-or facts of its functor (see `_candidates`).
+them once the anchored conjuncts have bound them.  A grounded pattern that is
+only looked up among the atoms is not built: its key comes from
+`formulas.ground_key`, and an instance's opaque antecedent conjuncts are the
+store's own atoms (see `rule_instances` and `entailed_instance`).  A ground
+rule binds nothing: it is its own one instance once each anchored conjunct
+has an anchor among the atoms (see `rule_instances`).  Abduction, whose
+hypotheses need not hold, binds from the facts and, for a formula
+metavariable that no fact binds, from the candidate pool; a variable that
+nothing binds yields no hypothesis, whatever the number of constants.  A
+pattern meets only the atoms or facts of its functor (see `_candidates`).
 
 `yields` atoms are evaluated lazily: when a driver or abduction needs
 (yields f g) at a path, the engine closes the store there with and without f
@@ -92,6 +95,7 @@ from .formulas import (
     Yields,
     cached_attr,
     conjuncts,
+    ground_key,
     instantiate,
     is_ground,
     match,
@@ -283,6 +287,22 @@ def holds(kb: KnowledgeBase, path: ContextPath, f: Formula, ctx: EvalContext | N
             return False
 
 
+def entailed_instance(kb: KnowledgeBase, path: ContextPath, pattern: Formula, b: Binding) -> Formula | None:
+    """The instance of an opaque pattern (see `formulas.sat_atomic`) under a
+    binding when the store at path entails it, else None.  A satisfiable
+    store entails an opaque formula only if it is one of the store's atoms
+    (the argument of `_anchors`), so the instance is looked up among them
+    by its `ground_key`, nothing is built, and what is returned is the
+    store's own atom.  An unsatisfiable store entails every formula, so
+    there the instance is built and asked."""
+    store = kb.store_at(path)
+    if store.compiled.sat:
+        atom = store.atoms.get(ground_key(pattern, b))
+        return atom if atom is not None and store.entails(atom) else None
+    f = instantiate(pattern, b)
+    return f if store.entails(f) else None
+
+
 def closed_pair(
     kb: KnowledgeBase, path: ContextPath, added: Formula, ctx: EvalContext
 ) -> tuple[KnowledgeBase, KnowledgeBase]:
@@ -406,18 +426,6 @@ def _extend_bindings(pat: Formula, bindings, facts: Atoms, fvar_pool=None):
     return list(out.values())
 
 
-def _ground_key(anchor: Formula, b: Binding) -> str | None:
-    """The key of an anchor grounded by a binding that binds its variables;
-    None when the binding cannot ground it (a formula metavariable bound
-    to a constant)."""
-    if not anchor.variables:
-        return anchor.key
-    try:
-        return instantiate(anchor, b).key
-    except ValidationError:
-        return None
-
-
 def _candidates(pat: Formula, atoms: Atoms):
     """The formulas a pattern can match: those of its functor, or all."""
     keys, index = atoms
@@ -429,14 +437,21 @@ def _bind_conjunct(bindings, pat: Formula, anchors, atoms: Atoms, old: Container
     """Extend each binding by one anchored conjunct from the atoms, less any
     whose key is in `old`.  A conjunct the binding already grounds binds
     nothing, and the binding stays only if one of the grounded anchors is
-    among the atoms: otherwise the conjunct cannot hold."""
-    out: dict[str, Binding] = {}
+    among the atoms, looked up by its `ground_key`: otherwise the conjunct
+    cannot hold.  The bindings bind the same variables, so a binding is
+    told from another by its values, in one order of its variables."""
+    out: dict[tuple, Binding] = {}
+    names = None
     for b in bindings:
         if pat.variables <= b.keys():
             for anchor in anchors:
-                key = _ground_key(anchor, b)
+                try:
+                    key = ground_key(anchor, b)
+                except ValidationError:  # a formula metavariable bound to a constant
+                    continue
                 if key in atoms[0] and key not in old:
-                    out.setdefault(render_binding(b), b)
+                    names = names or sorted(b)
+                    out.setdefault(tuple([b[n] for n in names]), b)
                     break
             continue
         for anchor in anchors:
@@ -445,7 +460,8 @@ def _bind_conjunct(bindings, pat: Formula, anchors, atoms: Atoms, old: Container
                     continue
                 m = match(anchor, atom, b)
                 if m is not None:
-                    out.setdefault(render_binding(m), m)
+                    names = names or sorted(m)
+                    out.setdefault(tuple([m[n] for n in names]), m)
     return list(out.values())
 
 
@@ -491,8 +507,11 @@ def rule_instances(
     given `new`, from the new ones among them: at a satisfiable store no
     other instance holds, and at an unsatisfiable one every consequent
     holds already, so no instance applies.  A rule with a builtin hands
-    each binding to it, which builds the instance.  `anchored` is the
-    rule's `anchored_conjuncts`, when the caller keeps them.
+    each binding to it, which builds the instance.  Any other instance
+    takes each opaque antecedent conjunct from the store's atoms, by its
+    `ground_key`, and builds only its other conjuncts, its consequent and
+    its negation-as-absence premises.  `anchored` is the rule's
+    `anchored_conjuncts`, when the caller keeps them.
 
     A ground rule (see `DefaultRule.ground`) is its own one instance, with
     the empty binding, when each anchored conjunct has an anchor among the
@@ -500,9 +519,9 @@ def rule_instances(
     It ignores `new`, so it may return the instance a caller already has
     from an earlier binding, which the closure skips by its key."""
     store = kb.store_at(path)
+    atoms = store.atoms
     anchored = anchored_conjuncts(rule.antecedent) if anchored is None else anchored
     if rule.ground:
-        atoms = store.atoms
         for _, anchors in anchored:
             for anchor in anchors:
                 if anchor.key in atoms:
@@ -511,12 +530,12 @@ def rule_instances(
                 return []
         return [_Inst(rule, {}, rule.antecedent, rule.consequent, "{}", rule.absent)]
     insts = []
-    for key, b in sorted(bind(anchored, (store.atoms, store.by_functor), new).items()):
+    for key, b in sorted(bind(anchored, (atoms, store.by_functor), new).items()):
         if rule.builtin:
             insts.extend(_BUILTINS[rule.builtin](rule, b))
             continue
         try:
-            ants = tuple(p if not p.variables else instantiate(p, b) for p in rule.antecedent)
+            ants = tuple(_ground_antecedent(p, b, atoms) for p in rule.antecedent)
             cons = rule.consequent if not rule.consequent.variables else instantiate(rule.consequent, b)
             absent = tuple(instantiate(p, b) for p in rule.absent)
         except ValidationError:
@@ -525,6 +544,18 @@ def rule_instances(
             continue
         insts.append(_Inst(rule, b, ants, cons, key, absent))
     return insts
+
+
+def _ground_antecedent(p: Formula, b: Binding, atoms) -> Formula:
+    """An antecedent conjunct grounded by a binding: an opaque one is the
+    store's own atom of its `ground_key` (`bind` found each anchored one
+    among the atoms, unless it is an eventuality that holds through its
+    body), and any other is built."""
+    if sat_atomic(p):
+        atom = atoms.get(ground_key(p, b))
+        if atom is not None:
+            return atom
+    return p if not p.variables else instantiate(p, b)
 
 
 def _intention_update(rule: DefaultRule, b: Binding) -> tuple[_Inst, ...]:

@@ -33,10 +33,14 @@ variables (`Formula.variables` and `Formula.fvar_names`) and its functor
 literals (`Formula.literals`), which `satcore` reads.  The key also gives
 the node's hash, so a set or dict lookup reads no child.  Equality stays
 structural: `(p ?x)` and `(p x)` print alike and so hash alike, but differ,
-so a key stands in for equality only between ground formulas.
+so a key stands in for equality only between ground formulas.  `ground_key`
+prints, with the same per-class printer, the key a pattern would have once
+instantiated, so that a grounded pattern is looked up among a store's atoms
+without being built.
 
-Every walk over a node (`children`, printing, groundness, `free_variables`,
-`metavariables`, `substitute`, `match`, `instantiate` and the functor)
+Every walk over a node (`children`, printing, groundness, the variables,
+`free_variables`, `substitute`, `match`, `instantiate`, `ground_key` and the
+functor)
 dispatches once on `type(node)` through a table with one entry per node
 class, instead of trying a cascade of structural `match` cases in turn.  A
 node class missing from a table raises `KeyError` rather than falling
@@ -153,8 +157,8 @@ class Formula:
     @cached_attr
     def variables(self) -> frozenset[str]:
         """What a match must bind: the free term variables and the formula
-        metavariables."""
-        return metavariables(self) | free_variables(self)
+        metavariables, from the children's cached sets."""
+        return _VARIABLES[type(self)](self)
 
     @cached_attr
     def functor(self) -> tuple | None:
@@ -168,8 +172,9 @@ class Formula:
 
     @cached_attr
     def fvar_names(self) -> frozenset[str]:
-        """The names of the formula metavariables."""
-        return frozenset(g.name for g in subformulas(self) if isinstance(g, FVar))
+        """The names of the formula metavariables, from the children's
+        cached sets."""
+        return _FVAR_NAMES[type(self)](self)
 
     @cached_attr
     def literals(self) -> tuple[tuple[str, int], ...] | None:
@@ -305,7 +310,8 @@ class Imp(Formula):
 @dataclass(frozen=True)
 class RelAtom(Formula):
     """A discourse relation between two constituents: names in a ground
-    atom, a `Var` where a pattern has a `?` argument."""
+    atom, a `Var` where a pattern has a `?` argument or a generic its own
+    variable."""
 
     rel: str
     args: tuple[str | Var, ...]
@@ -421,7 +427,8 @@ def from_sexp(form, bound: frozenset[str] = frozenset()) -> Formula:
     if head == "rel":
         if len(rest) != 3 or not all(isinstance(x, str) for x in rest):
             raise ParseError(f"(rel Name alpha beta) expected, got {sexp.write(form)}")
-        return RelAtom(rest[0], tuple([Var(x[1:]) if _is_metavar(x) else x for x in rest[1:]]))
+        args = [_parse_term(x, bound) for x in rest[1:]]
+        return RelAtom(rest[0], tuple([t if type(t) is Var else t.name for t in args]))
     if head == "yields":
         if len(rest) != 2:
             raise ParseError("yields takes two formulas")
@@ -465,21 +472,25 @@ def print_formula(f: Formula) -> str:
 
 def _render(f: Formula) -> str:
     """One node's printed form, from its children's keys."""
-    return _RENDER[type(f)](f)
+    return _RENDER[type(f)](f, str)
 
 
+# Each case prints a node from the printed form `key` gives each child, a
+# sub-formula or an argument: `str` for a node's own key (a formula prints as
+# its key, a term or a relation argument as its name), and the printed form
+# under a binding for `ground_key`.
 _HEADS = {Not: "not", Eventually: "eventually", Can: "can", Imp: "imp", And: "and", Or: "or",
           Implies: "->", Iff: "<->", Default: ">", Yields: "yields", Doing: "R", Done: "D"}
 _RENDER = _cases(
-    lambda f: f"({_HEADS[type(f)]} {f.body.key})",
-    lambda f: f"({_HEADS[type(f)]} {f.left.key} {f.right.key})",
-    lambda f: f"({_HEADS[type(f)]} " + " ".join([p.key for p in f.parts]) + ")",
-    lambda f: f"({_HEADS[type(f)]} {f.plan})", {
-        Atom: lambda f: "(" + " ".join([f.pred, *[t.name for t in f.args]]) + ")" if f.args else f.pred,
-        FVar: lambda f: f"?{f.name}:{f.shape}" if f.shape else f"?{f.name}",
-        Generic: lambda f: f"(forall {f.var} (> {f.antecedent.key} {f.consequent.key}))",
-        Att: lambda f: f"({f.kind} {f.agent} {f.body.key})",
-        RelAtom: lambda f: f"(rel {f.rel} {f.args[0]} {f.args[1]})"})
+    lambda f, key: f"({_HEADS[type(f)]} {key(f.body)})",
+    lambda f, key: f"({_HEADS[type(f)]} {key(f.left)} {key(f.right)})",
+    lambda f, key: f"({_HEADS[type(f)]} " + " ".join([key(p) for p in f.parts]) + ")",
+    lambda f, key: f"({_HEADS[type(f)]} {f.plan})", {
+        Atom: lambda f, key: "(" + " ".join([f.pred, *[key(t) for t in f.args]]) + ")" if f.args else f.pred,
+        FVar: lambda f, key: f"?{f.name}:{f.shape}" if f.shape else f"?{f.name}",
+        Generic: lambda f, key: f"(forall {f.var} (> {key(f.antecedent)} {key(f.consequent)}))",
+        Att: lambda f, key: f"({f.kind} {f.agent} {key(f.body)})",
+        RelAtom: lambda f, key: f"(rel {f.rel} {key(f.args[0])} {key(f.args[1])})"})
 
 
 # ------------------------------------------------------------------- structure walks
@@ -521,16 +532,26 @@ _FREE = _cases(_free_in_children, _free_in_children, _free_in_children, _no_name
 
 def metavariables(f: Formula) -> frozenset[str]:
     """Names of the formula metavariables."""
-    return _META[type(f)](f)
+    return f.fvar_names
 
 
-def _meta_in_children(f: Formula) -> frozenset[str]:
-    return _NONE.union(*[_META[type(c)](c) for c in children(f)])
+def _cached_union(attr: str, singles: dict) -> dict:
+    """A table of one node's `attr`, a set of names, as the union of its
+    children's cached sets (`singles` gives the other classes' cases)."""
+    get = attrgetter(attr)
+    return _cases(lambda f: get(f.body), lambda f: get(f.left) | get(f.right),
+                  lambda f: _NONE.union(*map(get, f.parts)), _no_names, singles)
 
 
-_META = _cases(_meta_in_children, _meta_in_children, _meta_in_children, _no_names, {
-    Atom: _no_names, FVar: lambda f: frozenset([f.name]), Generic: _meta_in_children, Att: _meta_in_children,
-    RelAtom: _no_names})
+_FVAR_NAMES = _cached_union("fvar_names", {
+    Atom: _no_names, FVar: lambda f: frozenset([f.name]), RelAtom: _no_names,
+    Generic: lambda f: f.antecedent.fvar_names | f.consequent.fvar_names, Att: lambda f: f.body.fvar_names})
+# a generic's own variable is not one of its variables, unless it also names
+# a formula metavariable inside it
+_VARIABLES = _cached_union("variables", {
+    Atom: _vars_in_args, FVar: lambda f: frozenset([f.name]), RelAtom: _vars_in_args,
+    Generic: lambda f: (f.antecedent.variables | f.consequent.variables) - {f.var} | f.fvar_names,
+    Att: lambda f: f.body.variables})
 
 
 def is_ground(f: Formula) -> bool:
@@ -540,7 +561,7 @@ def is_ground(f: Formula) -> bool:
 def _ground(f: Formula) -> bool:
     """One node's groundness, from its own arguments and its children's
     cached groundness.  A generic's variable is free in its children, so a
-    generic is checked in full."""
+    generic is ground when it has no variables."""
     return _GROUND[type(f)](f)
 
 
@@ -552,7 +573,7 @@ _GROUND = _cases(
     lambda f: True, {
         Atom: _args_ground,
         FVar: lambda f: False,
-        Generic: lambda f: not free_variables(f) and not metavariables(f),
+        Generic: lambda f: not f.variables,
         Att: lambda f: f.body.ground,
         RelAtom: _args_ground})
 
@@ -682,9 +703,12 @@ def _match_term(p: Term, got: Term, b: Binding) -> bool:
     return (type(got) is not Var or p.name in b) and _bind(p.name, got, b)
 
 
-def _match_name(p: str | Var, got: str, b: Binding) -> bool:
-    """A relation atom's argument: a variable binds the name as a constant."""
-    return _bind(p.name, Const(got), b) if type(p) is Var else p == got
+def _match_name(p: str | Var, got: str | Var, b: Binding) -> bool:
+    """A relation atom's argument: a variable binds the name as a constant,
+    and meets a generic's own variable as `_match_term` does."""
+    if type(p) is not Var:
+        return p == got
+    return _match_term(p, got, b) if type(got) is Var else _bind(p.name, Const(got), b)
 
 
 def _match_generic(p: Generic, f: Generic, b: Binding) -> bool:
@@ -754,6 +778,14 @@ def _instantiate_term(t: Term, b: Binding) -> Term:
     return v if type(v) in (Const, Var) else Const(str(v))
 
 
+def _instantiate_name(t: str | Var, b: Binding) -> str | Var:
+    """A relation atom's argument: a name, or a generic's own variable."""
+    if type(t) is str:
+        return t
+    v = _instantiate_term(t, b)
+    return v if type(v) is Var else v.name
+
+
 def _instantiate_generic(p: Generic, b: Binding) -> Formula:
     inner = {**b, p.var: Var(p.var)}
     return Generic(p.var, instantiate(p.antecedent, inner), instantiate(p.consequent, inner))
@@ -768,5 +800,29 @@ _INSTANTIATE = _cases(
         FVar: _instantiate_fvar,
         Generic: _instantiate_generic,
         Att: lambda p, b: Att(p.kind, p.agent, instantiate(p.body, b)),
-        RelAtom: lambda p, b: RelAtom(p.rel, tuple(
-            [_instantiate_term(t, b).name if type(t) is Var else t for t in p.args]))})
+        RelAtom: lambda p, b: RelAtom(p.rel, tuple([_instantiate_name(t, b) for t in p.args]))})
+
+
+def ground_key(pattern: Formula, b: Binding) -> str:
+    """The key `instantiate(pattern, b)` would have, printed by the same
+    per-class printer (`_RENDER`) without building a node, so that a
+    grounded pattern can be looked up among a store's atoms.  Raises
+    `ValidationError` where `instantiate` does."""
+    if not pattern.variables:
+        return pattern.key
+    if type(pattern) is FVar:
+        return _instantiate_fvar(pattern, b).key
+    if type(pattern) is Generic:
+        b = {**b, pattern.var: Var(pattern.var)}
+    return _RENDER[type(pattern)](pattern, lambda x: _ground_child_key(x, b))
+
+
+def _ground_child_key(x, b: Binding) -> str:
+    """A child's printed form in `ground_key`: a sub-formula's grounded key,
+    or an argument's name under the binding, as `instantiate` grounds it."""
+    kind = type(x)
+    if kind is Var:
+        return str(_bound(x.name, b))
+    if kind is Const:
+        return x.name
+    return x if kind is str else ground_key(x, b)

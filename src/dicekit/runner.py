@@ -45,9 +45,8 @@ from .axioms import (
     plan_apprehension,
     result_via_cause,
     standard_axioms,
-    update_content,
 )
-from .engine import DefaultRule, EvalContext, Trace, abduce, defeasible_closure
+from .engine import DefaultRule, EvalContext, Trace, abduce, defeasible_closure, entailed_instance
 from .errors import AmbiguousAntecedent, DepthExceeded, NoAntecedent
 from .formulas import (
     Atom,
@@ -56,10 +55,10 @@ from .formulas import (
     Doing,
     Formula,
     Imp,
-    Implies,
     Not,
     Plan,
     RelAtom,
+    Var,
     print_formula,
 )
 from .kb import KnowledgeBase
@@ -68,8 +67,15 @@ from .sdrs import Constituent, Sdrs, UpdateSite, attach, coherent, open_attachme
 
 #: reserved constant for plan-valued anaphors in cause clues
 THAT_WAY = "that-way"
+#: the cause clue of a plan anaphor, for the site's new constituent y
+_CLUE = Atom("cause", (Const(THAT_WAY), Var("y")))
 
-_RELATION_NAMES = ("Narration", "Result", "Evidence")
+#: the relations a site's pair (x, y) may acquire, either way round
+_RELATION_PATTERNS = tuple(
+    RelAtom(r, args)
+    for r in ("Narration", "Result", "Evidence")
+    for args in ((Var("x"), Var("y")), (Var("y"), Var("x")))
+)
 
 
 @dataclass(frozen=True)
@@ -246,12 +252,11 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
     run.sites.append(site)
     # Narration and Result exclude one another over the pair; installed per
     # minted site (not for every conceivable pair) to keep stores small
-    excl = Implies(RelAtom("Narration", (site.attach_to, new)), Not(RelAtom("Result", (site.attach_to, new))))
     for path in sorted({(), (run.scenario.author,)} | {decl.path for decl in run.scenario.contexts}):
         if len(path) <= run.kb.max_depth:
-            run.kb = run.kb.add_hard_rule(path, excl)
-    run.kb = run.kb.assert_fact((), site.token())
-    run.kb = run.kb.assert_fact((), site.info())
+            run.kb = run.kb.add_hard_rule(path, site.exclusion)
+    run.kb = run.kb.assert_fact((), site.token)
+    run.kb = run.kb.assert_fact((), site.info)
     run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents)
     return site, frontier
 
@@ -260,7 +265,7 @@ def _resolve_anaphor(run: _Run, site: UpdateSite, prior: Sdrs) -> Plan | None:
     """Phase 1: a clue (cause that-way new) names the plan intended at the
     right frontier, whose constituent then causes `new`.  Raises
     NoAntecedent or AmbiguousAntecedent when no unique plan is accessible."""
-    if not run.kb.entails((), Atom("cause", (Const(THAT_WAY), Const(site.new)))):
+    if entailed_instance(run.kb, (), _CLUE, {"y": Const(site.new)}) is None:
         return None
     resolved, from_cid = resolve_plan_anaphor(prior, run.provenance)
     run.trace.note(f"plan anaphor resolved: that-way => {resolved} (intended since {from_cid})")
@@ -303,7 +308,9 @@ def _cooperate(run: _Run, site: UpdateSite, checks: list[SupportCheck]) -> None:
 
 def _derive_relations(run: _Run, site: UpdateSite, checks: list[SupportCheck], ctx: EvalContext):
     """Phase 5.  Returns the relations now entailed between the site's pair,
-    either way round, and the justification of each the drivers applied."""
+    either way round, and the justification of each the drivers applied.
+    Each candidate relation is looked up among the root's atoms
+    (`entailed_instance`), so a derived relation is the root's own atom."""
     run.close(ctx.rules)
     applied: dict[RelAtom, tuple[Formula, ...]] = {}
     for chk in (c for c in checks if c.ok):
@@ -323,9 +330,9 @@ def _derive_relations(run: _Run, site: UpdateSite, checks: list[SupportCheck], c
         if app.delta is not None:
             binding["delta"] = app.delta
         run.trace.step("DMP", app.rule, binding, tuple(added))
-    pair = (site.attach_to, site.new)
-    candidates = (RelAtom(r, args) for r in _RELATION_NAMES for args in (pair, pair[::-1]))
-    return [rel for rel in candidates if run.kb.entails((), rel)], applied
+    pair = {"x": Const(site.attach_to), "y": Const(site.new)}
+    derived = [entailed_instance(run.kb, (), p, pair) for p in _RELATION_PATTERNS]
+    return [rel for rel in derived if rel is not None], applied
 
 
 def _check_permission(run: _Run, site: UpdateSite, checks: list[SupportCheck], derived) -> tuple[str, ...]:
@@ -372,7 +379,7 @@ def _reconstruct_goals(run: _Run) -> None:
     syllogism once the discourse stands."""
     pool = {
         "phi": tuple(Att("B", run.scenario.interpreter, run.contents[cid]) for cid in run.sdrs.order),
-        "psi": tuple(update_content(s) for s in run.sites),
+        "psi": tuple(s.content for s in run.sites),
     }
     ctx = EvalContext(rules=run.relation_rules, max_steps=run.max_steps)
     results = abduce(run.kb, run.axioms["PracticalSyllogism"], (), pool=pool, ctx=ctx, trace=run.trace)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import AmbiguousAntecedent, NoAntecedent, ValidationError
-from .formulas import Atom, Const, Formula, Plan, RelAtom
+from .formulas import And, Atom, Const, Formula, Implies, Not, Plan, RelAtom, cached_attr
 from .kb import KnowledgeBase
 
 MOODS = ("assertion", "imperative")
@@ -35,19 +35,34 @@ class Constituent:
 @dataclass(frozen=True)
 class UpdateSite:
     """One update event: while tau holds, attach constituent `new` to the open
-    constituent `attach_to`."""
+    constituent `attach_to`.  Its formulas are built once, on first use, and
+    kept on the site, which every phase of its utterance reads."""
 
     tau: str
     attach_to: str
     new: str
 
+    @cached_attr
     def token(self) -> Atom:
         """The site atom `(site tau attach_to new)`."""
         return Atom("site", (Const(self.tau), Const(self.attach_to), Const(self.new)))
 
+    @cached_attr
     def info(self) -> Atom:
         """The site's content-summary atom `(info attach_to new)`."""
         return Atom("info", (Const(self.attach_to), Const(self.new)))
+
+    @cached_attr
+    def content(self) -> And:
+        """The update content, `(and token info)`."""
+        return And((self.token, self.info))
+
+    @cached_attr
+    def exclusion(self) -> Implies:
+        """Narration and Result exclude one another over the pair:
+        `(-> (rel Narration attach_to new) (not (rel Result attach_to new)))`."""
+        pair = (self.attach_to, self.new)
+        return Implies(RelAtom("Narration", pair), Not(RelAtom("Result", pair)))
 
 
 @dataclass(frozen=True)

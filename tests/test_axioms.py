@@ -19,7 +19,6 @@ from dicekit.axioms import (
     plan_apprehension,
     result_via_cause,
     standard_axioms,
-    update_content,
 )
 from dicekit.engine import EvalContext, Trace, defeasible_closure, make_rule
 from dicekit.errors import NotAPrefix, StepBoundExceeded, ValidationError
@@ -157,7 +156,7 @@ def test_library_is_parameterized_by_agent_names():
 def test_isupport_atom_and_update_content():
     assert print_formula(isupport_atom("a", "b")) == "(isupport a b)"
     site = UpdateSite("tau1", "a", "b")
-    assert print_formula(update_content(site)) == "(and (site tau1 a b) (info a b))"
+    assert print_formula(site.content) == "(and (site tau1 a b) (info a b))"
 
 
 def test_collect_generics_sees_inside_hard_rules():

@@ -779,6 +779,26 @@ def test_rule_instances_bind_negated_and_eventual_conjuncts_from_the_store_atoms
     assert keys == ["{x=b}", "{x=c}"]
 
 
+def test_rule_instances_take_their_opaque_antecedents_from_the_store_atoms():
+    # an opaque antecedent conjunct (an eventuality too), ground or grounded
+    # by the binding, is the store's own atom, found by its key; a negated
+    # or compound conjunct is built, and so is an eventuality that holds
+    # through its body alone
+    ants = ["(site ?t ?x ?y)", "(B A (cause ?x ?y))", "(rel Result ?x ?y)", "seed", "?phi:done",
+            "(eventually (q ?y))", "(not (p ?x))", "(or (r ?x) (not (r ?x)))", "(eventually (q ?x))"]
+    rule = make_rule("R", ants, "(s ?x ?y)")
+    kb = kb_with(["(site t a b)", "(B A (cause a b))", "(rel Result a b)", "seed", "(D (plan go))",
+                  "(eventually (q b))", "(not (p a))", "(q a)"])
+    atoms = kb.store_at(()).atoms
+    [inst] = rule_instances(rule, kb, ())
+    assert inst.key == "{phi=(D (plan go)), t=t, x=a, y=b}"
+    assert [a.key for a in inst.ants] == [instantiate(p, inst.binding).key for p in rule.antecedent]
+    for a in inst.ants[:6]:
+        assert a is atoms[a.key], a
+    for a in inst.ants[6:]:
+        assert not any(a is atom for atom in atoms.values()), a
+
+
 def test_compound_conjuncts_bind_nothing_in_either_order():
     # a compound conjunct can hold without any atom of the store (this one is
     # a tautology), so it binds nothing: alone it is rejected, and beside an

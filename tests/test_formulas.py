@@ -38,6 +38,7 @@ from dicekit.formulas import (
     conj,
     conjuncts,
     free_variables,
+    ground_key,
     instantiate,
     is_ground,
     match,
@@ -62,11 +63,15 @@ atoms = st.builds(
 )
 actions = st.builds(lambda n, args: Action(n, tuple(args)), NAMES, st.lists(NAMES, max_size=2))
 plans = st.builds(lambda steps: Plan(tuple(steps)), st.lists(actions, min_size=1, max_size=3))
-generics = st.builds(
-    lambda p, q, c: Generic("x", Atom(p, (Var("x"),)), Atom(q, (Var("x"), Const(c)))),
-    NAMES,
-    NAMES,
-    NAMES,
+generics = st.one_of(
+    st.builds(
+        lambda p, q, c: Generic("x", Atom(p, (Var("x"),)), Atom(q, (Var("x"), Const(c)))),
+        NAMES,
+        NAMES,
+        NAMES,
+    ),
+    # the generic's own variable as a relation atom's argument
+    st.builds(lambda r, c, q: Generic("x", RelAtom(r, (Var("x"), c)), Atom(q, (Var("x"),))), RELS, NAMES, NAMES),
 )
 leaves = st.one_of(
     atoms,
@@ -102,13 +107,15 @@ formulas = st.recursive(leaves, compounds, max_leaves=10)
 TERMS = st.one_of(NAMES.map(Const), st.sampled_from(("x", "y")).map(Var))
 REL_ARGS = st.one_of(NAMES, st.sampled_from(("x", "y")).map(Var))
 open_generics = st.builds(
-    lambda p, t, q, phi: Generic(
+    lambda ante, q, phi: Generic(
         "x",
-        Atom(p, (Var("x"), t)),
+        ante,
         Atom(q, (Var("x"),)) if phi is None else And((Atom(q, (Var("x"),)), phi)),
     ),
-    NAMES,
-    TERMS,
+    st.one_of(
+        st.builds(lambda p, t: Atom(p, (Var("x"), t)), NAMES, TERMS),
+        st.builds(lambda r, a: RelAtom(r, (Var("x"), a)), RELS, REL_ARGS),
+    ),
     NAMES,
     st.one_of(st.none(), st.builds(FVar, st.sampled_from(("phi", "psi")))),
 )
@@ -151,6 +158,39 @@ def test_cached_groundness_agrees_with_the_full_walk(f):
     assert is_ground(f) == (not free_variables(f) and not metavariables(f))
     for g in subformulas(f):
         assert g.ground == (not free_variables(g) and not metavariables(g))
+
+
+@settings(max_examples=300)
+@given(patterns)
+def test_cached_variables_agree_with_the_full_walk(f):
+    for g in subformulas(f):
+        fvars = frozenset(h.name for h in subformulas(g) if isinstance(h, FVar))
+        assert g.fvar_names == metavariables(g) == fvars
+        assert g.variables == free_variables(g) | fvars
+
+
+def test_a_new_nodes_variables_read_only_its_childrens_cached_sets(monkeypatch):
+    parts = [parse_formula(t) for t in ("(p ?x)", "(B A (not ?phi))", "(forall x (> (rel R x ?y) (q x)))")]
+    for part in parts:
+        part.variables, part.fvar_names
+
+    def no_walk(f):
+        raise AssertionError(f"walked {f}")
+
+    monkeypatch.setattr(formulas_module, "children", no_walk)
+    monkeypatch.setattr(formulas_module, "subformulas", no_walk)
+    f = Not(And(tuple(parts)))
+    assert f.variables == {"x", "phi", "y"}
+    assert f.fvar_names == {"phi"}
+    assert not f.ground
+
+
+def test_a_metavariable_named_like_a_generics_variable_stays_a_variable():
+    # the generic binds its term variable x, not the formula metavariable ?x
+    g = parse_formula("(forall x (> (and (p x) ?x) (q x)))")
+    assert free_variables(g) == frozenset()
+    assert g.fvar_names == g.variables == {"x"}
+    assert not g.ground
 
 
 @given(patterns)
@@ -251,6 +291,24 @@ def test_site_and_info_atoms_keep_their_arity_errors():
         with pytest.raises(ParseError) as e:
             parse_formula(text)
         assert str(e.value) == f"{text[1:5]} takes {n} symbols, got {text}"
+
+
+@pytest.mark.parametrize("text", ["(forall x (> (rel R x y) (q x)))", "(forall x (> (site t x y) (q x)))"])
+def test_a_generic_binds_its_variable_in_relation_and_site_atoms(text):
+    f = parse_formula(text)
+    assert print_formula(f) == text
+    assert parse_formula(print_formula(f)) == f
+    assert Var("x") in f.antecedent.args
+    assert f.ground and not f.variables
+    # a pattern over the generic binds its free variable, and its own
+    # variable meets only itself
+    pattern = parse_formula(text.replace(" y)", " ?y)"))
+    assert print_pattern(pattern) == text.replace(" y)", " ?y)")
+    assert match(pattern, f) == {"y": Const("y")}
+    assert instantiate(pattern, {"y": Const("y")}) == f
+    assert ground_key(pattern, {"y": Const("y")}) == text
+    assert match(pattern, parse_formula(text.replace(" y)", " x)"))) is None
+    assert match(pattern, parse_formula(text.replace("x", "z"))) is None
 
 
 def test_generic_variable_must_be_free_on_both_sides():
@@ -549,6 +607,45 @@ def test_match_under_a_binding_agrees_with_matching_afresh_and_comparing_names(p
     assert match(p, fact, b) == _match_rendered(p, fact, b)
 
 
+#: what a test binding may bind a variable to, whatever its kind: a constant,
+#: a bare name (as a caller may bind one) or a formula
+BOUND_VALUES = st.one_of(NAMES.map(Const), NAMES, formulas)
+
+
+@settings(max_examples=500)
+@given(patterns, st.data())
+def test_ground_key_is_the_key_of_the_instance(p, data):
+    # each variable is left unbound now and then, and may be bound to a value
+    # of the wrong kind, so that instantiate raises for some bindings
+    b: dict = {}
+    shapes = _shapes(p)
+    for name in sorted(p.variables):
+        how = data.draw(st.sampled_from(("unbound", "any", "kind", "kind", "kind")))
+        if how == "any":
+            b[name] = data.draw(BOUND_VALUES)
+        elif how == "kind":
+            fvar = name in p.fvar_names
+            b[name] = data.draw(_shaped(shapes.get(name)) if fvar else NAMES.map(Const))
+    try:
+        want = instantiate(p, b).key
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            ground_key(p, b)
+        return
+    assert ground_key(p, b) == want
+
+
+def test_ground_key_raises_where_instantiate_does():
+    for text, b in [("(W A ?phi)", {}), ("(W A ?phi)", {"phi": Const("a")}), ("(p ?x)", {}),
+                    ("(rel Result ?x b)", {"y": Const("a")}), ("(forall x (> (p x) (q x ?y)))", {})]:
+        p = parse_formula(text)
+        for fn in (instantiate, ground_key):
+            with pytest.raises(ValidationError):
+                fn(p, b)
+    # a pattern without variables is its own key, whatever the binding
+    assert ground_key(parse_formula("(forall x (> (p x) (q x)))"), {}) == "(forall x (> (p x) (q x)))"
+
+
 def test_a_generic_pattern_binds_its_free_variables_and_keeps_its_own():
     pattern = parse_formula("(forall x (> (p x) (q x ?y)))")
     fact = parse_formula("(forall x (> (p x) (q x c)))")
@@ -589,6 +686,7 @@ WALKS = {
     "substitute": lambda f: substitute(f, {"x": "a"}),
     "match": lambda f: match(f, f),
     "instantiate": lambda f: instantiate(f, {"phi": Atom("p")}),
+    "ground_key": lambda f: ground_key(f, {"phi": Atom("p")}),
     "functor": lambda f: f.functor,
 }
 

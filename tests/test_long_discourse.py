@@ -1,12 +1,13 @@
 """Length robustness: generated imperative-plus-enablements chains longer than
 any corpus scenario interpret with the relations their construction implies."""
 
+import collections
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, scenario_path
-from dicekit import engine, runner
+from dicekit import engine, formulas, runner
 from dicekit.formulas import Doing, Formula, Iff, Implies, parse_formula
 from dicekit.kb import KnowledgeBase
 from dicekit.runner import run_scenario
@@ -90,6 +91,31 @@ def test_rules_visited_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
         assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
         per_closure[n] = counts["visits"] / counts["closures"]
     assert max(per_closure.values()) <= 1.2 * min(per_closure.values()), per_closure
+
+
+def test_formula_keys_rendered_per_utterance_stay_flat_and_few(monkeypatch):
+    # a key is rendered on a node's first `Formula.key` read.  A grounded
+    # pattern that is only looked up among a store's atoms is keyed by
+    # `ground_key` and not built, a rule instance's opaque antecedents are the
+    # store's own atoms, and each update site builds its formulas once, so a
+    # chain renders a fixed number of keys per utterance: 22.4 at N=20 and
+    # 22.9 at N=80, where it rendered 43.9 and 44.7 before those changes
+    rendered = collections.Counter()
+    real_render = formulas._render
+
+    def render(f):
+        rendered["keys"] += 1
+        return real_render(f)
+
+    scenarios = {n: loads(chain_scenario(n), f"chain{n}") for n in (20, 80)}
+    monkeypatch.setattr(formulas, "_render", render)
+    per_utterance = {}
+    for n, scn in scenarios.items():
+        rendered.clear()
+        assert run_scenario(scn).verdict == "coherent"
+        per_utterance[n] = rendered["keys"] / n
+    assert max(per_utterance.values()) <= 1.1 * min(per_utterance.values()), per_utterance
+    assert max(per_utterance.values()) < 25, per_utterance
 
 
 def test_hard_rule_comparisons_per_addition_stay_flat_as_the_chain_grows(monkeypatch):

@@ -7,9 +7,10 @@ import re
 
 import pytest
 
+from dicekit import runner
 from dicekit.axioms import isupport_atom
 from dicekit.cli import main
-from dicekit.engine import Trace, defeasible_closure
+from dicekit.engine import EvalContext, Trace, defeasible_closure
 from dicekit.formulas import Atom, Att, Const, Not, RelAtom, parse_formula
 from dicekit.runner import (
     THAT_WAY,
@@ -21,6 +22,7 @@ from dicekit.runner import (
     write_report,
 )
 from dicekit.scenario import Expectation, load, loads
+from dicekit.sdrs import UpdateSite
 
 from conftest import CORPUS, scenario_path
 
@@ -141,6 +143,41 @@ def test_runner_installs_relation_exclusion_per_site(corpus_reports):
     excl = parse_formula("(-> (rel Narration alpha beta) (not (rel Result alpha beta)))")
     assert excl in report.kb.store_at(()).hard_rules
     assert excl in report.kb.store_at(("A",)).hard_rules
+
+
+#: the relation phase's candidates for the pair (a, b), in order
+_CANDIDATES = [(r, pair) for r in ("Narration", "Result", "Evidence") for pair in (("a", "b"), ("b", "a"))]
+_SAT_CONTEXT = "fact (rel Evidence b a) fact q0 hard (-> q0 (rel Result a b)) hard (-> z (rel Narration b a))"
+
+
+@pytest.mark.parametrize(
+    "context, expected",
+    [
+        # a relation stated, one through a hard rule, one by the Narration
+        # default over the site atom, and one that is an atom but not entailed
+        (_SAT_CONTEXT, ["(rel Narration a b)", "(rel Result a b)", "(rel Evidence b a)"]),
+        # an unsatisfiable root entails every relation, though none is an atom
+        ("fact p0 fact (not p0)", [f"(rel {r} {x} {y})" for r, (x, y) in _CANDIDATES]),
+    ],
+    ids=["satisfiable", "unsatisfiable"],
+)
+def test_derived_relations_are_the_entailed_candidates_in_order(context, expected):
+    # the phase looks each candidate up among the root's atoms; building all
+    # six and asking the root for each must give the same list
+    scn = loads(f"agents A I context [] {{ {context} }} utterance a assertion p utterance b assertion q")
+    kb, axioms = build(scn)
+    run = runner._Run(scn, axioms, kb, 1000, axioms.phase("attitude"), axioms.phase("relation"))
+    site = UpdateSite("tau1", "a", "b")
+    run.kb = run.kb.assert_fact((), site.token)
+    derived, applied = runner._derive_relations(run, site, [], EvalContext(rules=run.relation_rules))
+    asked = [rel for rel in (RelAtom(r, pair) for r, pair in _CANDIDATES) if run.kb.entails((), rel)]
+    assert derived == asked
+    assert [str(rel) for rel in derived] == expected
+    assert applied == {}
+    root = run.kb.store_at(())
+    assert root.compiled.sat == (context == _SAT_CONTEXT)
+    if root.compiled.sat:
+        assert all(rel is root.atoms[rel.key] for rel in derived)
 
 
 @pytest.mark.parametrize(

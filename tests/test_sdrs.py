@@ -46,8 +46,15 @@ def test_duplicate_constituent_ids_rejected():
 
 def test_update_site_token():
     site = UpdateSite("tau1", "a", "b")
-    assert site.token() == parse_formula("(site tau1 a b)")
-    assert site.info() == parse_formula("(info a b)")
+    assert site.token == parse_formula("(site tau1 a b)")
+    assert site.info == parse_formula("(info a b)")
+    assert site.content == parse_formula("(and (site tau1 a b) (info a b))")
+    assert site.exclusion == parse_formula("(-> (rel Narration a b) (not (rel Result a b)))")
+    # each is built once and kept on the site
+    assert site.content.parts == (site.token, site.info)
+    for name in ("token", "info", "content", "exclusion"):
+        assert getattr(site, name) is getattr(site, name)
+    assert site == UpdateSite("tau1", "a", "b")
 
 
 def test_attach_requires_the_site_pair():
