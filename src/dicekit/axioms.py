@@ -26,6 +26,7 @@ from .engine import (
     Trace,
     anchored_conjuncts,
     bind,
+    can_bind,
     closed_pair,
     entailed_instance,
     holds,
@@ -332,13 +333,10 @@ def isupport_holds(
 def cooperation_permitted(site: UpdateSite, supporter: str, supported: str) -> tuple[RelAtom, ...]:
     """Relations that may realize an intentional support, per direction.
     Textual order permits Result or Evidence; against textual order only
-    Evidence may run."""
+    Evidence may run.  The atoms are the site's (`UpdateSite.relation`)."""
     if supporter == site.attach_to:
-        return (
-            RelAtom("Result", (site.attach_to, site.new)),
-            RelAtom("Evidence", (site.attach_to, site.new)),
-        )
-    return (RelAtom("Evidence", (site.new, site.attach_to)),)
+        return site.relation("Result"), site.relation("Evidence")
+    return (site.relation("Evidence", backward=True),)
 
 
 def contrapose_cooperation(
@@ -401,14 +399,16 @@ def apply_support_relation(
     the binder of the closure's rules, and is tried in sorted order, so the
     generic's variable must occur in an anchored (atomic, negated or
     eventual) conjunct; a viable generic whose variable does not raises
-    `ValidationError`."""
+    `ValidationError`.  A generic one of whose anchored conjuncts no atom
+    can ground (`engine.can_bind`) has no witness, and binds nothing."""
     trace = trace if trace is not None else Trace()
-    if supporter == site.attach_to:
-        rule_name, rel = "ResultRule", RelAtom("Result", (supporter, supported))
-    elif supporter == site.new:
-        rule_name, rel = "EvidenceRule", RelAtom("Evidence", (supporter, supported))
+    if (supporter, supported) == (site.attach_to, site.new):
+        rule_name, rel = "ResultRule", site.relation("Result")
+    elif (supporter, supported) == (site.new, site.attach_to):
+        rule_name, rel = "EvidenceRule", site.relation("Evidence", backward=True)
     else:
-        raise ValidationError(f"supporter {supporter!r} is not part of site {site}")
+        raise ValidationError(
+            f"support of {supported!r} by {supporter!r} is not between the constituents of site {site}")
     if not kb.entails((), isupport_atom(supporter, supported)):
         return None
     sup_content = contents[supporter]
@@ -441,6 +441,8 @@ def apply_support_relation(
             if not any(gen.var in p.variables for p, _ in anchored):
                 raise ValidationError(f"generic {print_formula(gen)}: {gen.var} occurs in no atomic,"
                                       " negated or eventual conjunct, so nothing binds its witness")
+            if not can_bind(anchored, store.by_functor):
+                continue  # a conjunct that no atom grounds: no witness
             witnesses = {str(b[gen.var]) for b in bind(anchored, (store.atoms, store.by_functor)).values()}
             for d in sorted(witnesses):
                 psi = conj([instantiate(p, {gen.var: Const(d)}) for p in parts])
@@ -465,9 +467,9 @@ def result_via_cause(
     kb: KnowledgeBase, site: UpdateSite, path: ContextPath = ()
 ) -> tuple[RelAtom, Formula] | None:
     """Thin checker for the cause-based Result default (the closure fires it):
-    the Result atom and the cause atom that justifies it, or None."""
+    the site's Result atom and the cause atom that justifies it, or None."""
     cause = entailed_instance(kb, path, _CAUSE, {"x": Const(site.attach_to), "y": Const(site.new)})
-    return None if cause is None else (RelAtom("Result", (site.attach_to, site.new)), cause)
+    return None if cause is None else (site.relation("Result"), cause)
 
 
 # ----------------------------------------------------------- belief transmission
@@ -478,25 +480,32 @@ def belief_property_rules(
     x: str,
     y: str,
     contents: Mapping[str, Formula],
+    *,
+    site: UpdateSite | None = None,
 ) -> tuple[DefaultRule, ...]:
     """Ground belief-property instances for an attachment pair, one per
     relation atom the pair could acquire.  The interpreter's belief in each
-    content is built once, and the three rules share it."""
+    content is built once, and the three rules share it.  The relation
+    atoms are the site's (`UpdateSite.relation`) when a site of the pair
+    (x, y) is given, and built here otherwise."""
     I = axioms.interpreter
     bx, by = Att("B", I, contents[x]), Att("B", I, contents[y])
+    site = site or UpdateSite("", x, y)
 
-    def mk(rel: str, a: str, b: str, ba: Formula, bb: Formula) -> DefaultRule:
+    def mk(rel: str, backward: bool, ba: Formula, bb: Formula) -> DefaultRule:
+        atom = site.relation(rel, backward)
+        a, b = atom.args
         return DefaultRule(
             name=f"BeliefProperty-{rel}@{a},{b}",
-            antecedent=(ba, RelAtom(rel, (a, b))),
+            antecedent=(ba, atom),
             consequent=bb,
             scope="everywhere",
         )
 
     return (
-        mk("Result", x, y, bx, by),
-        mk("Evidence", x, y, bx, by),
-        mk("Evidence", y, x, by, bx),
+        mk("Result", False, bx, by),
+        mk("Evidence", False, bx, by),
+        mk("Evidence", True, by, bx),
     )
 
 

@@ -4,8 +4,8 @@
 
 Exit status: 0 when every expectation holds, 1 when a coherence verdict
 expectation fails, 2 for any other failed expectation, 3 for unreadable or
-ill-formed input, a bad command line or an unwritable report path included.
-``--help`` exits 0.
+ill-formed input, a bad command line (a step bound below 1 or a negative
+depth among them) or an unwritable report path included.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -18,15 +18,28 @@ from .runner import run_scenario, write_report
 from .scenario import load
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="engine", description="defeasible discourse engine")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="interpret a scenario file")
     run.add_argument("path", help="scenario (.scn) file")
     run.add_argument("--trace", action="store_true", help="print the inference trace")
-    run.add_argument("--max-steps", type=int, default=1000, metavar="N",
+    run.add_argument("--max-steps", type=_at_least(1), default=1000, metavar="N",
                      help="most rounds any one closure may take to reach its fixpoint (default 1000)")
-    run.add_argument("--depth", type=int, default=3, metavar="N",
+    run.add_argument("--depth", type=_at_least(0), default=3, metavar="N",
                      help="maximum nesting depth for attitude contexts (default 3)")
     run.add_argument("--report", metavar="OUT",
                      help="also write a report (text, or JSON when OUT ends in .json)")

@@ -67,11 +67,21 @@ and bind again, from the new atoms first (a semi-naive delta, see
 `bind`).  A round reads the awake rules alone, so it costs what its new
 atoms touch, not what the rule set holds, and an instance that cannot
 apply, since no grounded anchor of one of its conjuncts is among the
-store's atoms, is not built until such an atom arrives.  A store that
-`retract_fact` makes, and any store made directly, starts a new lineage
-with no carry: the same code with nothing carried.  Within a closure, each
-pair of antecedents is compared by `specificity` once, and within a round,
-each pair of applicable instances is checked for joint consistency once.
+store's atoms, is not built until such an atom arrives.  A rule one of
+whose anchored conjuncts has no atom of an anchor's functor in the store
+binds nothing at all (see `can_bind`): it returns before `bind` when it
+joins or wakes, and a new atom that touches it leaves it asleep.  The atom
+that later fills the conjunct wakes it, and the semi-naive pass joins that
+atom with the old ones, so nothing is lost.  A closure whose store's carry
+is current, with every active rule carried and none awake, is idle: it
+returns its input without a round.  A store that `retract_fact` makes,
+and any store made directly, starts a new lineage with no carry: the same
+code with nothing carried.  Within a closure, each pair of antecedents is
+compared by `specificity` once, and within a round, each pair of
+applicable instances is checked for joint consistency once, and each
+instance's consequent is decided once, whether it holds and whether it is
+consistent with the store, by one `Store.verdict`, which the round's
+firing reuses until its first assert.
 """
 
 from __future__ import annotations
@@ -498,6 +508,20 @@ def bind(anchored: Anchored, atoms: Atoms, new: Atoms | None = None) -> dict[str
     return found
 
 
+def can_bind(anchored: Anchored, by_functor: Container[tuple]) -> bool:
+    """Whether each anchored conjunct has an anchor of a functor among the
+    store's atoms' (`Store.by_functor`).  When one has none, no atom grounds
+    that conjunct, so `bind` binds nothing: the rule has no instance until
+    an atom of such a functor arrives."""
+    for _, anchors in anchored:
+        for anchor in anchors:
+            if anchor.functor in by_functor:
+                break
+        else:
+            return False
+    return True
+
+
 def rule_instances(
     rule: DefaultRule, kb: KnowledgeBase, path: ContextPath, new: Atoms | None = None, *, anchored=None
 ) -> list[_Inst]:
@@ -506,7 +530,9 @@ def rule_instances(
     Its anchored conjuncts bind by `bind`, from the store's atoms or,
     given `new`, from the new ones among them: at a satisfiable store no
     other instance holds, and at an unsatisfiable one every consequent
-    holds already, so no instance applies.  A rule with a builtin hands
+    holds already, so no instance applies.  A rule one of whose anchored
+    conjuncts no atom can ground (see `can_bind`) has no instance, and
+    returns before it binds.  A rule with a builtin hands
     each binding to it, which builds the instance.  Any other instance
     takes each opaque antecedent conjunct from the store's atoms, by its
     `ground_key`, and builds only its other conjuncts, its consequent and
@@ -529,6 +555,8 @@ def rule_instances(
             else:
                 return []
         return [_Inst(rule, {}, rule.antecedent, rule.consequent, "{}", rule.absent)]
+    if not can_bind(anchored, store.by_functor):
+        return []
     insts = []
     for key, b in sorted(bind(anchored, (atoms, store.by_functor), new).items()):
         if rule.builtin:
@@ -610,7 +638,11 @@ def defeasible_closure(
     that a knowledge base never refers to itself) and the trace entries the
     closure wrote; a repeated closure appends the same entries to the
     caller's trace, numbering its steps on from the caller's.  A closure
-    that raises records nothing, so it raises again on every call."""
+    that raises records nothing, so it raises again on every call.  A step
+    bound below 1 raises `ValidationError`: a closure takes a round at
+    least, to find that nothing fires."""
+    if max_steps < 1:
+        raise ValidationError(f"the step bound must be at least 1, not {max_steps}")
     path = tuple(path)
     trace = trace if trace is not None else Trace()
     active = {id(r): r for r in rules if not r.driver and r.scope in ("everywhere", path)}
@@ -699,9 +731,15 @@ class _Carry(dict):
         gained since.  A rule that one of them may touch, by the index (an
         anchor of the atom's key or of its functor), has its record marked
         with the count its instances were bound at, and wakes, for the
-        closure to bind it again when it is active.  No other record
-        changes: only anchored conjuncts bind, a binding only narrows a
-        match, and a grounded anchor is an instance of its pattern."""
+        closure to bind it again when it is active, unless one of its
+        anchored conjuncts has no atom of an anchor's functor in the store
+        (see `can_bind`): such a rule has no instance, and stays asleep.
+        No other record changes: only anchored conjuncts bind, a binding
+        only narrows a match, and a grounded anchor is an instance of its
+        pattern.  A rule left asleep loses nothing: each of its instances
+        needs an atom that is not yet in the store, and the atom that
+        arrives wakes the rule, whose semi-naive pass (see `bind`) joins it
+        with the atoms gained before it."""
         n = len(store.atoms)
         added: dict[int, Atoms] = {}
         if n != self.count and self:
@@ -712,12 +750,24 @@ class _Carry(dict):
                 touched.update(by_key.get(key, ()))
             for functor in index:
                 touched.update(by_functor.get(functor, ()))
+            functors = store.by_functor
             for ident in touched:
                 entry = self[ident]
-                if entry.since is None:
+                if entry.since is None and can_bind(entry.anchored, functors):
                     self[ident] = _Carried(entry.rule, entry.anchored, self.count, entry.live, entry.settled)
         self.count = n
         return added
+
+
+def _verdict(kb: KnowledgeBase, path: ContextPath, cons: Formula) -> tuple[bool, bool | None]:
+    """Whether a consequent holds at the path, and whether it is consistent
+    with the store there: both from one `Store.verdict`.  A conjunction or
+    an eventuality can hold by its parts or its body (see `holds`), so it
+    is asked by `holds`, and its consistency is None, for the caller to
+    ask `consistent_with` only when it needs the answer."""
+    if isinstance(cons, (And, Eventually)):
+        return holds(kb, path, cons), None
+    return kb.store_at(path).verdict(cons)
 
 
 def _canonical(i: _Inst):
@@ -757,7 +807,13 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
       negation-as-absence premises holds.
     So a round reads the awake active rules alone: a rule
     whose instances are settled, or wait for an atom, costs nothing until
-    an atom touches it.
+    an atom touches it, and a rule that cannot bind (see `can_bind`)
+    costs nothing until an atom fills its empty conjunct.  A closure with
+    nothing to do, its store's carry current, every active rule carried
+    and none of them awake, returns its input before it copies the carry:
+    its round would find no instance.  A step bound of 1 or more lets that
+    round run (`defeasible_closure` rejects a smaller one), so the
+    shortcut never hides a `StepBoundExceeded`.
 
     A round arbitrates and fires its instances in one order (`_canonical`),
     and keys every table by rule identity, so rules that share a name never
@@ -765,10 +821,21 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
     alone, so within a closure each pair of antecedents is compared once,
     and the mirrored pair is answered from the same comparison.  The store
     is fixed while a round arbitrates, so two instances' joint consistency
-    is asked once a round for both orders."""
+    is asked once a round for both orders, and each instance's consequent
+    is decided once, whether the store entails it (it is settled) and
+    whether it is consistent with the store (else it is blocked), by one
+    `Store.verdict` (see `_verdict`).  Firing reuses those verdicts until
+    the round's first assert: before it, a winner is neither entailed nor
+    blocked, and after it, each winner is decided again against the grown
+    store.  The verdicts live for the round alone; nothing is memoized."""
+    store = kb.store_at(path)
+    carried = store.carry
+    if (carried is not None and carried.count == len(store.atoms) and carried.awake.isdisjoint(active)
+            and active.keys() <= carried.keys()):
+        return ClosureResult(kb, ())  # idle: no rule joins, wakes or waits, so no round fires
     fired: list[InferenceStep] = []
     out = kb
-    carry = _Carry(kb.store_at(path).carry)
+    carry = _Carry(carried)
     joining = [active[ident] for ident in active.keys() - carry.keys()]
     compared: dict[tuple, str] = {}
 
@@ -779,6 +846,13 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
             cmp = compared[pair] = specificity(i.ants, j.ants, out, path)
             compared[pair[::-1]] = _MIRRORED[cmp]
         return cmp
+
+    def may_fire(i: _Inst, consistent: bool | None) -> bool:
+        """A hard rule's instance always may; a default's when its
+        consequent is consistent with the store (see `_verdict`)."""
+        if i.rule.hard:
+            return True
+        return consistent if consistent is not None else out.consistent_with(path, (i.cons,))
 
     for _ in range(max_steps):
         store = out.store_at(path)
@@ -807,7 +881,8 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
         ok_alone: dict[tuple[int, str], bool] = {}
         settled: dict[int, set[str]] = {}  # id(rule) -> keys settled this round
         for i in insts:
-            if holds(out, path, i.cons):
+            entailed, consistent = _verdict(out, path, i.cons)
+            if entailed:
                 settled.setdefault(id(i.rule), set()).add(i.key)
                 continue
             if not all(holds(out, path, a) for a in i.ants):
@@ -816,18 +891,18 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                 settled.setdefault(id(i.rule), set()).add(i.key)
                 continue
             applicable.append(i)
-            ok = ok_alone[id(i.rule), i.key] = i.rule.hard or out.consistent_with(path, (i.cons,))
+            ok = ok_alone[id(i.rule), i.key] = may_fire(i, consistent)
             if not ok:  # blocked: inconsistent with this store, so with every larger one
                 settled.setdefault(id(i.rule), set()).add(i.key)
         for ident, keys in settled.items():
             e = carry[ident]
             live = tuple(i for i in e.live if i.key not in keys)
             carry[ident] = _Carried(e.rule, e.anchored, e.since, live, e.settled | keys)
+        if not applicable:
+            break
         if out is kb:  # the first round's carry is the input store's, for its other descendants
             kb.store_at(path).keep_carry(carry)
             carry = _Carry(carry)
-        if not applicable:
-            break
         winners: list[tuple[_Inst, str]] = []
         jointly: dict[frozenset, bool] = {}  # unordered pair -> joint consistency
         noted_standoffs = set()
@@ -871,16 +946,18 @@ def _fixpoint(kb: KnowledgeBase, active, path: ContextPath, trace: Trace, max_st
                         )
             if not defeated:
                 winners.append((i, "Penguin" if contested else "DMP"))
-        progressed = False
+        progressed = False  # whether the store has changed since the verdicts
         for i, mode in winners:
-            if holds(out, path, i.cons):
-                continue
-            if not i.rule.hard and not out.consistent_with(path, (i.cons,)):
-                trace.note(
-                    f"closure@{'/'.join(path) or 'root'}: {i.rule.name} {i.key} deferred,"
-                    " conflicts with facts added earlier this round"
-                )
-                continue
+            if progressed:
+                entailed, consistent = _verdict(out, path, i.cons)
+                if entailed:
+                    continue
+                if not may_fire(i, consistent):
+                    trace.note(
+                        f"closure@{'/'.join(path) or 'root'}: {i.rule.name} {i.key} deferred,"
+                        " conflicts with facts added earlier this round"
+                    )
+                    continue
             before = len(out.store_at(path).facts)
             out = out.assert_fact(path, i.cons)
             added = out.store_at(path).facts[before:]  # facts are only appended

@@ -231,6 +231,17 @@ class Store:
         """Satisfiability of the store together with the extra formulas."""
         return satcore.satisfiable(extra, base=self.compiled)
 
+    def verdict(self, f: Formula) -> tuple[bool, bool]:
+        """Whether the store entails f, and whether f is consistent with it:
+        `entails(f)` and `satisfiable_with((f,))`.  A literal or a
+        conjunction of literals is decided from the compiled tables by one
+        `satcore.verdict`, a lone literal by one mask test; any other
+        formula by the two queries.  Nothing is kept: a caller that asks
+        again decides again."""
+        if f.ground and f.literals is not None:
+            return satcore.verdict(self.compiled, f.literals)
+        return self.entails(f), self.satisfiable_with((f,))
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:

@@ -257,7 +257,7 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
             run.kb = run.kb.add_hard_rule(path, site.exclusion)
     run.kb = run.kb.assert_fact((), site.token)
     run.kb = run.kb.assert_fact((), site.info)
-    run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents)
+    run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents, site=site)
     return site, frontier
 
 
@@ -301,7 +301,7 @@ def _check_support(run: _Run, site: UpdateSite, ctx: EvalContext) -> list[Suppor
 def _cooperate(run: _Run, site: UpdateSite, checks: list[SupportCheck]) -> None:
     """Phase 4."""
     if any(c.ok for c in checks):
-        block = Not(RelAtom("Narration", (site.attach_to, site.new)))
+        block = Not(site.relation("Narration"))
         run.kb = run.kb.assert_fact((), block)
         run.trace.note(f"Cooperation restricts the update: {print_formula(block)}")
 
@@ -370,7 +370,9 @@ def _justification_for(rel: RelAtom, applied, kb: KnowledgeBase, site: UpdateSit
     if rel in applied:
         return applied[rel]
     # a Result without a driver is justified by a cause read in its own direction
-    by_cause = result_via_cause(kb, UpdateSite(site.tau, *rel.args)) if rel.rel == "Result" else None
+    if rel.args != (site.attach_to, site.new):
+        site = UpdateSite(site.tau, *rel.args)
+    by_cause = result_via_cause(kb, site) if rel.rel == "Result" else None
     return by_cause or (rel,)
 
 

@@ -35,8 +35,9 @@ class Constituent:
 @dataclass(frozen=True)
 class UpdateSite:
     """One update event: while tau holds, attach constituent `new` to the open
-    constituent `attach_to`.  Its formulas are built once, on first use, and
-    kept on the site, which every phase of its utterance reads."""
+    constituent `attach_to`.  Its formulas, the pair's relation atoms among
+    them, are built once, on first use, and kept on the site, which every
+    phase of its utterance reads."""
 
     tau: str
     attach_to: str
@@ -58,11 +59,27 @@ class UpdateSite:
         return And((self.token, self.info))
 
     @cached_attr
+    def _relations(self) -> dict[tuple[str, bool], RelAtom]:
+        """The pair's relation atoms built so far, by relation and direction
+        (see `relation`)."""
+        return {}
+
+    def relation(self, rel: str, backward: bool = False) -> RelAtom:
+        """The relation atom `(rel rel attach_to new)`, or `(rel rel new
+        attach_to)` when backward, built on first use and kept on the site:
+        the exclusion, the pair's belief-property rules and the relation
+        drivers and checks all take it from here."""
+        atom = self._relations.get((rel, backward))
+        if atom is None:
+            pair = (self.new, self.attach_to) if backward else (self.attach_to, self.new)
+            atom = self._relations[rel, backward] = RelAtom(rel, pair)
+        return atom
+
+    @cached_attr
     def exclusion(self) -> Implies:
         """Narration and Result exclude one another over the pair:
         `(-> (rel Narration attach_to new) (not (rel Result attach_to new)))`."""
-        pair = (self.attach_to, self.new)
-        return Implies(RelAtom("Narration", pair), Not(RelAtom("Result", pair)))
+        return Implies(self.relation("Narration"), Not(self.relation("Result")))
 
 
 @dataclass(frozen=True)

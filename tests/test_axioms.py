@@ -374,6 +374,24 @@ def test_belief_property_rules_cover_both_directions():
     assert result.consequent == Att("B", "I", Atom("cb"))
 
 
+def test_a_sites_relation_atoms_are_built_once_and_shared():
+    # the exclusion, the belief-property rules, the permitted relations and
+    # the cause-based Result all take the pair's atoms from the site
+    site = UpdateSite("tau1", "a", "b")
+    result, evidence, back = site.relation("Result"), site.relation("Evidence"), site.relation("Evidence", True)
+    assert (result, evidence, back) == tuple(map(parse_formula, (
+        "(rel Result a b)", "(rel Evidence a b)", "(rel Evidence b a)")))
+    assert site.exclusion.left is site.relation("Narration")
+    assert site.exclusion.right.body is result
+    rules = belief_property_rules(AX, "a", "b", CONTENTS, site=site)
+    assert [r.antecedent[1] for r in rules] == [result, evidence, back]
+    assert all(r.antecedent[1] is atom for r, atom in zip(rules, (result, evidence, back)))
+    assert rules == belief_property_rules(AX, "a", "b", CONTENTS)
+    assert all(x is y for x, y in zip(cooperation_permitted(site, "a", "b"), (result, evidence)))
+    assert cooperation_permitted(site, "b", "a")[0] is back
+    assert result_via_cause(kb_with(["(cause a b)"]), site)[0] is result
+
+
 def test_belief_property_rules_transmit_in_closure():
     rules = belief_property_rules(AX, "a", "b", CONTENTS)
     kb = kb_with(["(B I ca)"]).assert_fact((), RelAtom("Result", ("a", "b")))

@@ -7,6 +7,7 @@ import collections
 import gc
 import itertools
 import random
+import sys
 import weakref
 from dataclasses import replace
 
@@ -124,7 +125,8 @@ def test_nixon_diamond_is_sceptical():
 def test_a_three_way_conflict_asks_each_pair_once(monkeypatch):
     # three defaults whose consequents pairwise conflict under hard rules:
     # each unordered pair's joint consistency is asked once in the round,
-    # and each stand-off is noted once
+    # and each stand-off is noted once.  Each consequent alone is decided
+    # with its entailment by one `Store.verdict`, not by `consistent_with`
     kb = kb_with(["quaker", "republican", "hawkish"], hard=[
         "(-> pacifist (not warrior))", "(-> pacifist (not neutral))", "(-> warrior (not neutral))"])
     rules = (
@@ -144,8 +146,7 @@ def test_a_three_way_conflict_asks_each_pair_once(monkeypatch):
     trace = Trace()
     res = defeasible_closure(kb, rules, trace=trace)
     assert res.steps == ()
-    assert asked == [("warrior",), ("pacifist",), ("neutral",),
-                     ("warrior", "pacifist"), ("warrior", "neutral"), ("pacifist", "neutral")]
+    assert asked == [("warrior", "pacifist"), ("warrior", "neutral"), ("pacifist", "neutral")]
     assert trace.lines() == [
         f"closure@root: sceptical stand-off between {a} {{}} and {b} {{}}; neither fires"
         for a, b in (("HawksAreWarriors", "QuakersArePacifists"), ("HawksAreWarriors", "RepublicansAreNeutral"),
@@ -553,13 +554,17 @@ def _closed_state(kb: KnowledgeBase, rules) -> tuple:
     return out, stores, trace.lines()
 
 
-def test_closing_along_a_lineage_matches_closing_afresh():
+def test_closing_along_a_lineage_matches_closing_afresh(monkeypatch):
     # random open rule systems under random asserted facts, hard rules and
     # retractions (mostly of derived facts), closed between steps under random
     # subsets of the rules: each closure along the lineage, which starts from
     # the carry its ancestors left, writes the same stores and trace as the
     # closure of an equal knowledge base built afresh, and leaves for each
-    # rule it ran the instances, settled or not, that a fresh binding finds
+    # rule it ran the instances, settled or not, that a fresh binding finds.
+    # Along the lineages, rules that cannot bind are left asleep or return
+    # before they bind (see `_count_skips`)
+    skips = _count_skips(monkeypatch)
+    asleep = unbound = 0
     rng = random.Random(1982)
     retracted = hardened = 0
     for _ in range(60):
@@ -583,7 +588,10 @@ def test_closing_along_a_lineage_matches_closing_afresh():
                 kb = kb.retract_fact((), rng.choice(derived or list(kb.facts_at(()))))
                 retracted += 1
             active = tuple(r for r in rules if rng.random() < 0.7) or rules
+            before = skips.copy()
             closed, stores, lines = _closed_state(kb, active)
+            asleep += skips["advance"] - before["advance"]
+            unbound += skips["rule_instances"] - before["rule_instances"]
             assert (stores, lines) == _closed_state(_rebuilt(kb), active)[1:]
             carry = closed.store_at(()).carry
             for rule in active:
@@ -594,6 +602,24 @@ def test_closing_along_a_lineage_matches_closing_afresh():
             # go on from the closed knowledge base, or now and then from the unclosed one
             kb = closed if rng.random() < 0.8 else kb
     assert retracted >= 20 and hardened >= 60
+    assert asleep >= 10 and unbound >= 40  # 23 and 89
+
+
+def _count_skips(monkeypatch) -> collections.Counter:
+    """Count, by the calling function, the rules that `can_bind` finds
+    unable to bind: a rule left asleep by `_Carry.advance`, and a rule
+    that joins or wakes and returns from `rule_instances` before it binds."""
+    skips = collections.Counter()
+    real = engine.can_bind
+
+    def counted(anchored, by_functor):
+        ok = real(anchored, by_functor)
+        if not ok:
+            skips[sys._getframe(1).f_code.co_name] += 1
+        return ok
+
+    monkeypatch.setattr(engine, "can_bind", counted)
+    return skips
 
 
 def _settled_blocks(kb: KnowledgeBase, rules) -> collections.Counter:
@@ -624,7 +650,11 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
     # afresh, and the same trace less the "blocked" notes of the instances
     # that its starting carry had settled as blocked, and leaves each rule it
     # ran the instances that a fresh binding finds.  A sibling closed under
-    # rules that the lineage never takes up leaves the lineage's index as it was
+    # rules that the lineage never takes up leaves the lineage's index as it was.
+    # Along the lineages, rules that cannot bind are left asleep or return
+    # before they bind (see `_count_skips`)
+    skips = _count_skips(monkeypatch)
+    asleep = unbound = 0
     entered = []
     real_add = engine._Carry.add
 
@@ -669,8 +699,10 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
             carried = kb.store_at(()).carry or {}
             joining = sorted(id(r) for r in active if id(r) not in carried)
             blocks = _settled_blocks(kb, active)
-            before = len(entered)
+            before, skipped = len(entered), skips.copy()
             closed, stores, lines = _closed_state(kb, active)
+            asleep += skips["advance"] - skipped["advance"]
+            unbound += skips["rule_instances"] - skipped["rule_instances"]
             assert sorted(map(id, entered[before:])) == joining
             fresh_stores, fresh_lines = _closed_state(_rebuilt(kb), active)[1:]
             assert stores == fresh_stores
@@ -686,6 +718,7 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
             # go on from the closed knowledge base, or now and then from the unclosed one
             kb = closed if rng.random() < 0.8 else kb
     assert appended >= 200 and strays >= 40 and resumed >= 5
+    assert asleep >= 10 and unbound >= 50  # 27 and 104
 
 
 def test_a_settled_instance_fires_again_once_its_consequent_is_retracted():
@@ -706,6 +739,59 @@ def test_an_instance_wakes_through_the_atoms_of_a_new_hard_rule():
     assert not closed.has_fact((), Atom("r"))
     grown = closed.add_hard_rule((), parse_formula("(-> p (q a))"))
     assert defeasible_closure(grown, (rule,)).kb.has_fact((), Atom("r"))
+
+
+def test_a_rule_whose_conjunct_lacks_an_atom_of_its_functor_binds_nothing_until_one_arrives(monkeypatch):
+    # R joins and is touched by (p b) while the store has no q atom, so it
+    # binds nothing and stays asleep; (q a c) wakes it, and its semi-naive
+    # pass joins the old (p a) with the new (q a c) and nothing else
+    rule = make_rule("R", ["(p ?x)", "(q ?x ?y)"], "(r ?y)")
+    calls = _count_engine_calls(monkeypatch, "bind")
+    closed = defeasible_closure(kb_with(["(p a)"]), (rule,)).kb
+    assert calls["bind"] == 0
+    grown = closed.assert_fact((), parse_formula("(p b)"))
+    closed = defeasible_closure(grown, (rule,)).kb
+    carry = closed.store_at(()).carry
+    assert calls["bind"] == 0 and carry[id(rule)].since is None and id(rule) not in carry.awake
+    grown = closed.assert_fact((), parse_formula("(q a c)"))
+    closed, stores, lines = _closed_state(grown, (rule,))
+    assert calls["bind"] == 1
+    assert lines == ["step 1 DMP R {x=a, y=c} => (r c)"]
+    assert (stores, lines) == _closed_state(_rebuilt(grown), (rule,))[1:]
+    left = closed.store_at(()).carry[id(rule)]
+    assert left.settled == {"{x=a, y=c}"} and left.live == ()
+
+
+def test_an_idle_closure_returns_its_input_without_copying_the_carry(monkeypatch):
+    # the store's carry is current, every rule has joined it and none is
+    # awake: the closure returns its input, even under a step bound of 1
+    closed = defeasible_closure(kb_with(["bird"]), (BIRD, PENGUIN)).kb
+    copies = [0]
+    init = engine._Carry.__init__
+
+    def counted(carry, other=None):
+        copies[0] += 1
+        init(carry, other)
+
+    monkeypatch.setattr(engine._Carry, "__init__", counted)
+    again = KnowledgeBase(closed.stores, closed.max_depth, closed.root_consistency_paths)  # an empty memo
+    res = defeasible_closure(again, (PENGUIN, BIRD), max_steps=1)
+    assert res.kb is again and res.steps == () and copies[0] == 0
+    # a rule that has not joined the carry makes the closure run its round
+    res = defeasible_closure(again, (BIRD, make_rule("Fly", ["fly"], "flies")), max_steps=2)
+    assert res.kb.has_fact((), Atom("flies")) and copies[0] > 0
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_a_step_bound_below_1_is_rejected(bound):
+    # an idle closure would otherwise return without taking a round
+    kb = kb_with(["bird"])
+    closed = defeasible_closure(kb, (BIRD,)).kb
+    for k in (kb, closed, KnowledgeBase(closed.stores)):
+        with pytest.raises(ValidationError, match=f"step bound must be at least 1, not {bound}"):
+            defeasible_closure(k, (BIRD,), max_steps=bound)
+    with pytest.raises(ValidationError):
+        nonmon_yields(kb, (BIRD,), (), Atom("penguin"), Atom("fly"), max_steps=bound)
 
 
 def test_conjunct_binds_from_hard_rules_beside_a_matching_fact():

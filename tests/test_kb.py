@@ -7,6 +7,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from dicekit import satcore
@@ -492,3 +494,61 @@ def test_entails_rejects_a_non_ground_query():
                     kb.consistent_with((), extra)
                 with pytest.raises(ValidationError):
                     kb.jointly_consistent_with(extra)
+
+
+# ------------------------------------------------------------ one verdict
+
+
+#: atoms a0..a3, and x0, which no fact states (a hard rule may name it)
+_VERDICT_ATOMS = st.sampled_from(("a0", "a1", "a2", "a3", "x0")).map(Atom)
+
+
+def _under_nots(f, nots: int):
+    for _ in range(nots):
+        f = Not(f)
+    return f
+
+
+_verdict_literals = st.builds(_under_nots, _VERDICT_ATOMS, st.integers(0, 2))
+_verdict_formulas = st.recursive(_verdict_literals, lambda kids: st.one_of(
+    st.builds(Not, kids),
+    st.builds(lambda a, b: And((a, b)), kids, kids),
+    st.builds(lambda a, b: Or((a, b)), kids, kids),
+    st.builds(Implies, kids, kids),
+    st.builds(Iff, kids, kids),
+), max_leaves=4)
+#: a literal, a conjunction of literals, one under two `not`s, or any formula
+_verdict_queries = st.one_of(
+    _verdict_literals,
+    st.lists(_verdict_literals, min_size=2, max_size=3).map(lambda ls: And(tuple(ls))),
+    st.lists(_verdict_literals, min_size=2, max_size=3).map(lambda ls: Not(Not(And(tuple(ls))))),
+    _verdict_formulas,
+)
+
+
+@settings(max_examples=200)
+@pytest.mark.parametrize("contradiction", [False, True], ids=["any", "unsatisfiable"])
+@given(
+    facts=st.lists(_verdict_literals.filter(lambda f: "x0" not in f.key), max_size=3),
+    rules=st.lists(st.builds(Implies, _verdict_formulas, _verdict_formulas), max_size=3),
+    query=_verdict_queries,
+)
+def test_verdict_is_entailment_and_consistency_in_one(contradiction, facts, rules, query):
+    # literal and literal-conjunction queries are decided from the tables in
+    # one pass, any other formula by the two queries; both agree with
+    # `entails` and `satisfiable_with` and with the enumeration oracle, at
+    # satisfiable and unsatisfiable stores, grown along a lineage or not
+    if contradiction:
+        facts = facts + [Atom("a0"), Not(Atom("a0"))]
+    store = Store(tuple(dict.fromkeys(facts)), tuple(dict.fromkeys(rules)))
+    grown = Store()
+    for f in store.facts:
+        grown.compiled
+        grown = grown.with_literal(f)
+    for r in store.hard_rules:
+        grown.compiled
+        grown = grown.with_hard_rule(r)
+    fs = store.formulas()
+    expected = (reference.entails(fs, query), reference.satisfiable(fs + (query,)))
+    for s in (store, grown):
+        assert s.verdict(query) == (s.entails(query), s.satisfiable_with((query,))) == expected

@@ -412,6 +412,15 @@ def test_cli_usage_errors_exit_3(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--max-steps", "0"), ("--max-steps", "-5"), ("--depth", "-1")])
+def test_cli_bounds_out_of_range_are_usage_errors(capsys, flag, value):
+    # a step bound below 1 or a negative depth is rejected before any run
+    assert main(["run", scenario_path("plan_progress"), flag, value]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and f"argument {flag}: must be at least" in err
+
+
 def test_cli_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     assert "--max-steps" in capsys.readouterr().out
