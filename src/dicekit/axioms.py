@@ -402,13 +402,12 @@ def apply_support_relation(
     `ValidationError`.  A generic one of whose anchored conjuncts no atom
     can ground (`engine.can_bind`) has no witness, and binds nothing."""
     trace = trace if trace is not None else Trace()
-    if (supporter, supported) == (site.attach_to, site.new):
-        rule_name, rel = "ResultRule", site.relation("Result")
-    elif (supporter, supported) == (site.new, site.attach_to):
-        rule_name, rel = "EvidenceRule", site.relation("Evidence", backward=True)
+    if supporter == site.attach_to:
+        rule_name, rel = "ResultRule", RelAtom("Result", (supporter, supported))
+    elif supporter == site.new:
+        rule_name, rel = "EvidenceRule", RelAtom("Evidence", (supporter, supported))
     else:
-        raise ValidationError(
-            f"support of {supported!r} by {supporter!r} is not between the constituents of site {site}")
+        raise ValidationError(f"supporter {supporter!r} is not part of site {site}")
     if not kb.entails((), isupport_atom(supporter, supported)):
         return None
     sup_content = contents[supporter]
@@ -477,20 +476,15 @@ def result_via_cause(
 
 def belief_property_rules(
     axioms: AxiomSet,
-    x: str,
-    y: str,
+    site: UpdateSite,
     contents: Mapping[str, Formula],
-    *,
-    site: UpdateSite | None = None,
 ) -> tuple[DefaultRule, ...]:
-    """Ground belief-property instances for an attachment pair, one per
-    relation atom the pair could acquire.  The interpreter's belief in each
-    content is built once, and the three rules share it.  The relation
-    atoms are the site's (`UpdateSite.relation`) when a site of the pair
-    (x, y) is given, and built here otherwise."""
+    """Ground belief-property instances for a site's attachment pair, one
+    per relation atom the pair could acquire, that atom the site's
+    (`UpdateSite.relation`).  The interpreter's belief in each content is
+    built once, and the three rules share it."""
     I = axioms.interpreter
-    bx, by = Att("B", I, contents[x]), Att("B", I, contents[y])
-    site = site or UpdateSite("", x, y)
+    bx, by = Att("B", I, contents[site.attach_to]), Att("B", I, contents[site.new])
 
     def mk(rel: str, backward: bool, ba: Formula, bb: Formula) -> DefaultRule:
         atom = site.relation(rel, backward)

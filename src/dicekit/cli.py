@@ -18,28 +18,15 @@ from .runner import run_scenario, write_report
 from .scenario import load
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
-    return parse
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="engine", description="defeasible discourse engine")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="interpret a scenario file")
     run.add_argument("path", help="scenario (.scn) file")
     run.add_argument("--trace", action="store_true", help="print the inference trace")
-    run.add_argument("--max-steps", type=_at_least(1), default=1000, metavar="N",
+    run.add_argument("--max-steps", type=int, default=1000, metavar="N",
                      help="most rounds any one closure may take to reach its fixpoint (default 1000)")
-    run.add_argument("--depth", type=_at_least(0), default=3, metavar="N",
+    run.add_argument("--depth", type=int, default=3, metavar="N",
                      help="maximum nesting depth for attitude contexts (default 3)")
     run.add_argument("--report", metavar="OUT",
                      help="also write a report (text, or JSON when OUT ends in .json)")
@@ -47,8 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.max_steps < 1:
+            parser.error(f"argument --max-steps: must be at least 1, not {args.max_steps}")
+        if args.depth < 0:
+            parser.error(f"argument --depth: must be at least 0, not {args.depth}")
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 3
     try:

@@ -235,8 +235,7 @@ class Store:
         """Whether the store entails f, and whether f is consistent with it:
         `entails(f)` and `satisfiable_with((f,))`.  A literal or a
         conjunction of literals is decided from the compiled tables by one
-        `satcore.verdict`, a lone literal by one mask test; any other
-        formula by the two queries.  Nothing is kept: a caller that asks
+        `satcore.verdict`; any other formula by the two queries.  Nothing is kept: a caller that asks
         again decides again."""
         if f.ground and f.literals is not None:
             return satcore.verdict(self.compiled, f.literals)

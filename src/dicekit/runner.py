@@ -257,7 +257,7 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
             run.kb = run.kb.add_hard_rule(path, site.exclusion)
     run.kb = run.kb.assert_fact((), site.token)
     run.kb = run.kb.assert_fact((), site.info)
-    run.relation_rules += belief_property_rules(run.axioms, site.attach_to, new, run.contents, site=site)
+    run.relation_rules += belief_property_rules(run.axioms, site, run.contents)
     return site, frontier
 
 

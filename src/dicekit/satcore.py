@@ -39,11 +39,11 @@ other literals, so each conjunct, its parity flipped, costs one mask test
 against the narrowed tables; a lone literal query is one such test.  So
 only a compound query compiles.  `verdict` answers both questions
 about one literal set, whether the base entails it and whether it is
-consistent with the base, in one such pass: the closure asks both of each
-rule instance's consequent.  A store one literal larger than a
-compiled one is compiled by `add_literal`: an atom the base numbers narrows
-its group's table by the atom's mask, and a new atom becomes a group of its
-own, so no other group is touched.  A store one hard rule larger is
+consistent with the base, by one such loop each, without compiling: the
+closure asks both of each rule instance's consequent.  A store one
+literal larger than a compiled one is compiled by `add_literal`: an atom
+the base numbers narrows its group's table by the atom's mask, and a new
+atom becomes a group of its own, so no other group is touched.  A store one hard rule larger is
 compiled by `add_formula`, which merges the groups the rule touches with its
 new atoms, builds that one group's table and numbers again only the
 variables of the groups it merged or moved.
@@ -285,23 +285,10 @@ def verdict(base: Compiled, lits: tuple[tuple[str, int], ...]) -> tuple[bool, bo
     nots) pairs, and whether the conjunction is consistent with base: the
     negation of `satisfiable((), base, negated=f)` and `satisfiable((f,),
     base)` for a formula f with those literals, read from the stored
-    tables without compiling.  A lone literal, the common case, is one
-    mask test for both answers: base entails it when the assignments of
-    its group's table that make it true are the whole table, and it is
-    consistent with base when they are not none."""
+    tables without compiling."""
     if not base.sat:
         return True, False
-    if len(lits) != 1:
-        return not _literals_fit(base, (), lits), _literals_fit(base, lits)
-    [(key, nots)] = lits
-    var = base.index.get(key)
-    if var is None:
-        return False, True
-    g = base.group_of[var]
-    table = base.tables[g]
-    mask = _var_mask(base.position[var], len(base.groups[g][0]))
-    kept = table & ~mask if nots % 2 else table & mask
-    return kept == table, kept != 0
+    return not _literals_fit(base, (), lits), _literals_fit(base, lits)
 
 
 def _require_ground(fs: tuple[Formula, ...]) -> None:

@@ -343,6 +343,18 @@ def test_apply_support_relation_validates_the_supporter():
         apply_support_relation(KnowledgeBase(), AX, SITE, CONTENTS, "zzz", "b", (), EvalContext())
 
 
+def test_apply_support_relation_dispatches_on_the_supporter():
+    # a supported outside the site's pair is related to the supporter all the same
+    contents = {"a": Atom("supports"), "c": parse_formula("(veto h)")}
+    app = apply_support_relation(support_kb("a", "c"), AX, SITE, contents, "a", "c", (), EvalContext())
+    assert app.rule == "ResultRule"
+    assert app.rel == RelAtom("Result", ("a", "c"))
+    contents["b"] = Atom("supports")
+    app = apply_support_relation(support_kb("b", "c"), AX, SITE, contents, "b", "c", (), EvalContext())
+    assert app.rule == "EvidenceRule"
+    assert app.rel == RelAtom("Evidence", ("b", "c"))
+
+
 def test_apply_support_relation_closes_within_the_context_step_bound():
     kb = kb_with(["p"]).assert_fact((), isupport_atom("a", "b"))
     contents = {"a": Atom("supports"), "b": parse_formula("(veto h)")}
@@ -362,7 +374,7 @@ def test_result_via_cause_checker():
 
 
 def test_belief_property_rules_cover_both_directions():
-    rules = belief_property_rules(AX, "a", "b", CONTENTS)
+    rules = belief_property_rules(AX, SITE, CONTENTS)
     assert [r.name for r in rules] == [
         "BeliefProperty-Result@a,b",
         "BeliefProperty-Evidence@a,b",
@@ -383,17 +395,16 @@ def test_a_sites_relation_atoms_are_built_once_and_shared():
         "(rel Result a b)", "(rel Evidence a b)", "(rel Evidence b a)")))
     assert site.exclusion.left is site.relation("Narration")
     assert site.exclusion.right.body is result
-    rules = belief_property_rules(AX, "a", "b", CONTENTS, site=site)
+    rules = belief_property_rules(AX, site, CONTENTS)
     assert [r.antecedent[1] for r in rules] == [result, evidence, back]
     assert all(r.antecedent[1] is atom for r, atom in zip(rules, (result, evidence, back)))
-    assert rules == belief_property_rules(AX, "a", "b", CONTENTS)
     assert all(x is y for x, y in zip(cooperation_permitted(site, "a", "b"), (result, evidence)))
     assert cooperation_permitted(site, "b", "a")[0] is back
     assert result_via_cause(kb_with(["(cause a b)"]), site)[0] is result
 
 
 def test_belief_property_rules_transmit_in_closure():
-    rules = belief_property_rules(AX, "a", "b", CONTENTS)
+    rules = belief_property_rules(AX, SITE, CONTENTS)
     kb = kb_with(["(B I ca)"]).assert_fact((), RelAtom("Result", ("a", "b")))
     res = defeasible_closure(kb, rules)
     assert res.kb.has_fact((), Att("B", "I", Atom("cb")))
