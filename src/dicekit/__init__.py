@@ -44,6 +44,7 @@ from .formulas import (
     Att,
     Can,
     Const,
+    Content,
     Default,
     Doing,
     Done,
@@ -97,6 +98,7 @@ __all__ = [
     "Can",
     "Const",
     "Constituent",
+    "Content",
     "Default",
     "DefaultRule",
     "DepthExceeded",

@@ -1,15 +1,15 @@
 """The standard rule library and its drivers.
 
-Rules fall into three operational classes:
+Rules fall into two operational classes:
 
 * closure rules -- fired by the defeasible-closure loop (Narration,
   Intentionality, the practical syllogism and its converse APS1, sincerity,
-  wanting-and-doing, charity, result-via-cause, the intention-update schema);
+  wanting-and-doing, charity, result-via-cause, the intention-update schema,
+  and belief-property transmission, which reads each constituent's content
+  from its `(K x φ)` fact);
 * drivers -- rules whose side conditions need content lookups or hypothetical
   reasoning, applied by dedicated procedures (intends-to-support, cooperation,
-  the result/evidence rules, plan apprehension);
-* schematic rules -- belief-property transmission, instantiated per attachment
-  pair into ground closure rules.
+  the result/evidence rules, plan apprehension).
 
 The library is instantiated with the discourse's author and interpreter names.
 """
@@ -44,7 +44,6 @@ from .formulas import (
     Not,
     Plan,
     RelAtom,
-    Var,
     cached_attr,
     conj,
     conjuncts,
@@ -105,7 +104,7 @@ class AxiomSet:
         ]
         if charity:
             attitude.append("Charity")
-        relation = ["Narration", "ResultViaCause"]
+        relation = ["Narration", "ResultViaCause", "BeliefProperty-Result", "BeliefProperty-Evidence"]
         try:
             names = {"attitude": attitude, "relation": relation}[which]
         except KeyError:
@@ -175,17 +174,18 @@ def standard_axioms(author: str = "A", interpreter: str = "I") -> AxiomSet:
         ),
         r(
             "BeliefProperty-Result",
-            ["(B {I} ?cx)", "(rel Result ?x ?y)"],
+            ["(B {I} ?cx)", "(rel Result ?x ?y)", "(K ?x ?cx)", "(K ?y ?cy)"],
             "(B {I} ?cy)",
-            driver=True,
-            note="schematic: instantiated per attachment pair by belief_property_rules",
+            scope="everywhere",
+            note="believing the content of a constituent defaults to believing the"
+            " content of one it is related to by Result",
         ),
         r(
             "BeliefProperty-Evidence",
-            ["(B {I} ?cx)", "(rel Evidence ?x ?y)"],
+            ["(B {I} ?cx)", "(rel Evidence ?x ?y)", "(K ?x ?cx)", "(K ?y ?cy)"],
             "(B {I} ?cy)",
-            driver=True,
-            note="schematic: instantiated per attachment pair by belief_property_rules",
+            scope="everywhere",
+            note="as BeliefProperty-Result, for Evidence",
         ),
         r(
             "ResultRule",
@@ -457,50 +457,6 @@ def apply_support_relation(
                         justification=justification,
                     )
     return None
-
-
-_CAUSE = Atom("cause", (Var("x"), Var("y")))
-
-
-def result_via_cause(
-    kb: KnowledgeBase, site: UpdateSite, path: ContextPath = ()
-) -> tuple[RelAtom, Formula] | None:
-    """Thin checker for the cause-based Result default (the closure fires it):
-    the site's Result atom and the cause atom that justifies it, or None."""
-    cause = entailed_instance(kb, path, _CAUSE, {"x": Const(site.attach_to), "y": Const(site.new)})
-    return None if cause is None else (site.relation("Result"), cause)
-
-
-# ----------------------------------------------------------- belief transmission
-
-
-def belief_property_rules(
-    axioms: AxiomSet,
-    site: UpdateSite,
-    contents: Mapping[str, Formula],
-) -> tuple[DefaultRule, ...]:
-    """Ground belief-property instances for a site's attachment pair, one
-    per relation atom the pair could acquire, that atom the site's
-    (`UpdateSite.relation`).  The interpreter's belief in each content is
-    built once, and the three rules share it."""
-    I = axioms.interpreter
-    bx, by = Att("B", I, contents[site.attach_to]), Att("B", I, contents[site.new])
-
-    def mk(rel: str, backward: bool, ba: Formula, bb: Formula) -> DefaultRule:
-        atom = site.relation(rel, backward)
-        a, b = atom.args
-        return DefaultRule(
-            name=f"BeliefProperty-{rel}@{a},{b}",
-            antecedent=(ba, atom),
-            consequent=bb,
-            scope="everywhere",
-        )
-
-    return (
-        mk("Result", False, bx, by),
-        mk("Evidence", False, bx, by),
-        mk("Evidence", True, by, bx),
-    )
 
 
 # -------------------------------------------------------------- plan apprehension

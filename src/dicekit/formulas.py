@@ -13,16 +13,18 @@ Surface syntax (s-expressions, one form per formula):
     (site tau alpha beta) update-site atom: attach new beta to open alpha
     (info alpha beta)     content-summary atom for a site
     (rel Result alpha beta)   discourse-relation atom over constituent ids
+    (K alpha f)           content atom: f is the content of constituent alpha
     (yields f g)          nonmonotonic-consequence atom: f defeasibly yields g
 
 Plan steps are action symbols or (name arg ...) lists.  `site` and `info`
 are plain atoms whose parser checks their arity.  Symbols beginning with
 ``?`` are pattern variables and only legal in rule patterns, never in ground
-formulas: in an atom's argument (a site or info atom's too) or a relation
-atom's argument one is a term variable (`Var`), which binds a constant, and in
-formula position a formula metavariable (`FVar`).  A shape restricts what a
-metavariable binds, ``?f:doing`` to an (R ...) formula and ``?f:done`` to a
-(D ...) one (the table `_SHAPES`).
+formulas: in an atom's argument (a site or info atom's too), a relation
+atom's argument or a content atom's constituent one is a term variable
+(`Var`), which binds a constant, and in formula position a formula
+metavariable (`FVar`).  A shape restricts what a metavariable binds,
+``?f:doing`` to an (R ...) formula and ``?f:done`` to a (D ...) one (the
+table `_SHAPES`).
 
 Formulas are immutable, so each node is keyed once: its canonical printed
 form (`Formula.key`, what `print_formula` returns) and its groundness
@@ -322,6 +324,16 @@ class RelAtom(Formula):
 
 
 @dataclass(frozen=True)
+class Content(Formula):
+    """`(K cid body)`: body is the content of constituent cid, a name in a
+    ground atom and a `Var` where a pattern has a `?` argument.  Opaque, as
+    an attitude is: the satisfiability layer sees one variable."""
+
+    cid: str | Var
+    body: Formula
+
+
+@dataclass(frozen=True)
 class Yields(Formula):
     """`(yields f g)`: adding f to the ambient store defeasibly yields g,
     while the store alone does not."""
@@ -345,6 +357,13 @@ def _parse_term(form, bound: frozenset[str]) -> Term:
     if form in bound:
         return Var(form)
     return Const(form)
+
+
+def _parse_name(form: str, bound: frozenset[str]) -> str | Var:
+    """A constituent argument, of a relation or content atom: a name, or a
+    `Var` as `_parse_term` reads one."""
+    t = _parse_term(form, bound)
+    return t if type(t) is Var else t.name
 
 
 def _parse_action(form) -> Action:
@@ -427,8 +446,11 @@ def from_sexp(form, bound: frozenset[str] = frozenset()) -> Formula:
     if head == "rel":
         if len(rest) != 3 or not all(isinstance(x, str) for x in rest):
             raise ParseError(f"(rel Name alpha beta) expected, got {sexp.write(form)}")
-        args = [_parse_term(x, bound) for x in rest[1:]]
-        return RelAtom(rest[0], tuple([t if type(t) is Var else t.name for t in args]))
+        return RelAtom(rest[0], tuple([_parse_name(x, bound) for x in rest[1:]]))
+    if head == "K":
+        if len(rest) != 2 or not isinstance(rest[0], str):
+            raise ParseError(f"(K alpha formula) expected, got {sexp.write(form)}")
+        return Content(_parse_name(rest[0], bound), from_sexp(rest[1], bound))
     if head == "yields":
         if len(rest) != 2:
             raise ParseError("yields takes two formulas")
@@ -455,7 +477,8 @@ _PLANS = (Doing, Done)  # plan
 
 def _cases(unary, binary, nary, plans, singles: dict) -> dict:
     """A dispatch table: the case of each group, then those of the other
-    classes (atoms, metavariables, generics, attitudes and relation atoms)."""
+    classes (atoms, metavariables, generics, attitudes, relation atoms and
+    content atoms)."""
     return {**dict.fromkeys(_UNARY, unary), **dict.fromkeys(_BINARY, binary),
             **dict.fromkeys(_NARY, nary), **dict.fromkeys(_PLANS, plans), **singles}
 
@@ -490,7 +513,8 @@ _RENDER = _cases(
         FVar: lambda f, key: f"?{f.name}:{f.shape}" if f.shape else f"?{f.name}",
         Generic: lambda f, key: f"(forall {f.var} (> {key(f.antecedent)} {key(f.consequent)}))",
         Att: lambda f, key: f"({f.kind} {f.agent} {key(f.body)})",
-        RelAtom: lambda f, key: f"(rel {f.rel} {key(f.args[0])} {key(f.args[1])})"})
+        RelAtom: lambda f, key: f"(rel {f.rel} {key(f.args[0])} {key(f.args[1])})",
+        Content: lambda f, key: f"(K {key(f.cid)} {key(f.body)})"})
 
 
 # ------------------------------------------------------------------- structure walks
@@ -502,7 +526,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
 _leaf = lambda f: ()
 _CHILDREN = _cases(lambda f: (f.body,), attrgetter("left", "right"), attrgetter("parts"), _leaf, {
     Atom: _leaf, FVar: _leaf, Generic: attrgetter("antecedent", "consequent"), Att: lambda f: (f.body,),
-    RelAtom: _leaf})
+    RelAtom: _leaf, Content: lambda f: (f.body,)})
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -525,9 +549,10 @@ def _free_in_children(f: Formula) -> frozenset[str]:
 
 _no_names = lambda f: _NONE
 _vars_in_args = lambda f: frozenset([t.name for t in f.args if type(t) is Var])
+_var_in_cid = lambda f: frozenset([f.cid.name]) if type(f.cid) is Var else _NONE
 _FREE = _cases(_free_in_children, _free_in_children, _free_in_children, _no_names, {
     Atom: _vars_in_args, FVar: _no_names, Generic: lambda f: _free_in_children(f) - {f.var},
-    Att: _free_in_children, RelAtom: _vars_in_args})
+    Att: _free_in_children, RelAtom: _vars_in_args, Content: lambda f: _var_in_cid(f) | _free_in_children(f)})
 
 
 def metavariables(f: Formula) -> frozenset[str]:
@@ -545,13 +570,14 @@ def _cached_union(attr: str, singles: dict) -> dict:
 
 _FVAR_NAMES = _cached_union("fvar_names", {
     Atom: _no_names, FVar: lambda f: frozenset([f.name]), RelAtom: _no_names,
-    Generic: lambda f: f.antecedent.fvar_names | f.consequent.fvar_names, Att: lambda f: f.body.fvar_names})
+    Generic: lambda f: f.antecedent.fvar_names | f.consequent.fvar_names, Att: lambda f: f.body.fvar_names,
+    Content: lambda f: f.body.fvar_names})
 # a generic's own variable is not one of its variables, unless it also names
 # a formula metavariable inside it
 _VARIABLES = _cached_union("variables", {
     Atom: _vars_in_args, FVar: lambda f: frozenset([f.name]), RelAtom: _vars_in_args,
     Generic: lambda f: (f.antecedent.variables | f.consequent.variables) - {f.var} | f.fvar_names,
-    Att: lambda f: f.body.variables})
+    Att: lambda f: f.body.variables, Content: lambda f: _var_in_cid(f) | f.body.variables})
 
 
 def is_ground(f: Formula) -> bool:
@@ -575,7 +601,8 @@ _GROUND = _cases(
         FVar: lambda f: False,
         Generic: lambda f: not f.variables,
         Att: lambda f: f.body.ground,
-        RelAtom: _args_ground})
+        RelAtom: _args_ground,
+        Content: lambda f: type(f.cid) is not Var and f.body.ground})
 
 
 def conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -639,6 +666,7 @@ def _substitute_generic(f: Generic, mapping: Mapping[str, str]) -> Formula:
 
 
 _unchanged = lambda f, _: f
+_substitute_name = lambda t, m: m[t.name] if type(t) is Var and t.name in m else t
 _SUBSTITUTE = _cases(
     lambda f, m: type(f)(substitute(f.body, m)),
     lambda f, m: type(f)(substitute(f.left, m), substitute(f.right, m)),
@@ -649,8 +677,8 @@ _SUBSTITUTE = _cases(
         Generic: _substitute_generic,
         Att: lambda f, m: Att(f.kind, f.agent, substitute(f.body, m)),
         FVar: _unchanged,
-        RelAtom: lambda f, m: RelAtom(f.rel, tuple(
-            [m[t.name] if type(t) is Var and t.name in m else t for t in f.args]))})
+        RelAtom: lambda f, m: RelAtom(f.rel, tuple([_substitute_name(t, m) for t in f.args])),
+        Content: lambda f, m: Content(_substitute_name(f.cid, m), substitute(f.body, m))})
 
 
 # ------------------------------------------------------------------ pattern matching
@@ -704,8 +732,9 @@ def _match_term(p: Term, got: Term, b: Binding) -> bool:
 
 
 def _match_name(p: str | Var, got: str | Var, b: Binding) -> bool:
-    """A relation atom's argument: a variable binds the name as a constant,
-    and meets a generic's own variable as `_match_term` does."""
+    """A relation or content atom's constituent argument: a variable binds
+    the name as a constant, and meets a generic's own variable as
+    `_match_term` does."""
     if type(p) is not Var:
         return p == got
     return _match_term(p, got, b) if type(got) is Var else _bind(p.name, Const(got), b)
@@ -734,7 +763,8 @@ _MATCH = _cases(
         FVar: _match_fvar,
         Generic: _match_generic,
         Att: lambda p, f, b: p.kind == f.kind and p.agent == f.agent and _match(p.body, f.body, b),
-        RelAtom: lambda p, f, b: p.rel == f.rel and all(map(_match_name, p.args, f.args, repeat(b)))})
+        RelAtom: lambda p, f, b: p.rel == f.rel and all(map(_match_name, p.args, f.args, repeat(b))),
+        Content: lambda p, f, b: _match_name(p.cid, f.cid, b) and _match(p.body, f.body, b)})
 
 
 def _functor(f: Formula) -> tuple | None:
@@ -749,7 +779,7 @@ _FUNCTOR = _cases(_by_class, _by_class, _by_class, _by_class, {
     FVar: lambda f: (_SHAPES[f.shape].__name__,) if f.shape else None,
     Att: lambda f: ("Att", f.kind, f.agent),
     RelAtom: lambda f: ("RelAtom", f.rel, len(f.args)),
-    Generic: _by_class})
+    Generic: _by_class, Content: _by_class})
 
 
 def _bound(name: str, b: Binding):
@@ -779,7 +809,8 @@ def _instantiate_term(t: Term, b: Binding) -> Term:
 
 
 def _instantiate_name(t: str | Var, b: Binding) -> str | Var:
-    """A relation atom's argument: a name, or a generic's own variable."""
+    """A relation or content atom's constituent argument: a name, or a
+    generic's own variable."""
     if type(t) is str:
         return t
     v = _instantiate_term(t, b)
@@ -800,7 +831,8 @@ _INSTANTIATE = _cases(
         FVar: _instantiate_fvar,
         Generic: _instantiate_generic,
         Att: lambda p, b: Att(p.kind, p.agent, instantiate(p.body, b)),
-        RelAtom: lambda p, b: RelAtom(p.rel, tuple([_instantiate_name(t, b) for t in p.args]))})
+        RelAtom: lambda p, b: RelAtom(p.rel, tuple([_instantiate_name(t, b) for t in p.args])),
+        Content: lambda p, b: Content(_instantiate_name(p.cid, b), instantiate(p.body, b))})
 
 
 def ground_key(pattern: Formula, b: Binding) -> str:

@@ -1,11 +1,14 @@
 """Scenario execution: the per-utterance interpretation pipeline.
 
-`run_scenario` takes up each utterance (`_take_up`) over one run state.  The
-first is taken up directly (the interpreter believes an assertion; an
+`run_scenario` takes up each utterance (`_take_up`) over one run state, which
+holds one rule set for each closure phase.  Each utterance's content becomes a
+fact `(K id content)` at the root, the author's path and every declared path.
+The first is taken up directly (the interpreter believes an assertion; an
 imperative registers as an order) and goes through phase 2 only; each later one
-  1. mints an update site against the right frontier, asserts its site and
-     info atoms and adds the pair's belief-property rules (`_open_site`),
-     then resolves a plan anaphor in a cause clue (`_resolve_anaphor`),
+  1. mints an update site against the right frontier, adds the pair's
+     Narration/Result exclusion and asserts its site and info atoms
+     (`_open_site`), then resolves a plan anaphor in a cause clue
+     (`_resolve_anaphor`),
   2. closes the root store over attitude rules (intentionality, sincerity,
      wanting-and-doing, the practical syllogism and APS1, intention update,
      optionally charity) (`_close_attitudes`),
@@ -20,8 +23,9 @@ imperative registers as an order) and goes through phase 2 only; each later one
      are retracted and the discourse is incoherent, as it is when no relation
      is derived at all (`_check_permission`),
   7. attaches derived relations, extends intended plans (plan apprehension),
-     and closes over the relation rules again, among them every pair's
-     belief-property rules (`_attach`).
+     and closes over the relation rules again, among them the belief-property
+     schemas, which transmit the interpreter's belief in a content along
+     Result and Evidence (`_attach`).
 
 After a coherent discourse, one abduction pass over the practical syllogism
 absorbs the author's reconstructed communicative goals (`_reconstruct_goals`).
@@ -37,13 +41,11 @@ from .axioms import (
     AxiomSet,
     SupportCheck,
     apply_support_relation,
-    belief_property_rules,
     contrapose_cooperation,
     cooperation_permitted,
     isupport_atom,
     isupport_holds,
     plan_apprehension,
-    result_via_cause,
     standard_axioms,
 )
 from .engine import DefaultRule, EvalContext, Trace, abduce, defeasible_closure, entailed_instance
@@ -52,6 +54,7 @@ from .formulas import (
     Atom,
     Att,
     Const,
+    Content,
     Doing,
     Formula,
     Imp,
@@ -61,7 +64,7 @@ from .formulas import (
     Var,
     print_formula,
 )
-from .kb import KnowledgeBase
+from .kb import ContextPath, KnowledgeBase
 from .scenario import Expectation, Scenario, Utterance
 from .sdrs import Constituent, Sdrs, UpdateSite, attach, coherent, open_attachment_sites, resolve_plan_anaphor
 
@@ -69,6 +72,8 @@ from .sdrs import Constituent, Sdrs, UpdateSite, attach, coherent, open_attachme
 THAT_WAY = "that-way"
 #: the cause clue of a plan anaphor, for the site's new constituent y
 _CLUE = Atom("cause", (Const(THAT_WAY), Var("y")))
+#: the cause that justifies a Result (x, y) no driver applied
+_CAUSE = Atom("cause", (Var("x"), Var("y")))
 
 #: the relations a site's pair (x, y) may acquire, either way round
 _RELATION_PATTERNS = tuple(
@@ -142,14 +147,21 @@ class _Run:
     kb: KnowledgeBase
     max_steps: int
     attitude_rules: tuple[DefaultRule, ...]
-    # the relation phase's rules and the scenario's, then every pair's belief-property rules
-    relation_rules: tuple[DefaultRule, ...]
+    relation_rules: tuple[DefaultRule, ...]  # the relation phase's rules and the scenario's
     trace: Trace = field(default_factory=Trace)
     sdrs: Sdrs = field(default_factory=Sdrs)
-    contents: dict[str, Formula] = field(default_factory=dict)
     provenance: dict[Plan, str] = field(default_factory=dict)  # plan -> constituent it is intended since
     sites: list[UpdateSite] = field(default_factory=list)
     traced: tuple[int, int] = (0, 0)  # root facts and author intention atoms read by `_trace_intentions`
+    ctx: EvalContext = field(init=False)  # the relation rules and step bound, for the drivers and abduction
+    # where each pair's exclusion and each content fact go: the root, the
+    # author's path and each declared path within the depth bound
+    paths: tuple[ContextPath, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.ctx = EvalContext(self.relation_rules, self.max_steps)
+        declared = {decl.path for decl in self.scenario.contexts}
+        self.paths = tuple(p for p in sorted({(), (self.scenario.author,)} | declared) if len(p) <= self.kb.max_depth)
 
     def close(self, rules) -> None:
         self.kb = defeasible_closure(self.kb, rules, (), trace=self.trace, max_steps=self.max_steps).kb
@@ -192,11 +204,13 @@ def _interpret(run: _Run) -> tuple[str, ...]:
 def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
     """The pipeline for one utterance; the module docstring lists the phases."""
     prior = run.sdrs  # the discourse so far; frontiers are computed against it
-    run.contents[utt.id] = utt.content
     run.sdrs = prior.with_constituent(Constituent(utt.id, utt.content, utt.mood))
+    content = Content(utt.id, utt.content)
+    for path in run.paths:
+        run.kb = run.kb.assert_fact(path, content, mirror=False)
     heard = f"utterance {utt.id} ({utt.mood}): {print_formula(utt.content)}"
     site = resolved = None
-    if prior.order:
+    if prior.constituents:
         site, frontier = _open_site(run, utt.id, prior)
         heard += f"; site {site.tau} attaches to {site.attach_to} (right frontier: {', '.join(frontier)})"
     run.trace.note(heard)
@@ -211,10 +225,9 @@ def _take_up(run: _Run, utt: Utterance) -> tuple[str, ...]:
             return (f"plan anaphor at {utt.id}: {exc}",)
     _close_attitudes(run)
     if site is not None:
-        ctx = EvalContext(rules=run.relation_rules, max_steps=run.max_steps)
-        checks = _check_support(run, site, ctx)
+        checks = _check_support(run, site, run.ctx)
         _cooperate(run, site, checks)
-        derived, applied = _derive_relations(run, site, checks, ctx)
+        derived, applied = _derive_relations(run, site, checks, run.ctx)
         diagnostics = _check_permission(run, site, checks, derived)
         if diagnostics:
             return diagnostics
@@ -248,16 +261,14 @@ def _open_site(run: _Run, new: str, prior: Sdrs) -> tuple[UpdateSite, tuple[str,
     """Phase 1: `new` attaches to the most recent open constituent.  Returns
     the site and the right frontier it was chosen from."""
     frontier = open_attachment_sites(prior)
-    site = UpdateSite(f"tau{len(prior.order)}", frontier[0], new)
+    site = UpdateSite(f"tau{len(prior.constituents)}", frontier[0], new)
     run.sites.append(site)
     # Narration and Result exclude one another over the pair; installed per
     # minted site (not for every conceivable pair) to keep stores small
-    for path in sorted({(), (run.scenario.author,)} | {decl.path for decl in run.scenario.contexts}):
-        if len(path) <= run.kb.max_depth:
-            run.kb = run.kb.add_hard_rule(path, site.exclusion)
+    for path in run.paths:
+        run.kb = run.kb.add_hard_rule(path, site.exclusion)
     run.kb = run.kb.assert_fact((), site.token)
     run.kb = run.kb.assert_fact((), site.info)
-    run.relation_rules += belief_property_rules(run.axioms, site, run.contents)
     return site, frontier
 
 
@@ -278,11 +289,16 @@ def _close_attitudes(run: _Run) -> None:
     run.close(run.attitude_rules)
 
 
+def _contents(run: _Run, site: UpdateSite) -> dict[str, Formula]:
+    """The contents of the site's pair, for the drivers."""
+    return {cid: run.sdrs.content(cid) for cid in (site.attach_to, site.new)}
+
+
 def _check_support(run: _Run, site: UpdateSite, ctx: EvalContext) -> list[SupportCheck]:
     """Phase 3: intentional support in textual order, then against it."""
-    checks = []
+    checks, contents = [], _contents(run, site)
     for supporter, supported in ((site.attach_to, site.new), (site.new, site.attach_to)):
-        chk = isupport_holds(run.kb, run.axioms, site, run.contents, supporter, supported, ctx=ctx)
+        chk = isupport_holds(run.kb, run.axioms, site, contents, supporter, supported, ctx=ctx)
         checks.append(chk)
         if not chk.ok:
             run.trace.note(f"Isupport({supporter},{supported}) does not hold")
@@ -315,7 +331,7 @@ def _derive_relations(run: _Run, site: UpdateSite, checks: list[SupportCheck], c
     applied: dict[RelAtom, tuple[Formula, ...]] = {}
     for chk in (c for c in checks if c.ok):
         app = apply_support_relation(
-            run.kb, run.axioms, site, run.contents, chk.supporter, chk.supported, run.scenario.hypotheses,
+            run.kb, run.axioms, site, _contents(run, site), chk.supporter, chk.supported, run.scenario.hypotheses,
             ctx, delta_constraints=run.scenario.delta_constraints, trace=run.trace,
         )
         if app is None:
@@ -350,12 +366,12 @@ def _check_permission(run: _Run, site: UpdateSite, checks: list[SupportCheck], d
 def _attach(run: _Run, site: UpdateSite, derived, applied, resolved: Plan | None) -> None:
     """Phase 7."""
     for rel in derived:
-        run.sdrs = attach(run.sdrs, site, rel, _justification_for(rel, applied, run.kb, site))
+        run.sdrs = attach(run.sdrs, site, rel, _justification_for(rel, applied, run.kb))
         run.trace.note(f"attach {print_formula(rel)}")
-    open_content = run.contents[site.attach_to]
+    open_content = run.sdrs.content(site.attach_to)
     base = resolved or (open_content.plan if isinstance(open_content, Doing) else None)
     for rel in derived:
-        extended = plan_apprehension(run.kb, run.axioms, rel, run.contents[site.new], base)
+        extended = plan_apprehension(run.kb, run.axioms, rel, run.sdrs.content(site.new), base)
         if extended is None:
             continue
         intent = Att("I", run.scenario.author, Doing(extended))
@@ -366,25 +382,23 @@ def _attach(run: _Run, site: UpdateSite, derived, applied, resolved: Plan | None
     run.close(run.relation_rules)
 
 
-def _justification_for(rel: RelAtom, applied, kb: KnowledgeBase, site: UpdateSite) -> tuple[Formula, ...]:
+def _justification_for(rel: RelAtom, applied, kb: KnowledgeBase) -> tuple[Formula, ...]:
     if rel in applied:
         return applied[rel]
     # a Result without a driver is justified by a cause read in its own direction
-    if rel.args != (site.attach_to, site.new):
-        site = UpdateSite(site.tau, *rel.args)
-    by_cause = result_via_cause(kb, site) if rel.rel == "Result" else None
-    return by_cause or (rel,)
+    x, y = rel.args
+    cause = entailed_instance(kb, (), _CAUSE, {"x": Const(x), "y": Const(y)}) if rel.rel == "Result" else None
+    return (rel,) if cause is None else (rel, cause)
 
 
 def _reconstruct_goals(run: _Run) -> None:
     """Absorb the author's communicative goals, abduced over the practical
     syllogism once the discourse stands."""
     pool = {
-        "phi": tuple(Att("B", run.scenario.interpreter, run.contents[cid]) for cid in run.sdrs.order),
+        "phi": tuple(Att("B", run.scenario.interpreter, c.content) for c in run.sdrs.constituents.values()),
         "psi": tuple(s.content for s in run.sites),
     }
-    ctx = EvalContext(rules=run.relation_rules, max_steps=run.max_steps)
-    results = abduce(run.kb, run.axioms["PracticalSyllogism"], (), pool=pool, ctx=ctx, trace=run.trace)
+    results = abduce(run.kb, run.axioms["PracticalSyllogism"], (), pool=pool, ctx=run.ctx, trace=run.trace)
     for res in results:
         for h in res.hypothesis:
             if not run.kb.entails((), h):

@@ -9,7 +9,8 @@ keep the parent on the right frontier, so later utterances may attach above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from .errors import AmbiguousAntecedent, NoAntecedent, ValidationError
 from .formulas import And, Atom, Const, Formula, Implies, Not, Plan, RelAtom, cached_attr
@@ -67,8 +68,8 @@ class UpdateSite:
     def relation(self, rel: str, backward: bool = False) -> RelAtom:
         """The relation atom `(rel rel attach_to new)`, or `(rel rel new
         attach_to)` when backward, built on first use and kept on the site:
-        the exclusion, the pair's belief-property rules and the relation
-        drivers and checks all take it from here."""
+        the exclusion and the relation drivers and checks all take it from
+        here."""
         atom = self._relations.get((rel, backward))
         if atom is None:
             pair = (self.new, self.attach_to) if backward else (self.attach_to, self.new)
@@ -92,18 +93,22 @@ class Attachment:
 
 @dataclass(frozen=True)
 class Sdrs:
-    constituents: tuple[Constituent, ...] = ()
+    constituents: Mapping[str, Constituent] = field(default_factory=dict)  # by id, arrival order
     attachments: tuple[Attachment, ...] = ()
-    order: tuple[str, ...] = ()  # constituent ids, arrival order
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The constituent ids, arrival order."""
+        return tuple(self.constituents)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.constituents)
+        return tuple(self.constituents)
 
     def constituent(self, cid: str) -> Constituent:
-        for c in self.constituents:
-            if c.id == cid:
-                return c
-        raise ValidationError(f"no constituent {cid!r}")
+        c = self.constituents.get(cid)
+        if c is None:
+            raise ValidationError(f"no constituent {cid!r}")
+        return c
 
     def content(self, cid: str) -> Formula:
         return self.constituent(cid).content
@@ -112,9 +117,9 @@ class Sdrs:
         return tuple(a.rel for a in self.attachments)
 
     def with_constituent(self, c: Constituent) -> "Sdrs":
-        if any(x.id == c.id for x in self.constituents):
+        if c.id in self.constituents:
             raise ValidationError(f"duplicate constituent id {c.id!r}")
-        return replace(self, constituents=self.constituents + (c,), order=self.order + (c.id,))
+        return replace(self, constituents={**self.constituents, c.id: c})
 
 
 def attach(
@@ -140,9 +145,9 @@ def open_attachment_sites(s: Sdrs) -> tuple[str, ...]:
     """The right frontier, most recent first: the last-arrived constituent,
     plus every constituent reachable from it upward through subordinating
     attachments."""
-    if not s.order:
+    if not s.constituents:
         return ()
-    frontier = [s.order[-1]]
+    frontier = [next(reversed(s.constituents))]
     cursor = 0
     while cursor < len(frontier):
         node = frontier[cursor]

@@ -10,14 +10,12 @@ import reference
 from dicekit.axioms import (
     AXIOM_NAMES,
     apply_support_relation,
-    belief_property_rules,
     collect_generics,
     contrapose_cooperation,
     cooperation_permitted,
     isupport_atom,
     isupport_holds,
     plan_apprehension,
-    result_via_cause,
     standard_axioms,
 )
 from dicekit.engine import EvalContext, Trace, defeasible_closure, make_rule
@@ -27,6 +25,7 @@ from dicekit.formulas import (
     And,
     Att,
     Atom,
+    Content,
     Doing,
     Done,
     Not,
@@ -37,6 +36,8 @@ from dicekit.formulas import (
     print_pattern,
 )
 from dicekit.kb import KnowledgeBase
+from dicekit.runner import run_scenario
+from dicekit.scenario import loads
 from dicekit.sdrs import UpdateSite
 
 AX = standard_axioms()
@@ -72,7 +73,12 @@ def test_phase_partition():
         "IntentionUpdate",
     }
     assert "Charity" in {r.name for r in AX.phase("attitude", charity=True)}
-    assert {r.name for r in AX.phase("relation")} == {"Narration", "ResultViaCause"}
+    assert {r.name for r in AX.phase("relation")} == {
+        "Narration",
+        "ResultViaCause",
+        "BeliefProperty-Result",
+        "BeliefProperty-Evidence",
+    }
     with pytest.raises(ValidationError):
         AX.phase("nope")
 
@@ -129,10 +135,9 @@ def test_driver_rules_are_marked():
         "ResultRule",
         "EvidenceRule",
         "PlanApprehension",
-        "BeliefProperty-Result",
-        "BeliefProperty-Evidence",
     ):
         assert AX[name].driver, name
+    assert not any(r.driver for r in AX.phase("relation"))
     assert AX["IntendsToSupport"].hard
     assert AX["Cooperation"].hard
     assert AX["IntentionUpdate"].builtin == "intention-update"
@@ -365,49 +370,66 @@ def test_apply_support_relation_closes_within_the_context_step_bound():
 
 
 def test_result_via_cause_checker():
-    kb = kb_with(["(cause a b)"])
-    assert result_via_cause(kb, SITE) == (RelAtom("Result", ("a", "b")), parse_formula("(cause a b)"))
-    assert result_via_cause(KnowledgeBase(), SITE) is None
+    # a Result that no driver applied is justified by the cause read in its
+    # own direction, and by nothing else when no cause is entailed
+    def justifications(context: str) -> dict[str, list[str]]:
+        report = run_scenario(loads(f"agents A I context [] {{ {context} }} utterance a assertion p"
+                                    " utterance b assertion q"))
+        return {str(a.rel): [str(f) for f in a.justification] for a in report.sdrs.attachments}
+
+    assert justifications("fact (cause a b)") == {"(rel Result a b)": ["(rel Result a b)", "(cause a b)"]}
+    backward = justifications("fact (cause b a) hard (-> (cause b a) (rel Result b a))")
+    assert backward["(rel Result b a)"] == ["(rel Result b a)", "(cause b a)"]
+    assert justifications("fact (rel Result a b)") == {"(rel Result a b)": ["(rel Result a b)"]}
 
 
 # ----------------------------------------------------------- belief transmission
 
 
 def test_belief_property_rules_cover_both_directions():
-    rules = belief_property_rules(AX, SITE, CONTENTS)
-    assert [r.name for r in rules] == [
-        "BeliefProperty-Result@a,b",
-        "BeliefProperty-Evidence@a,b",
-        "BeliefProperty-Evidence@b,a",
-    ]
-    assert all(r.scope == "everywhere" for r in rules)
-    result = rules[0]
-    assert result.antecedent == (Att("B", "I", Atom("ca")), RelAtom("Result", ("a", "b")))
-    assert result.consequent == Att("B", "I", Atom("cb"))
+    # one schema per relation, over the constituents' content facts; the
+    # Evidence schema transmits along either direction of the pair
+    for rel in ("Result", "Evidence"):
+        rule = AX[f"BeliefProperty-{rel}"]
+        assert [print_pattern(a) for a in rule.antecedent] == [
+            "(B I ?cx)", f"(rel {rel} ?x ?y)", "(K ?x ?cx)", "(K ?y ?cy)"]
+        assert print_pattern(rule.consequent) == "(B I ?cy)"
+        assert rule.scope == "everywhere" and not rule.driver and not rule.hard
+    contents = kb_with(["(K a ca)", "(K b cb)"])
+    for x, y in (("a", "b"), ("b", "a")):
+        kb = contents.assert_fact((), RelAtom("Evidence", (x, y))).assert_fact((), Att("B", "I", Atom(f"c{x}")))
+        res = defeasible_closure(kb, AX.phase("relation"))
+        assert res.kb.has_fact((), Att("B", "I", Atom(f"c{y}")))
+        assert [(s.rule, s.binding) for s in res.steps] == [
+            ("BeliefProperty-Evidence", f"{{cx=c{x}, cy=c{y}, x={x}, y={y}}}")]
 
 
 def test_a_sites_relation_atoms_are_built_once_and_shared():
-    # the exclusion, the belief-property rules, the permitted relations and
-    # the cause-based Result all take the pair's atoms from the site
+    # the exclusion and the permitted relations take the pair's atoms from
+    # the site
     site = UpdateSite("tau1", "a", "b")
     result, evidence, back = site.relation("Result"), site.relation("Evidence"), site.relation("Evidence", True)
     assert (result, evidence, back) == tuple(map(parse_formula, (
         "(rel Result a b)", "(rel Evidence a b)", "(rel Evidence b a)")))
     assert site.exclusion.left is site.relation("Narration")
     assert site.exclusion.right.body is result
-    rules = belief_property_rules(AX, site, CONTENTS)
-    assert [r.antecedent[1] for r in rules] == [result, evidence, back]
-    assert all(r.antecedent[1] is atom for r, atom in zip(rules, (result, evidence, back)))
     assert all(x is y for x, y in zip(cooperation_permitted(site, "a", "b"), (result, evidence)))
     assert cooperation_permitted(site, "b", "a")[0] is back
-    assert result_via_cause(kb_with(["(cause a b)"]), site)[0] is result
 
 
 def test_belief_property_rules_transmit_in_closure():
-    rules = belief_property_rules(AX, SITE, CONTENTS)
-    kb = kb_with(["(B I ca)"]).assert_fact((), RelAtom("Result", ("a", "b")))
-    res = defeasible_closure(kb, rules)
-    assert res.kb.has_fact((), Att("B", "I", Atom("cb")))
+    # the Result schema reads each content from its (K x φ) fact: without
+    # the facts nothing fires, and a reversed Result transmits backwards
+    rules = (AX["BeliefProperty-Result"],)
+    assert defeasible_closure(kb_with(["(B I ca)", "(rel Result a b)"]), rules).steps == ()
+    for path in ((), ("A",)):
+        kb = KnowledgeBase()
+        for f in (Att("B", "I", Atom("ca")), Content("a", Atom("ca")), Content("b", Atom("cb")),
+                  RelAtom("Result", ("a", "b"))):
+            kb = kb.assert_fact(path, f, mirror=False)
+        assert defeasible_closure(kb, rules, path).kb.has_fact(path, Att("B", "I", Atom("cb")))
+    reversed_kb = kb_with(["(B I cb)", "(K a ca)", "(K b cb)", "(rel Result b a)"])
+    assert defeasible_closure(reversed_kb, rules).kb.has_fact((), Att("B", "I", Atom("ca")))
 
 
 # ------------------------------------------------------------- plan apprehension

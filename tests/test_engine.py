@@ -641,8 +641,8 @@ def _settled_blocks(kb: KnowledgeBase, rules) -> collections.Counter:
 
 
 def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(monkeypatch):
-    # the rule set grows between closures, as the runner appends each new
-    # pair's belief-property rules: open rules of another random system and
+    # the rule set grows between closures, as a caller may add rules along a
+    # lineage of stores: open rules of another random system and
     # ground instances of them, which may share a name with a rule already
     # there.  Each closure along the lineage adds the rules that join its
     # carry, once each, and extends the anchor index its ancestors left; it
@@ -693,8 +693,8 @@ def test_closing_along_a_lineage_as_rules_are_appended_matches_closing_afresh(mo
                                    consequent=ground(rule.consequent))
                 rules += (rule,)
                 appended += 1
-            # all the rules so far, or the later ones, as the runner closes
-            # its relation rules and then the belief-property ones alone
+            # all the rules so far, or the later ones, as a caller may close
+            # under one part of its rules and then another
             active = rules if rng.random() < 0.7 else rules[len(rules) // 2:]
             carried = kb.store_at(()).carry or {}
             joining = sorted(id(r) for r in active if id(r) not in carried)

@@ -19,6 +19,7 @@ from dicekit.formulas import (
     Atom,
     Can,
     Const,
+    Content,
     Default,
     Doing,
     Done,
@@ -81,6 +82,7 @@ leaves = st.one_of(
     st.builds(lambda t, a, b: Atom("site", (Const(t), Const(a), Const(b))), NAMES, NAMES, NAMES),
     st.builds(lambda a, b: Atom("info", (Const(a), Const(b))), NAMES, NAMES),
     st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, NAMES, NAMES),
+    st.builds(Content, NAMES, atoms),
 )
 
 
@@ -127,6 +129,7 @@ pattern_leaves = st.one_of(
     st.builds(lambda t, a, b: Atom("site", (t, a, b)), TERMS, TERMS, TERMS),
     st.builds(lambda a, b: Atom("info", (a, b)), TERMS, TERMS),
     st.builds(lambda r, a, b: RelAtom(r, (a, b)), RELS, REL_ARGS, REL_ARGS),
+    st.builds(Content, REL_ARGS, st.one_of(atoms, st.builds(FVar, st.sampled_from(("phi", "psi"))))),
 )
 patterns = st.recursive(pattern_leaves, compounds, max_leaves=10)
 
@@ -277,6 +280,9 @@ def test_trailing_input_rejected():
         "(plan go)",
         "(site tau a)",
         "(rel Result a)",
+        "(K a)",
+        "(K a p q)",
+        "(K (a) p)",
         "(forall x (and p q))",
         "()",
     ],
@@ -326,6 +332,7 @@ def test_metavariable_parsing():
     assert parse_formula("(site ?t ?x ?y)") == Atom("site", (Var("t"), Var("x"), Var("y")))
     assert parse_formula("(info ?x b)") == Atom("info", (Var("x"), Const("b")))
     assert parse_formula("(rel Result ?x b)") == RelAtom("Result", (Var("x"), "b"))
+    assert parse_formula("(K ?x ?cx)") == Content(Var("x"), FVar("cx"))
     assert parse_formula("(p ?x bill)") == Atom("p", (Var("x"), Const("bill")))
 
 
@@ -673,7 +680,7 @@ SAMPLES = (
     Default(Atom("p"), Atom("q")), parse_formula("(forall x (> (p x) (q x)))"), Att("B", "A", Atom("p")),
     Doing(Plan((Action("go"),))), Done(Plan((Action("go"),))), Eventually(Atom("p")), Can(Atom("p")),
     Imp(Atom("p")), RelAtom("Result", ("a", "b")),
-    Yields(Atom("p"), Atom("q")),
+    Yields(Atom("p"), Atom("q")), Content("a", Atom("p")),
 )
 
 #: every walk over a node, each of which dispatches on the node's class

@@ -2,11 +2,14 @@
 any corpus scenario interpret with the relations their construction implies."""
 
 import collections
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, scenario_path
+import dicekit
 from dicekit import engine, formulas, runner
 from dicekit.formulas import Doing, Formula, Iff, Implies, parse_formula
 from dicekit.kb import KnowledgeBase
@@ -35,11 +38,70 @@ def test_long_enablement_chain_is_coherent(n):
         assert report.kb.entails((), parse_formula(intention))
 
 
+def test_rules_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
+    # the relation rules are one set for the whole run: the belief-property
+    # schemas read each content from its (K x φ) fact, so no pair adds a
+    # rule.  The most rules passed to a closure is 6 at N=20 and at N=80,
+    # where three ground rules per pair made it 59 and 239
+    most = collections.Counter()
+    real_fixpoint = engine._fixpoint
+
+    def fixpoint(kb, active, *args):
+        most[n] = max(most[n], len(active))
+        return real_fixpoint(kb, active, *args)
+
+    monkeypatch.setattr(engine, "_fixpoint", fixpoint)
+    for n in (20, 80):
+        assert run_scenario(loads(chain_scenario(n), f"chain{n}")).verdict == "coherent"
+    assert most[20] == most[80], most
+
+
+def _bytecodes(fn) -> int:
+    """The bytecodes executed in `dicekit`'s own code while fn runs, counted
+    as opcode trace events (`sys.settrace`)."""
+    package, count = os.path.dirname(dicekit.__file__), 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return local
+
+    def start(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(start)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_bytecodes_per_utterance_stay_flat_as_the_chain_grows():
+    # a bytecode count is the same on every run of the same code, input and
+    # Python version, so it shows the growth that host noise hides in wall
+    # time, whatever the term that grows.  Each scenario runs untraced first,
+    # so that neither count includes filling a cache.  On CPython 3.11 a
+    # chain executes 25,388 per utterance at N=20 and 25,903 at N=80
+    # (x1.02), where three ground belief-property rules per pair made it
+    # 27,582 and 32,435 (x1.18)
+    per_utterance = {}
+    for n in (20, 80):
+        scenario = loads(chain_scenario(n), f"chain{n}")
+        run_scenario(scenario)
+        per_utterance[n] = _bytecodes(lambda: run_scenario(scenario)) / n
+    assert per_utterance[80] <= 1.10 * per_utterance[20], per_utterance
+
+
 def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
-    # each pair adds three belief-property rules, and the relation phase
-    # closes again after every utterance; a round binds only the rules that
-    # its new atoms touch, from those atoms first, so the `match` calls the
-    # engine makes per closure do not grow with the chain
+    # the relation phase closes again after every utterance; a round binds
+    # only the rules that its new atoms touch, from those atoms first, so
+    # the `match` calls the engine makes per closure do not grow with the
+    # chain
     counts = {"match": 0, "closures": 0}
     real_match, real_fixpoint = engine.match, engine._fixpoint
 
@@ -64,9 +126,8 @@ def test_rule_matching_per_closure_stays_flat_as_the_chain_grows(monkeypatch):
 def test_rules_visited_per_closure_stay_flat_as_the_chain_grows(monkeypatch):
     # a rule is visited when its carry record is read by identity.  A round
     # reads the record of each awake active rule, one with live instances or
-    # atoms to bind, the intention-update schema among them; a pair's
-    # belief-property rules sleep once their instances are settled, so the
-    # visits per closure do not grow with the chain
+    # atoms to bind, the intention-update schema among them, so the visits
+    # per closure do not grow with the chain
     counts = {"visits": 0, "closures": 0}
     real_fixpoint = engine._fixpoint
 

@@ -3,10 +3,12 @@
 Each case hashes `report_dict` without `elapsed`, together with every
 store's facts and hard rules in order, so a change that alters any output
 -- a relation, a trace line, a fact, or the order of facts -- names the case
-it altered.  The committed digests come from the engine before the closure
-became incremental, and `context_defaults`'s from the engine before a
-context's defaults became rules scoped to its path.  To write them again,
-from the root of a checkout:
+it altered.  The committed digests were written when each constituent's
+content became a `(K x φ)` fact and the per-pair belief-property rules gave
+way to one schema per relation: against the digests before, each case
+gained its content facts and, where one fired, its belief-property step
+line names the schema and its binding, and nothing else moved.  To write
+them again, from the root of a checkout:
 
     PYTHONPATH=src:tests python tests/test_report_digests.py
 """

@@ -7,11 +7,11 @@ import re
 
 import pytest
 
-from dicekit import runner
+from dicekit import engine, runner
 from dicekit.axioms import isupport_atom
 from dicekit.cli import main
 from dicekit.engine import EvalContext, Trace, defeasible_closure
-from dicekit.formulas import Atom, Att, Const, Not, RelAtom, parse_formula
+from dicekit.formulas import Atom, Att, Const, Content, Not, RelAtom, parse_formula
 from dicekit.runner import (
     THAT_WAY,
     ExpectationResult,
@@ -25,6 +25,7 @@ from dicekit.scenario import Expectation, load, loads
 from dicekit.sdrs import UpdateSite
 
 from conftest import CORPUS, scenario_path
+from test_long_discourse import chain_scenario
 
 
 def _rel(name, x, y):
@@ -143,6 +144,53 @@ def test_runner_installs_relation_exclusion_per_site(corpus_reports):
     excl = parse_formula("(-> (rel Narration alpha beta) (not (rel Result alpha beta)))")
     assert excl in report.kb.store_at(()).hard_rules
     assert excl in report.kb.store_at(("A",)).hard_rules
+
+
+def test_runner_asserts_each_content_where_it_installs_the_exclusions(corpus_reports):
+    # a constituent's content fact goes to the root, the author's path and
+    # each declared path, and is not mirrored into a belief one level up
+    report = corpus_reports["bush_context1"]
+    content = Content("alpha", parse_formula("(supports bush bigbiz)"))
+    assert [path for path, store in report.kb.walk() if content in store.fact_set] == [(), ("A",)]
+    assert not report.kb.entails((), Att("B", "A", content))
+
+
+def test_belief_property_schemas_fire_where_the_per_pair_rules_did(monkeypatch):
+    # the two schemas fire at the (path, relation, pair) set at which the
+    # three ground rules per pair that they replace fired
+    fired = {}
+    real_fixpoint = engine._fixpoint
+
+    def fixpoint(kb, active, path, trace, max_steps):
+        result = real_fixpoint(kb, active, path, trace, max_steps)
+        for step in result.steps:
+            if step.rule.startswith("BeliefProperty-"):
+                pair = re.search(r", x=([^,]+), y=([^,]+)\}$", step.binding).groups()
+                fired.setdefault(name, set()).add((path, step.rule.split("-")[1]) + pair)
+        return result
+
+    monkeypatch.setattr(engine, "_fixpoint", fixpoint)
+    sources = {name: load(scenario_path(name)) for name in CORPUS}
+    sources["context_defaults"] = load(CONTEXT_DEFAULTS)
+    sources.update({f"chain{n}": loads(chain_scenario(n), f"chain{n}") for n in range(3, 13)})
+    for name, scn in sources.items():
+        assert run_scenario(scn).ok, name
+    assert fired == {
+        "bush_context1": {((), "Result", "alpha", "beta")},
+        "bush_context3": {((), "Result", "alpha", "beta"), (("A",), "Result", "alpha", "beta")},
+        "context_defaults": {((), "Result", "alpha", "beta")},
+    }
+
+
+def test_a_reversed_result_transmits_belief():
+    # the Result schema reads the relation atom's own direction: with
+    # (rel Result b a), believing b's content defaults to believing a's
+    text = ("agents A I context [] { fact (rel Result b a) fact (B I q) }"
+            " utterance a imperative (R (plan go)) utterance b assertion q")
+    report = run_scenario(loads(text))
+    assert report.kb.entails((), parse_formula("(B I (R (plan go)))"))
+    steps = [(s.rule, s.binding) for s in report.trace.steps() if s.rule.startswith("BeliefProperty-")]
+    assert steps == [("BeliefProperty-Result", "{cx=q, cy=(R (plan go)), x=b, y=a}")]
 
 
 #: the relation phase's candidates for the pair (a, b), in order
